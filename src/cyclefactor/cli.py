@@ -92,9 +92,7 @@ def cmd_gen(args) -> int:
 
 def cmd_expect(args) -> int:
     g, d_hint = _read_graph(args.graph)
-    stats = cycle_factor_stats(
-        g, want_edge_usage=args.edge_usage, threads=args.threads
-    )
+    stats = cycle_factor_stats(g, want_edge_usage=args.edge_usage)
     if stats.count == 0:
         raise NoCycleFactorError("no cycle-factor")
     mean = stats.mean()
@@ -136,7 +134,7 @@ def _certificate_doc(cert: Certificate) -> dict:
 
 def cmd_verify(args) -> int:
     g, _ = _read_graph(args.graph)
-    cert = certify(g, args.d, provenance=args.graph, threads=args.threads)
+    cert = certify(g, args.d, provenance=args.graph)
     _emit(_certificate_doc(cert))
     return 0
 
@@ -186,9 +184,7 @@ def cmd_suite(args) -> int:
     if args.name == "two-regular":
         report = two_regular_suite(args.n_max if args.n_max else 6)
     elif args.name == "gadget-cross":
-        report = gadget_cross_validation(
-            args.d_max if args.d_max else 6, threads=args.threads
-        )
+        report = gadget_cross_validation(args.d_max if args.d_max else 6)
     else:
         report = looped_cycle_suite(args.n_max if args.n_max else 12)
     _emit(
@@ -235,7 +231,7 @@ def cmd_search(args) -> int:
     return 0
 
 
-def _report_checks(max_d: int, threads: int | None) -> list[dict]:
+def _report_checks(max_d: int) -> list[dict]:
     checks = []
 
     def add(name, expected, got):
@@ -244,16 +240,16 @@ def _report_checks(max_d: int, threads: int | None) -> list[dict]:
         )
 
     g6 = families.looped_bidirected_cycle(6)
-    st = cycle_factor_stats(g6, threads=threads)
+    st = cycle_factor_stats(g6)
     add("looped 6-cycle mean cycles", Fraction(4), st.mean())
     add("looped 6-cycle histogram", {1: 2, 3: 2, 4: 9, 5: 6, 6: 1}, st.histogram)
 
-    cross = gadget_cross_validation(max_d, threads=threads)
+    cross = gadget_cross_validation(max_d)
     add("gadget enumeration matches closed forms", (), cross.failures)
     for d in range(3, max_d + 1):
         add(f"gadget excess positive at degree {d}", True, gadget_closed_form(d).excess > 0)
 
-    pad = certify(families.padded_gadget(3, 3), 3, threads=threads)
+    pad = certify(families.padded_gadget(3, 3), 3)
     add("padding keeps the degree-3 excess", Fraction(1, 3), pad.excess)
 
     c6 = two_factor_stats(families.cycle_graph(6), allow_edge_as_2cycle=True)
@@ -272,7 +268,7 @@ def _report_checks(max_d: int, threads: int | None) -> list[dict]:
 
 
 def cmd_report(args) -> int:
-    checks = _report_checks(args.max_d, args.threads)
+    checks = _report_checks(args.max_d)
     ok = all(c["pass"] for c in checks)
     _emit({"max_d": args.max_d, "checks": checks, "ok": ok})
     return 0 if ok else 3
@@ -312,13 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="graph text file, - for stdin")
     p.add_argument("--histogram", action="store_true")
     p.add_argument("--edge-usage", dest="edge_usage", action="store_true")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_expect)
 
     p = sub.add_parser("verify", help="certificate against the clique benchmark")
     p.add_argument("--graph", required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("formula", help="closed forms for the crossing gadget")
@@ -333,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, choices=list(SUITES))
     p.add_argument("--n-max", dest="n_max", type=int, default=None)
     p.add_argument("--d-max", dest="d_max", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("search", help="seeded local search for positive excess")
@@ -349,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="reproduce the headline values end to end")
     p.add_argument("--max-d", dest="max_d", type=int, default=6, choices=(3, 4, 5, 6, 7))
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_report)
 
     return parser

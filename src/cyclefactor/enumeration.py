@@ -1,24 +1,30 @@
 """Exact brute-force engines for factor statistics.
 
 Directed side: cycle-factor counts, cycle-count histograms, fixed-point
-sums, per-arc usage, and constrained enumeration with prescribed or
-forbidden arcs.  Undirected side: spanning partitions into cycles
-(optionally also single matched edges), matchings of cycles, and a Ryser
-permanent used as an independent counting oracle.
+sums, per-arc usage, constrained enumeration with prescribed or forbidden
+arcs, and the crossing-pattern table of the gadget.  Undirected side:
+spanning partitions into cycles (optionally also single matched edges),
+matchings of cycles, and a Ryser permanent used as an independent
+counting oracle.
 
-Cycle counts are maintained incrementally while vertices are assigned in
-increasing order: each open path keeps its two endpoints spliced together
-in a successor/predecessor table, so closing a path into a cycle is an
-O(1) test instead of a decomposition pass at every leaf.
+Every directed statistic comes from one enumeration core, _factor_table.
+It assigns successors in increasing vertex order under a used-heads
+bitmask, sums integer arc weights along each factor into a key, and counts
+factors by (key, cycle count).  cycle_factor_stats weights each loop 1, so
+the key is the number of fixed points; classify_crossing_patterns weights
+each crossing arc by its pattern bit, so the key is the crossing pattern.
+Cycle counts are maintained incrementally: each open path keeps its two
+endpoints spliced together in a successor/predecessor table, so closing a
+path into a cycle is an O(1) test instead of a decomposition pass at every
+leaf.  iter_cycle_factors stays a separate plain recursion, as an oracle.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import InternalCheckError, NoCycleFactorError
@@ -33,6 +39,10 @@ from .families import crossing_gadget, looped_bidirected_cycle
 from .graphs import Arc, DiGraph, UGraph
 
 MAX_FAST_VERTICES = 64
+# largest crossing-gadget degree the pattern classifier enumerates
+MAX_GADGET_DEGREE = 7
+# largest looped bidirected cycle whose factor set is classified
+MAX_LOOPED_CYCLE = 16
 
 
 @dataclass(frozen=True)
@@ -80,16 +90,6 @@ class ArcConstraints:
             raise ValueError("an arc cannot be both required and forbidden")
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    raw = os.environ.get("CYCLEFACTOR_THREADS", "").strip()
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _candidate_rows(g: DiGraph, constraints: ArcConstraints | None) -> list[list[int]]:
     req_head: dict[int, int] = {}
     req_heads: set[int] = set()
@@ -111,122 +111,89 @@ def _candidate_rows(g: DiGraph, constraints: ArcConstraints | None) -> list[list
     return rows
 
 
-def _empty_stats(want_edge_usage: bool) -> FactorStats:
-    return FactorStats(0, 0, {}, 0, {} if want_edge_usage else None)
+def _factor_table(
+    rows: Sequence[Sequence[int]], weights: dict[Arc, int], want_usage: bool
+) -> tuple[list[list[int]], dict[Arc, int] | None]:
+    """Tabulate every cycle-factor whose arcs come from the candidate rows.
 
-
-def _enumerate_chunk(n, cand, first_arcs, want_usage):
-    # One independent slice of the search tree: the given branches at
-    # vertex 0, full branching below.  Returns raw merge-ready fields.
+    Each arc weighs weights.get(arc, 0) >= 0, and a factor's key is the sum
+    of its arc weights, so no key exceeds sum(weights.values()).  Returns
+    table with table[key][cycles] the number of factors of that key and
+    cycle count, and, when want_usage is set, the number of factors
+    through each arc (arcs in no factor omitted).
+    """
+    n = len(rows)
+    stride = n + 1
+    nkeys = 1 + sum(weights.values())
+    # key and cycle count share one flat index key * stride + cycles, so
+    # each arc carries its weight pre-scaled and a closed cycle adds 1
+    cand = [
+        [(w, 1 << w, weights.get((v, w), 0) * stride) for w in row]
+        for v, row in enumerate(rows)
+    ]
+    flat = [0] * (nkeys * stride)
+    usage: dict[Arc, int] | None = {} if want_usage else None
     start = list(range(n))
     end = list(range(n))
-    hist = [0] * (n + 1)
-    acc = [0, 0, 0]  # count, cycle_sum, fix_sum
-    usage: dict[Arc, int] | None = {} if want_usage else None
 
-    def rec(v, used, cycles, fix):
+    def rec(v, used, index):
+        # returns the number of factors below this node
         if v == n:
-            acc[0] += 1
-            acc[1] += cycles
-            acc[2] += fix
-            hist[cycles] += 1
-            return
+            flat[index] += 1
+            return 1
         nxt = v + 1
         s = start[v]
-        for w, bit in cand[v]:
+        below = 0
+        for w, bit, wt in cand[v]:
             if used & bit:
                 continue
-            before = acc[0] if usage is not None else 0
             if w == s:
-                rec(nxt, used | bit, cycles + 1, fix + (w == v))
+                found = rec(nxt, used | bit, index + wt + 1)
             else:
                 e = end[w]
                 start[e] = s
                 end[s] = e
-                rec(nxt, used | bit, cycles, fix)
+                found = rec(nxt, used | bit, index + wt)
                 start[e] = w
                 end[s] = v
-            if usage is not None and acc[0] > before:
-                usage[v, w] = usage.get((v, w), 0) + acc[0] - before
+            if found:
+                below += found
+                if usage is not None:
+                    usage[v, w] = usage.get((v, w), 0) + found
+        return below
 
-    if n == 1:
-        # only candidate is the loop; vertex 0 closes immediately
-        for w, bit in first_arcs:
-            acc[0] += 1
-            acc[1] += 1
-            acc[2] += 1
-            hist[1] += 1
-            if usage is not None:
-                usage[0, 0] = usage.get((0, 0), 0) + 1
-    else:
-        for w, bit in first_arcs:
-            before = acc[0]
-            if w == 0:
-                rec(1, bit, 1, 1)
-            else:
-                e = end[w]
-                start[e] = 0
-                end[0] = e
-                rec(1, bit, 0, 0)
-                start[e] = w
-                end[0] = 0
-            if usage is not None and acc[0] > before:
-                usage[0, w] = usage.get((0, w), 0) + acc[0] - before
-    return acc[0], acc[1], acc[2], hist, usage
+    if all(rows):  # a vertex without candidates admits no factor
+        rec(0, 0, 0)
+    return [flat[k * stride : (k + 1) * stride] for k in range(nkeys)], usage
 
 
 def cycle_factor_stats(
     g: DiGraph,
     constraints: ArcConstraints | None = None,
     want_edge_usage: bool = False,
-    threads: int | None = None,
-    max_vertices: int = MAX_FAST_VERTICES,
 ) -> FactorStats:
     """Exact statistics over every cycle-factor of g meeting the constraints.
 
     A cycle-factor is a permutation sigma of the vertices with v -> sigma(v)
-    an arc for every v.  Enumeration assigns sigma(v) in increasing vertex
-    order under a used-heads bitmask.  threads > 1 splits the branches at
-    vertex 0 across a thread pool; results merge by field-wise addition, so
-    the output does not depend on the thread count.
+    an arc for every v.  One pass of the enumeration core assigns sigma(v)
+    in increasing vertex order under a used-heads bitmask, with each loop
+    weighted 1, so a factor's key is its number of fixed points.  Count,
+    cycle sum, fixed-point sum and histogram are all read off the table.
     """
     n = g.n
-    if n > max_vertices:
-        raise ValueError(f"graph order {n} exceeds the fast-path limit {max_vertices}")
-    if n == 0:
-        return FactorStats(1, 0, {0: 1}, 0, {} if want_edge_usage else None)
+    if n > MAX_FAST_VERTICES:
+        raise ValueError(
+            f"graph order {n} exceeds the fast-path limit {MAX_FAST_VERTICES}"
+        )
     rows = _candidate_rows(g, constraints)
-    if any(not row for row in rows):
-        return _empty_stats(want_edge_usage)
-    cand = [[(w, 1 << w) for w in row] for row in rows]
-    nthreads = min(_thread_count(threads), len(cand[0]))
-    if nthreads <= 1:
-        parts = [_enumerate_chunk(n, cand, cand[0], want_edge_usage)]
-    else:
-        chunks = [cand[0][i::nthreads] for i in range(nthreads)]
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            parts = list(
-                pool.map(
-                    lambda sl: _enumerate_chunk(n, cand, sl, want_edge_usage), chunks
-                )
-            )
-    count = sum(p[0] for p in parts)
-    if count == 0:
-        return _empty_stats(want_edge_usage)
-    cycle_sum = sum(p[1] for p in parts)
-    fix_sum = sum(p[2] for p in parts)
-    hist: dict[int, int] = {}
-    for p in parts:
-        for k, v in enumerate(p[3]):
-            if v:
-                hist[k] = hist.get(k, 0) + v
-    usage: dict[Arc, int] | None = None
-    if want_edge_usage:
-        usage = {}
-        for p in parts:
-            for a, c in p[4].items():
-                usage[a] = usage.get(a, 0) + c
-    return FactorStats(count, cycle_sum, dict(sorted(hist.items())), fix_sum, usage)
+    loops = {(v, v): 1 for v, row in enumerate(rows) if v in row}
+    table, usage = _factor_table(rows, loops, want_edge_usage)
+    by_fix = list(map(sum, table))
+    by_cycles = list(map(sum, zip(*table)))
+    hist = {c: h for c, h in enumerate(by_cycles) if h}
+    cycle_sum = sum(map(mul, range(n + 1), by_cycles))
+    fix_sum = sum(map(mul, range(len(by_fix)), by_fix))
+    return FactorStats(sum(by_fix), cycle_sum, hist, fix_sum, usage)
 
 
 def iter_cycle_factors(
@@ -270,64 +237,34 @@ def permutation_cycles(sigma: Sequence[int]) -> int:
     return cycles
 
 
-def expected_cycles(g: DiGraph, threads: int | None = None) -> Fraction:
+def expected_cycles(g: DiGraph) -> Fraction:
     """Mean cycle count over all cycle-factors, exact."""
-    stats = cycle_factor_stats(g, threads=threads)
+    stats = cycle_factor_stats(g)
     if stats.count == 0:
         raise NoCycleFactorError("no cycle-factor")
     return stats.mean()
 
 
-def classify_crossing_patterns(d: int, max_d: int = 7) -> list[TableRow]:
+def classify_crossing_patterns(d: int) -> list[TableRow]:
     """Bucket the crossing gadget's factors by which crossing arcs they use.
 
-    One full enumeration with a 4-bit pattern accumulator.  Degree balance
+    One pass of the enumeration core with each crossing arc weighted by its
+    pattern bit.  The four crossing arcs have distinct tails, so a factor
+    uses each at most once and its key is its 4-bit pattern.  Degree balance
     between the two gadget halves permits only six patterns; observing any
     other raises InternalCheckError.  Buckets are aggregated into the four
     fixed row groups so the result is comparable to crossing_pattern_table.
     """
     if d < 3:
         raise ValueError("need d >= 3")
-    if d > max_d:
-        raise ValueError(f"degree {d} above the enumeration limit {max_d}")
+    if d > MAX_GADGET_DEGREE:
+        raise ValueError(f"degree {d} above the enumeration limit {MAX_GADGET_DEGREE}")
     g, labeling = crossing_gadget(d)
-    n = g.n
     bit_of = {name: 1 << i for i, name in enumerate(CROSSING_ARC_ORDER)}
-    special_head = [-1] * n
-    special_bit = [0] * n
-    for name, (tail, head) in labeling.crossing_arcs.items():
-        special_head[tail] = head
-        special_bit[tail] = bit_of[name]
-    cand = [[(w, 1 << w) for w in row] for row in g.out]
-    start = list(range(n))
-    end = list(range(n))
-    bucket_count = [0] * 16
-    bucket_sum = [0] * 16
-
-    def rec(v, used, cycles, pat):
-        if v == n:
-            bucket_count[pat] += 1
-            bucket_sum[pat] += cycles
-            return
-        nxt = v + 1
-        s = start[v]
-        sh = special_head[v]
-        sb = special_bit[v]
-        for w, bit in cand[v]:
-            if used & bit:
-                continue
-            p2 = pat | sb if w == sh else pat
-            if w == s:
-                rec(nxt, used | bit, cycles + 1, p2)
-            else:
-                e = end[w]
-                start[e] = s
-                end[s] = e
-                rec(nxt, used | bit, cycles, p2)
-                start[e] = w
-                end[s] = v
-
-    rec(0, 0, 0, 0)
+    weights = {arc: bit_of[name] for name, arc in labeling.crossing_arcs.items()}
+    table, _ = _factor_table(g.out, weights, False)
+    bucket_count = [sum(by_cycles) for by_cycles in table]
+    bucket_sum = [sum(c * h for c, h in enumerate(by_cycles)) for by_cycles in table]
     name_of = [
         pattern_name({nm for nm in CROSSING_ARC_ORDER if bit_of[nm] & mask})
         for mask in range(16)
@@ -337,14 +274,14 @@ def classify_crossing_patterns(d: int, max_d: int = 7) -> list[TableRow]:
             raise InternalCheckError(
                 f"impossible crossing pattern {name_of[mask]} observed"
             )
-    table = []
+    rows = []
     for group in ROW_GROUPS:
         cnt = sum(bucket_count[m] for m in range(16) if name_of[m] in group)
         tot = sum(bucket_sum[m] for m in range(16) if name_of[m] in group)
         if cnt == 0:
             raise InternalCheckError(f"crossing pattern row {group} is empty")
-        table.append(TableRow(group, cnt, Fraction(tot, cnt)))
-    return table
+        rows.append(TableRow(group, cnt, Fraction(tot, cnt)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +307,15 @@ def _cycle_matchings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     yield from rec(0, 0, [])
 
 
-def gn_classification_check(n: int, max_n: int = 16) -> bool:
+def gn_classification_check(n: int) -> bool:
     """Factors of the looped bidirected n-cycle = 2 rotations + matchings.
 
     Compares the enumerated factor set against the set built from the two
     full rotations plus one swap-factor per matching of the n-cycle (matched
     pairs transposed, everything else fixed by its loop).
     """
-    if not 4 <= n <= max_n:
-        raise ValueError(f"need 4 <= n <= {max_n}")
+    if not 4 <= n <= MAX_LOOPED_CYCLE:
+        raise ValueError(f"need 4 <= n <= {MAX_LOOPED_CYCLE}")
     g = looped_bidirected_cycle(n)
     found = set(iter_cycle_factors(g))
     expected = {

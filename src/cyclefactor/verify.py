@@ -14,6 +14,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .enumeration import (
+    MAX_GADGET_DEGREE,
+    MAX_LOOPED_CYCLE,
     classify_crossing_patterns,
     cycle_factor_stats,
     cycle_matching_counts,
@@ -21,7 +23,8 @@ from .enumeration import (
 )
 from .errors import IndivisibleOrderError, NoCycleFactorError, NotRegularError
 from .exact import gadget_closed_form, harmonic
-from .families import crossing_gadget
+# unused here; perfbench/workloads.py traces crossing_gadget at this binding
+from .families import crossing_gadget  # noqa: F401
 from .graphs import DiGraph, is_d_regular, to_text
 
 VERDICTS = ("beats_benchmark", "ties", "below")
@@ -54,9 +57,7 @@ class SuiteReport:
         return not self.failures
 
 
-def certify(
-    g: DiGraph, d: int, provenance: str = "", threads: int | None = None
-) -> Certificate:
+def certify(g: DiGraph, d: int, provenance: str = "") -> Certificate:
     """Certify the graph's exact excess over the benchmark (n/d)*H_d.
 
     Preconditions: g is d-regular, d divides n, and at least one
@@ -68,7 +69,7 @@ def certify(
         raise NotRegularError(f"graph is not {d}-regular")
     if g.n % d != 0:
         raise IndivisibleOrderError(f"benchmark needs d | n, got n={g.n}, d={d}")
-    stats = cycle_factor_stats(g, threads=threads)
+    stats = cycle_factor_stats(g)
     if stats.count == 0:
         raise NoCycleFactorError("no cycle-factor")
     expectation = stats.mean()
@@ -174,30 +175,31 @@ def two_regular_suite(n_max: int = 6) -> SuiteReport:
     return SuiteReport("two-regular", checked, tuple(failures))
 
 
-def gadget_cross_validation(
-    d_max: int = 6, hard_limit: int = 7, threads: int | None = None
-) -> SuiteReport:
+def gadget_cross_validation(d_max: int = 6) -> SuiteReport:
     """Brute force versus closed forms for the crossing gadget, d = 3..d_max.
 
-    Compares factor count, total cycle sum, mean, and each aggregated
-    crossing-pattern row; reports the first differing quantity per degree.
+    One enumeration per degree: the crossing-pattern rows partition the
+    factors (any other pattern raises), so their totals give the factor
+    count and cycle sum.  Compares count, total cycle sum, mean, and each
+    aggregated row; reports the first differing quantity per degree.
     """
-    if not 3 <= d_max <= hard_limit:
-        raise ValueError(f"need 3 <= d_max <= {hard_limit}")
+    if not 3 <= d_max <= MAX_GADGET_DEGREE:
+        raise ValueError(f"need 3 <= d_max <= {MAX_GADGET_DEGREE}")
     failures = []
     for d in range(3, d_max + 1):
         form = gadget_closed_form(d)
-        g, _ = crossing_gadget(d)
-        st = cycle_factor_stats(g, threads=threads)
+        observed = classify_crossing_patterns(d)
+        count = sum(row.count for row in observed)
+        cycle_sum = sum(row.count * row.mean for row in observed)
+        mean = cycle_sum / count
         mismatch = None
-        if st.count != form.count:
-            mismatch = f"factor count {st.count} != {form.count}"
-        elif st.cycle_sum != form.cycle_sum:
-            mismatch = f"cycle sum {st.cycle_sum} != {form.cycle_sum}"
-        elif st.mean() != form.expectation:
-            mismatch = f"mean {st.mean()} != {form.expectation}"
+        if count != form.count:
+            mismatch = f"factor count {count} != {form.count}"
+        elif cycle_sum != form.cycle_sum:
+            mismatch = f"cycle sum {cycle_sum} != {form.cycle_sum}"
+        elif mean != form.expectation:
+            mismatch = f"mean {mean} != {form.expectation}"
         else:
-            observed = classify_crossing_patterns(d, max_d=hard_limit)
             for got, want in zip(observed, form.rows):
                 if got != want:
                     mismatch = (
@@ -212,11 +214,11 @@ def gadget_cross_validation(
 
 def looped_cycle_suite(n_max: int = 12) -> SuiteReport:
     """Factor-set classification of the looped bidirected cycles, n = 4..n_max."""
-    if not 4 <= n_max <= 16:
-        raise ValueError("need 4 <= n_max <= 16")
+    if not 4 <= n_max <= MAX_LOOPED_CYCLE:
+        raise ValueError(f"need 4 <= n_max <= {MAX_LOOPED_CYCLE}")
     failures = []
     for n in range(4, n_max + 1):
-        if not gn_classification_check(n, max_n=16):
+        if not gn_classification_check(n):
             failures.append(f"n={n}: factors are not two rotations plus matchings")
     if cycle_matching_counts(6) != [1, 6, 9, 2]:
         failures.append("matching counts of the 6-cycle differ from (1, 6, 9, 2)")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclefactor.enumeration import (
+    MAX_FAST_VERTICES,
     ArcConstraints,
     classify_crossing_patterns,
     cycle_factor_stats,
@@ -21,7 +22,13 @@ from cyclefactor.enumeration import (
     two_factor_stats,
 )
 from cyclefactor.errors import NoCycleFactorError
-from cyclefactor.exact import crossing_pattern_table, harmonic
+from cyclefactor.exact import (
+    ALLOWED_PATTERNS,
+    ROW_GROUPS,
+    crossing_pattern_table,
+    harmonic,
+    pattern_name,
+)
 from cyclefactor.families import (
     complete_graph,
     complete_looped,
@@ -202,8 +209,9 @@ def test_empty_and_tiny_graphs():
 
 
 def test_order_cap_is_enforced():
+    loops = DiGraph(MAX_FAST_VERTICES + 1, [[v] for v in range(MAX_FAST_VERTICES + 1)])
     with pytest.raises(ValueError):
-        cycle_factor_stats(complete_looped(5), max_vertices=4)
+        cycle_factor_stats(loops)
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +282,6 @@ def test_constraint_validation():
     assert s.count == 0
 
 
-def test_thread_split_is_deterministic():
-    g = looped_bidirected_cycle(6)
-    a = cycle_factor_stats(g, want_edge_usage=True, threads=1)
-    b = cycle_factor_stats(g, want_edge_usage=True, threads=4)
-    assert a == b
-    big = complete_looped(6)
-    assert cycle_factor_stats(big, threads=3) == cycle_factor_stats(big, threads=1)
-
-
-def test_thread_env_override(monkeypatch):
-    monkeypatch.setenv("CYCLEFACTOR_THREADS", "4")
-    g = complete_looped(5)
-    assert cycle_factor_stats(g) == cycle_factor_stats(g, threads=1)
-    monkeypatch.setenv("CYCLEFACTOR_THREADS", "not-a-number")
-    assert cycle_factor_stats(g).count == 120
-
-
 # ---------------------------------------------------------------------------
 # crossing-pattern classification
 # ---------------------------------------------------------------------------
@@ -310,6 +301,27 @@ def test_classifier_guards():
         classify_crossing_patterns(2)
     with pytest.raises(ValueError):
         classify_crossing_patterns(8)
+
+
+@pytest.mark.parametrize("d", (3, 4))
+def test_classifier_matches_permutation_oracle(d):
+    # bucket every permutation factor by the crossing arcs it uses
+    g, labeling = crossing_gadget(d)
+    buckets = {}
+    for p in permutations(range(g.n)):
+        if not all(g.has_arc(v, p[v]) for v in range(g.n)):
+            continue
+        used = {name for name, (t, h) in labeling.crossing_arcs.items() if p[t] == h}
+        count, total = buckets.get(pattern_name(used), (0, 0))
+        buckets[pattern_name(used)] = (count + 1, total + permutation_cycles(p))
+    assert set(buckets) <= ALLOWED_PATTERNS
+    want = []
+    for group in ROW_GROUPS:
+        count = sum(buckets.get(name, (0, 0))[0] for name in group)
+        total = sum(buckets.get(name, (0, 0))[1] for name in group)
+        want.append((group, count, total))
+    got = [(r.patterns, r.count, r.count * r.mean) for r in classify_crossing_patterns(d)]
+    assert got == want
 
 
 def test_classifier_row_totals_match_plain_enumeration():

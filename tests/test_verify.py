@@ -1,15 +1,16 @@
 """Benchmark certificates and the exhaustive verification suites."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from cyclefactor import verify
 from cyclefactor.errors import IndivisibleOrderError, NotRegularError
-from cyclefactor.exact import benchmark_excess, harmonic
+from cyclefactor.exact import benchmark_excess, gadget_closed_form, harmonic
 from cyclefactor.families import (
     complete_looped,
     crossing_gadget,
-    looped_bidirected_cycle,
     padded_gadget,
 )
 from cyclefactor.graphs import DiGraph, disjoint_union, from_text, is_d_regular
@@ -98,6 +99,27 @@ def test_gadget_cross_validation_small():
         gadget_cross_validation(8)
 
 
+@pytest.mark.parametrize("field", ("row count", "cycle sum"))
+def test_gadget_cross_validation_reports_a_wrong_closed_form(monkeypatch, field):
+    def perturbed(d):
+        form = gadget_closed_form(d)
+        if d != 3:
+            return form
+        if field == "cycle sum":
+            return replace(form, cycle_sum=form.cycle_sum + 1)
+        bumped = replace(form.rows[1], count=form.rows[1].count + 1)
+        return replace(form, rows=(form.rows[0], bumped) + form.rows[2:])
+
+    monkeypatch.setattr(verify, "gadget_closed_form", perturbed)
+    report = gadget_cross_validation(4)
+    assert report.ok is False
+    assert report.checked == 2
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("d=3: ")
+    expected = "cycle sum" if field == "cycle sum" else "pattern row u1v2/v1u2"
+    assert expected in report.failures[0]
+
+
 def test_looped_cycle_suite_small():
     report = looped_cycle_suite(8)
     assert report.ok and report.checked == 5
@@ -110,8 +132,3 @@ def test_looped_cycle_suite_small():
 def test_suite_report_flag():
     assert SuiteReport("x", 1, ()).ok
     assert not SuiteReport("x", 1, ("boom",)).ok
-
-
-def test_threads_do_not_change_certificates():
-    g = looped_bidirected_cycle(9)
-    assert certify(g, 3, threads=1) == certify(g, 3, threads=3)
