@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import families
 from .enumeration import cycle_factor_stats, two_factor_stats
-from .errors import GenerationError, InternalCheckError, NoCycleFactorError
+from .errors import GenerationError, InternalCheckError
 from .exact import gadget_closed_form, harmonic, scaled_excess
 from .graphs import DiGraph, from_text, to_text, ugraph_to_digraph
 from .search import DEFAULT_SEED, SearchConfig, run_search
@@ -32,7 +32,8 @@ from .verify import (
     two_regular_suite,
 )
 
-SUITES = ("two-regular", "gadget-cross", "looped-cycle")
+# each suite and the one size bound it takes
+SUITES = {"two-regular": "n_max", "gadget-cross": "d_max", "looped-cycle": "n_max"}
 
 
 def _rat(x) -> str:
@@ -93,8 +94,6 @@ def cmd_gen(args) -> int:
 def cmd_expect(args) -> int:
     g, d_hint = _read_graph(args.graph)
     stats = cycle_factor_stats(g, want_edge_usage=args.edge_usage)
-    if stats.count == 0:
-        raise NoCycleFactorError("no cycle-factor")
     mean = stats.mean()
     doc = {
         "n": g.n,
@@ -181,12 +180,17 @@ def cmd_table1(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    if args.name == "two-regular":
-        report = two_regular_suite(args.n_max if args.n_max else 6)
-    elif args.name == "gadget-cross":
-        report = gadget_cross_validation(args.d_max if args.d_max else 6)
-    else:
-        report = looped_cycle_suite(args.n_max if args.n_max else 12)
+    # a bound goes to the suite only when given, so the defaults live in verify
+    bounds = {k: getattr(args, k) for k in ("n_max", "d_max") if getattr(args, k) is not None}
+    extra = bounds.keys() - {SUITES[args.name]}
+    if extra:
+        raise ValueError(f"suite {args.name} takes no --{extra.pop().replace('_', '-')}")
+    suite = {
+        "two-regular": two_regular_suite,
+        "gadget-cross": gadget_cross_validation,
+        "looped-cycle": looped_cycle_suite,
+    }[args.name]
+    report = suite(**bounds)
     _emit(
         {
             "name": report.name,
@@ -205,8 +209,6 @@ def cmd_search(args) -> int:
         seed=args.seed,
         population=args.pop,
         iterations=args.iters,
-        moves_per_step=args.moves,
-        restart_after=args.restart_after,
     )
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="utf-8")
     try:
@@ -335,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--pop", type=int, default=32)
     p.add_argument("--iters", type=int, default=200)
-    p.add_argument("--moves", type=int, default=1)
-    p.add_argument("--restart-after", dest="restart_after", type=int, default=25)
     p.add_argument("--out", default=None, help="JSON-lines path, default stdout")
     p.set_defaults(func=cmd_search)
 

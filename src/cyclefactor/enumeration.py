@@ -63,7 +63,7 @@ class FactorStats:
 
     def mean(self) -> Fraction:
         if self.count == 0:
-            raise NoCycleFactorError("no factor exists")
+            raise NoCycleFactorError("no cycle-factor")
         return Fraction(self.cycle_sum, self.count)
 
 
@@ -239,10 +239,7 @@ def permutation_cycles(sigma: Sequence[int]) -> int:
 
 def expected_cycles(g: DiGraph) -> Fraction:
     """Mean cycle count over all cycle-factors, exact."""
-    stats = cycle_factor_stats(g)
-    if stats.count == 0:
-        raise NoCycleFactorError("no cycle-factor")
-    return stats.mean()
+    return cycle_factor_stats(g).mean()
 
 
 def classify_crossing_patterns(d: int) -> list[TableRow]:

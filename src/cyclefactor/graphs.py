@@ -252,10 +252,12 @@ def _rank(signatures: list) -> list[int]:
 def fingerprint(g: DiGraph) -> int:
     """Deterministic 64-bit hash, invariant under vertex relabeling.
 
-    Built from iterated neighborhood refinement (n rounds) seeded with
-    degree and out/in neighborhood-overlap profiles.  Distinct fingerprints
-    imply non-isomorphic graphs; equal fingerprints imply nothing, so this
-    is a dedup heuristic, not a canonical form.
+    Built from iterated neighborhood refinement seeded with degree and
+    out/in neighborhood-overlap profiles.  Refinement stops at the first
+    round that splits no class, and after n rounds at most: each signature
+    leads with the old rank, so such a round returns the ranks unchanged.
+    Distinct fingerprints imply non-isomorphic graphs; equal fingerprints
+    imply nothing, so this is a dedup heuristic, not a canonical form.
     """
     n = g.n
     if n == 0:
@@ -279,7 +281,10 @@ def fingerprint(g: DiGraph) -> int:
             )
             for v in range(n)
         ]
-        ranks = _rank(sigs)
+        refined = _rank(sigs)
+        if refined == ranks:  # a fixed point: every later round returns it too
+            break
+        ranks = refined
     payload = (
         n,
         tuple(sorted(Counter(ranks).items())),

@@ -13,13 +13,17 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GenerationError, NoCycleFactorError
+from .errors import GenerationError
 from .graphs import Arc, DiGraph, fingerprint
 from .verify import Certificate, certify
 
 _MASK64 = (1 << 64) - 1
 
 DEFAULT_SEED = 2026
+# swap moves from a parent to its child in one iteration
+MOVES_PER_STEP = 1
+# iterations without a new lineage best before the lineage restarts
+RESTART_AFTER = 25
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -56,8 +60,6 @@ class SearchConfig:
     seed: int = DEFAULT_SEED
     population: int = 32
     iterations: int = 200
-    moves_per_step: int = 1
-    restart_after: int = 25
 
     def __post_init__(self):
         if self.d < 2 or self.n < self.d:
@@ -66,8 +68,6 @@ class SearchConfig:
             raise ValueError("the benchmark needs d | n")
         if self.population < 1 or self.iterations < 0:
             raise ValueError("need population >= 1 and iterations >= 0")
-        if self.moves_per_step < 1 or self.restart_after < 1:
-            raise ValueError("need moves_per_step >= 1 and restart_after >= 1")
 
 
 @dataclass(frozen=True)
@@ -148,11 +148,13 @@ def swap_move(g: DiGraph, rng: random.Random, tries: int = 64) -> DiGraph:
 class _Lineage:
     __slots__ = ("graph", "rng", "origin", "best", "stale")
 
-    def __init__(self, graph: DiGraph, rng: random.Random, origin: str):
+    def __init__(
+        self, graph: DiGraph | None, rng: random.Random, origin: str, best: Fraction | None
+    ):
         self.graph = graph
         self.rng = rng
         self.origin = origin
-        self.best: Fraction | None = None
+        self.best = best
         self.stale = 0
 
 
@@ -162,60 +164,39 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
     Per iteration every lineage proposes a mutated child; parents and
     children are ranked by exact excess with fingerprint dedup, the top
     `population` survive, and lineages that have not improved for
-    restart_after iterations restart from a fresh random graph.  Graphs
-    with no cycle-factor score as minus infinity instead of erroring.
+    RESTART_AFTER iterations restart from a fresh random graph.  Every
+    graph here is d-regular, so it has a cycle-factor (its bipartite double
+    cover is d-regular, and Hall's theorem gives a perfect matching) and
+    certify never raises NoCycleFactorError.
     The returned leaderboard is sorted by descending excess and capped at
     `population` entries; `sink`, when given, receives each record the
     moment it first enters the leaderboard.
     """
     stream = SeedStream(config.seed)
-    cache: dict[DiGraph, Certificate | None] = {}
     leaderboard: dict[int, SearchRecord] = {}
-    fingerprints: dict[DiGraph, int] = {}
+    evaluated: dict[DiGraph, tuple[Certificate, int]] = {}
 
-    def fp_of(g: DiGraph) -> int:
-        fp = fingerprints.get(g)
-        if fp is None:
-            fp = fingerprint(g)
-            fingerprints[g] = fp
-        return fp
+    def evaluate(g: DiGraph, it: int, origin: str) -> tuple[Certificate, int]:
+        # a graph is offered to the leaderboard once, when first evaluated;
+        # offering it again cannot beat the record it already set or met
+        if g not in evaluated:
+            cert, fp = evaluated[g] = certify(g, config.d), fingerprint(g)
+            held = leaderboard.get(fp)
+            if held is None or cert.excess > held.certificate.excess:
+                rec = leaderboard[fp] = SearchRecord(cert, it, fp, origin)
+                if sink is not None:
+                    sink(rec)
+        return evaluated[g]
 
-    def score(g: DiGraph) -> Certificate | None:
-        if g in cache:
-            return cache[g]
-        try:
-            cert = certify(g, config.d)
-        except NoCycleFactorError:
-            cert = None
-        cache[g] = cert
-        return cert
-
-    def consider(g: DiGraph, cert: Certificate | None, it: int, origin: str):
-        if cert is None:
-            return
-        fp = fp_of(g)
-        held = leaderboard.get(fp)
-        if held is None or cert.excess > held.certificate.excess:
-            rec = SearchRecord(cert, it, fp, origin)
-            leaderboard[fp] = rec
-            if sink is not None:
-                sink(rec)
-
-    def fresh() -> _Lineage:
+    def fresh(it: int) -> _Lineage:
         rng = stream.next_rng()
         try:
             g = random_regular_digraph(config.n, config.d, rng)
         except GenerationError:
-            return _Lineage(None, rng, "random")  # retried next iteration
-        return _Lineage(g, rng, "random")
+            return _Lineage(None, rng, "random", None)  # dropped next iteration
+        return _Lineage(g, rng, "random", evaluate(g, it, "random")[0].excess)
 
-    pop = [fresh() for _ in range(config.population)]
-    for member in pop:
-        if member.graph is not None:
-            cert = score(member.graph)
-            consider(member.graph, cert, 0, member.origin)
-            member.best = None if cert is None else cert.excess
-
+    pop = [fresh(0) for _ in range(config.population)]
     for it in range(1, config.iterations + 1):
         # rank parents and mutated children together
         ranked: list[tuple[Fraction, int, DiGraph, _Lineage, str]] = []
@@ -223,55 +204,33 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
         for member in pop:
             if member.graph is None:
                 continue
-            parent_tag = f"{fp_of(member.graph):016x}"
             child = member.graph
-            for _ in range(config.moves_per_step):
+            for _ in range(MOVES_PER_STEP):
                 child = swap_move(child, member.rng)
+            parent_tag = f"{evaluated[member.graph][1]:016x}"
             for g, origin in ((member.graph, member.origin), (child, parent_tag)):
-                cert = score(g)
-                consider(g, cert, it, origin)
-                if cert is None:
-                    continue
-                fp = fp_of(g)
-                if fp in seen_fps:
-                    continue
-                seen_fps.add(fp)
-                ranked.append((-cert.excess, fp, g, member, origin))
+                cert, fp = evaluate(g, it, origin)
+                if fp not in seen_fps:
+                    seen_fps.add(fp)
+                    ranked.append((-cert.excess, fp, g, member, origin))
         ranked.sort(key=lambda e: (e[0], e[1]))
         survivors: list[_Lineage] = []
         used_members: set[int] = set()
         for neg_excess, fp, g, member, origin in ranked[: config.population]:
             if id(member) in used_members:
                 # parent and child both survive: the child forks its own stream
-                lineage = _Lineage(g, stream.next_rng(), origin)
+                survivors.append(_Lineage(g, stream.next_rng(), origin, -neg_excess))
+                continue
+            used_members.add(id(member))
+            member.graph, member.origin = g, origin
+            if -neg_excess > member.best:
+                member.best, member.stale = -neg_excess, 0
             else:
-                used_members.add(id(member))
-                lineage = member
-                lineage.graph = g
-                lineage.origin = origin
-            excess = -neg_excess
-            if lineage.best is None or excess > lineage.best:
-                lineage.best = excess
-                lineage.stale = 0
-            else:
-                lineage.stale += 1
-            survivors.append(lineage)
-        pop = []
-        for member in survivors:
-            if member.stale >= config.restart_after:
-                member = fresh()
-                if member.graph is not None:
-                    cert = score(member.graph)
-                    consider(member.graph, cert, it, member.origin)
-                    member.best = None if cert is None else cert.excess
-            pop.append(member)
-        while len(pop) < config.population:
-            member = fresh()
-            if member.graph is not None:
-                cert = score(member.graph)
-                consider(member.graph, cert, it, member.origin)
-                member.best = None if cert is None else cert.excess
-            pop.append(member)
+                member.stale += 1
+            survivors.append(member)
+        # restarts draw from the stream only after every fork above
+        pop = [fresh(it) if m.stale >= RESTART_AFTER else m for m in survivors]
+        pop += [fresh(it) for _ in range(config.population - len(pop))]
 
     final = sorted(
         leaderboard.values(),

@@ -21,7 +21,7 @@ from .enumeration import (
     cycle_matching_counts,
     gn_classification_check,
 )
-from .errors import IndivisibleOrderError, NoCycleFactorError, NotRegularError
+from .errors import IndivisibleOrderError, NotRegularError
 from .exact import gadget_closed_form, harmonic
 # unused here; perfbench/workloads.py traces crossing_gadget at this binding
 from .families import crossing_gadget  # noqa: F401
@@ -70,8 +70,6 @@ def certify(g: DiGraph, d: int, provenance: str = "") -> Certificate:
     if g.n % d != 0:
         raise IndivisibleOrderError(f"benchmark needs d | n, got n={g.n}, d={d}")
     stats = cycle_factor_stats(g)
-    if stats.count == 0:
-        raise NoCycleFactorError("no cycle-factor")
     expectation = stats.mean()
     benchmark = Fraction(g.n, d) * harmonic(d)
     excess = expectation - benchmark

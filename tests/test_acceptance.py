@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from closed_cycles import closed_cycles_in
 from cyclefactor.enumeration import (
     ArcConstraints,
     cycle_factor_stats,
@@ -128,20 +129,6 @@ def iter_partial_permutations(n):
         for tails in combinations(range(n), r):
             for heads in permutations(range(n), r):
                 yield dict(zip(tails, heads))
-
-
-def closed_cycles_in(point_map):
-    q = Fraction(0)
-    for start, head in point_map.items():
-        v = head
-        length = 1
-        while v in point_map and v != start:
-            v = point_map[v]
-            length += 1
-        if v == start:
-            q += Fraction(1, length)
-    assert q.denominator == 1
-    return q.numerator
 
 
 def test_c07_constrained_completion_oracle():

@@ -123,11 +123,26 @@ def test_suite_failure_exits_three(capsys, monkeypatch):
     from cyclefactor.verify import SuiteReport
 
     monkeypatch.setattr(
-        cli, "looped_cycle_suite", lambda n_max: SuiteReport("looped-cycle", 1, ("boom",))
+        cli, "looped_cycle_suite", lambda n_max=12: SuiteReport("looped-cycle", 1, ("boom",))
     )
     code, out, _ = run_cli(capsys, "suite", "--name", "looped-cycle")
     assert code == 3
     assert json.loads(out)["failures"] == ["boom"]
+
+
+@pytest.mark.parametrize(
+    "name,flag,value",
+    [
+        ("two-regular", "--n-max", "0"),  # below the library's n_max >= 2
+        ("gadget-cross", "--d-max", "0"),  # below the library's d_max >= 3
+        ("looped-cycle", "--d-max", "9"),  # looped-cycle takes no degree bound
+        ("gadget-cross", "--n-max", "5"),  # gadget-cross takes no order bound
+    ],
+)
+def test_suite_bad_bound_is_exit_two(capsys, name, flag, value):
+    code, out, err = run_cli(capsys, "suite", "--name", name, flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_search_streams_records(tmp_path, capsys):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_cycles import closed_cycles_in
+from cyclefactor.enumeration import permutation_cycles
 from cyclefactor.exact import (
     ALLOWED_PATTERNS,
     CROSSING_ARC_ORDER,
@@ -22,35 +24,6 @@ from cyclefactor.exact import (
     pattern_name,
     scaled_excess,
 )
-
-
-def cycles_of(perm):
-    seen = [False] * len(perm)
-    total = 0
-    for v0 in range(len(perm)):
-        if seen[v0]:
-            continue
-        total += 1
-        v = v0
-        while not seen[v]:
-            seen[v] = True
-            v = perm[v]
-    return total
-
-
-def closed_cycles_in(point_map):
-    """Cycles fully contained in a partial map {tail: head}."""
-    q = Fraction(0)
-    for start in point_map:
-        v = point_map[start]
-        length = 1
-        while v in point_map and v != start:
-            v = point_map[v]
-            length += 1
-        if v == start:
-            q += Fraction(1, length)  # each cycle counted once per member
-    assert q.denominator == 1
-    return q.numerator
 
 
 @pytest.mark.parametrize("m,value", [(0, 0), (1, 1), (2, Fraction(3, 2)), (6, Fraction(49, 20))])
@@ -91,7 +64,7 @@ def test_partial_perm_formulas_match_exhaustion(case):
     ]
     assert len(hits) == partial_perm_count(n, r)
     q = closed_cycles_in(pinned)
-    assert sum(cycles_of(p) for p in hits) == partial_perm_cycle_sum(n, r, q)
+    assert sum(permutation_cycles(p) for p in hits) == partial_perm_cycle_sum(n, r, q)
 
 
 def test_partial_perm_validation():
@@ -114,7 +87,7 @@ def test_block_counts_match_filtered_permutations(d):
     n0, s0 = no_crossing_block_counts(d)
     kept = [p for p in permutations(range(d)) if p[0] != 1 and p[1] != 0]
     assert len(kept) == n0
-    assert sum(cycles_of(p) for p in kept) == s0
+    assert sum(permutation_cycles(p) for p in kept) == s0
 
 
 def test_block_count_identity():
