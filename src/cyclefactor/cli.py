@@ -14,6 +14,8 @@ or failed precondition, 3 internal consistency failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -22,7 +24,7 @@ from . import families
 from .enumeration import cycle_factor_stats, two_factor_stats
 from .errors import GenerationError, InternalCheckError
 from .exact import gadget_closed_form, harmonic, scaled_excess
-from .graphs import DiGraph, from_text, to_text, ugraph_to_digraph
+from .graphs import DiGraph, UGraph, from_text, to_text, ugraph_to_digraph
 from .search import DEFAULT_SEED, SearchConfig, run_search
 from .verify import (
     Certificate,
@@ -36,9 +38,39 @@ from .verify import (
 SUITES = {"two-regular": "n_max", "gadget-cross": "d_max", "looped-cycle": "n_max"}
 
 
-def _rat(x) -> str:
+def _undirected(u: UGraph) -> str:
+    return to_text(ugraph_to_digraph(u))
+
+
+# each gen family's builder; its keyword parameters are the flags it reads
+FAMILIES = {
+    "complete-looped": lambda m=5: to_text(families.complete_looped(m), m),
+    "looped-cycle": lambda n=6: to_text(families.looped_bidirected_cycle(n), 3),
+    "gadget": lambda d=3: to_text(families.crossing_gadget(d)[0], d),
+    "padded-gadget": lambda k=2, d=3: to_text(families.padded_gadget(k, d), d),
+    "cycle": lambda n=6, copies=1: _undirected(families.undirected_family("cycle", n, copies)),
+    "clique": lambda m=5, copies=1: _undirected(families.undirected_family("clique", m, copies)),
+    "k222": lambda copies=1: _undirected(families.undirected_family("k222", copies=copies)),
+    "splice": lambda m=5: _undirected(families.three_block_splice(m)),
+}
+
+
+def _flag_readers() -> dict[str, list[str]]:
+    readers: dict[str, list[str]] = {}
+    for name, build in FAMILIES.items():
+        for flag in inspect.signature(build).parameters:
+            readers.setdefault(flag, []).append(name)
+    return readers
+
+
+# each gen flag and the families that read it
+GEN_FLAGS = _flag_readers()
+
+
+def _exact(name: str, x) -> dict:
+    """An exact rational as a "p/q" string under name, its float under name_float."""
     f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    return {name: f"{f.numerator}/{f.denominator}", f"{name}_float": float(f)}
 
 
 def _emit(doc, stream=None) -> None:
@@ -53,12 +85,20 @@ def _read_graph(path: str) -> tuple[DiGraph, int]:
         return from_text(fh.read())
 
 
-def _write_text(text: str, path: str | None) -> None:
+def _output(path: str | None):
+    """Context manager for the output stream: stdout for None or "-", else the file."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
+
+
+def _given(args, flags, takes, owner: str) -> dict:
+    """The given (non-None) values among flags; exit 2 for one that takes lacks."""
+    given = {f: v for f, v in vars(args).items() if f in flags and v is not None}
+    foreign = sorted(given.keys() - set(takes))
+    if foreign:
+        raise ValueError(f"{owner} takes no --{foreign[0].replace('_', '-')}")
+    return given
 
 
 def _regular_degree(g: DiGraph) -> int | None:
@@ -69,39 +109,25 @@ def _regular_degree(g: DiGraph) -> int | None:
 
 
 def cmd_gen(args) -> int:
-    fam = args.family
-    if fam == "complete-looped":
-        text = to_text(families.complete_looped(args.m), args.m)
-    elif fam == "looped-cycle":
-        text = to_text(families.looped_bidirected_cycle(args.n), 3)
-    elif fam == "gadget":
-        g, _ = families.crossing_gadget(args.d)
-        text = to_text(g, args.d)
-    elif fam == "padded-gadget":
-        text = to_text(families.padded_gadget(args.k, args.d), args.d)
-    elif fam in ("cycle", "clique", "k222"):
-        size = args.n if fam == "cycle" else args.m
-        u = families.undirected_family(fam, size, args.copies)
-        text = to_text(ugraph_to_digraph(u))
-    elif fam == "splice":
-        text = to_text(ugraph_to_digraph(families.three_block_splice(args.m)))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown family {fam!r}")
-    _write_text(text, args.out)
+    # a flag goes to the builder only when given, so the defaults live in FAMILIES
+    build = FAMILIES[args.family]
+    takes = inspect.signature(build).parameters
+    text = build(**_given(args, GEN_FLAGS, takes, f"family {args.family}"))
+    # the text is built before --out is opened, so a bad value leaves no file
+    with _output(args.out) as out:
+        out.write(text)
     return 0
 
 
 def cmd_expect(args) -> int:
     g, d_hint = _read_graph(args.graph)
     stats = cycle_factor_stats(g, want_edge_usage=args.edge_usage)
-    mean = stats.mean()
     doc = {
         "n": g.n,
         "d": d_hint if d_hint > 0 else _regular_degree(g),
         "count": stats.count,
         "cycle_sum": stats.cycle_sum,
-        "expectation": _rat(mean),
-        "expectation_float": float(mean),
+        **_exact("expectation", stats.mean()),
     }
     if args.histogram:
         doc["histogram"] = {str(k): v for k, v in stats.histogram.items()}
@@ -120,12 +146,9 @@ def _certificate_doc(cert: Certificate) -> dict:
         "d": cert.d,
         "count": cert.count,
         "cycle_sum": cert.cycle_sum,
-        "expectation": _rat(cert.expectation),
-        "expectation_float": float(cert.expectation),
-        "benchmark": _rat(cert.benchmark),
-        "benchmark_float": float(cert.benchmark),
-        "excess": _rat(cert.excess),
-        "excess_float": float(cert.excess),
+        **_exact("expectation", cert.expectation),
+        **_exact("benchmark", cert.benchmark),
+        **_exact("excess", cert.excess),
         "verdict": cert.verdict,
         "provenance": cert.provenance,
     }
@@ -140,21 +163,15 @@ def cmd_verify(args) -> int:
 
 def cmd_formula(args) -> int:
     form = gadget_closed_form(args.d)
-    benchmark = 2 * harmonic(args.d)
-    scaled = scaled_excess(args.d)
     _emit(
         {
             "d": args.d,
             "count": form.count,
             "cycle_sum": form.cycle_sum,
-            "expectation": _rat(form.expectation),
-            "expectation_float": float(form.expectation),
-            "benchmark": _rat(benchmark),
-            "benchmark_float": float(benchmark),
-            "excess": _rat(form.excess),
-            "excess_float": float(form.excess),
-            "scaled_excess": _rat(scaled),
-            "scaled_excess_float": float(scaled),
+            **_exact("expectation", form.expectation),
+            **_exact("benchmark", 2 * harmonic(args.d)),
+            **_exact("excess", form.excess),
+            **_exact("scaled_excess", scaled_excess(args.d)),
         }
     )
     return 0
@@ -169,8 +186,7 @@ def cmd_table1(args) -> int:
                 {
                     "patterns": list(row.patterns),
                     "count": row.count,
-                    "mean": _rat(row.mean),
-                    "mean_float": float(row.mean),
+                    **_exact("mean", row.mean),
                 }
                 for row in form.rows
             ],
@@ -181,10 +197,7 @@ def cmd_table1(args) -> int:
 
 def cmd_suite(args) -> int:
     # a bound goes to the suite only when given, so the defaults live in verify
-    bounds = {k: getattr(args, k) for k in ("n_max", "d_max") if getattr(args, k) is not None}
-    extra = bounds.keys() - {SUITES[args.name]}
-    if extra:
-        raise ValueError(f"suite {args.name} takes no --{extra.pop().replace('_', '-')}")
+    bounds = _given(args, ("n_max", "d_max"), {SUITES[args.name]}, f"suite {args.name}")
     suite = {
         "two-regular": two_regular_suite,
         "gadget-cross": gadget_cross_validation,
@@ -210,8 +223,7 @@ def cmd_search(args) -> int:
         population=args.pop,
         iterations=args.iters,
     )
-    out = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="utf-8")
-    try:
+    with _output(args.out) as out:
 
         def sink(rec):
             json.dump(
@@ -227,9 +239,6 @@ def cmd_search(args) -> int:
             out.flush()
 
         run_search(config, sink=sink)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -284,25 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a graph family in text format")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=[
-            "complete-looped",
-            "looped-cycle",
-            "gadget",
-            "padded-gadget",
-            "cycle",
-            "clique",
-            "k222",
-            "splice",
-        ],
-    )
-    p.add_argument("--n", type=int, default=6, help="vertex count where applicable")
-    p.add_argument("--m", type=int, default=5, help="clique or block size")
-    p.add_argument("--d", type=int, default=3, help="degree of the gadget")
-    p.add_argument("--k", type=int, default=2, help="total blocks for padded-gadget")
-    p.add_argument("--copies", type=int, default=1, help="disjoint copies (undirected)")
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
+    for flag, readers in GEN_FLAGS.items():
+        p.add_argument(f"--{flag}", type=int, default=None, help="read by " + ", ".join(readers))
     p.add_argument("--out", default=None, help="output path, default stdout")
     p.set_defaults(func=cmd_gen)
 

@@ -196,24 +196,16 @@ def cycle_factor_stats(
     return FactorStats(sum(by_fix), cycle_sum, hist, fix_sum, usage)
 
 
-def iter_cycle_factors(
-    g: DiGraph, constraints: ArcConstraints | None = None
-) -> Iterator[tuple[int, ...]]:
+def iter_cycle_factors(g: DiGraph) -> Iterator[tuple[int, ...]]:
     """Yield each cycle-factor as a successor tuple sigma."""
     n = g.n
-    if n == 0:
-        yield ()
-        return
-    rows = _candidate_rows(g, constraints)
-    if any(not row for row in rows):
-        return
     sigma = [-1] * n
 
     def rec(v, used):
         if v == n:
             yield tuple(sigma)
             return
-        for w in rows[v]:
+        for w in g.out[v]:
             bit = 1 << w
             if used & bit:
                 continue

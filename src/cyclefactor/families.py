@@ -72,18 +72,16 @@ def crossing_gadget(d: int) -> tuple[DiGraph, GadgetLabeling]:
             for w in classes[(i + 1) % 6]:
                 rows[u].add(w)
                 rows[w].add(u)
-    labels = [""] * n
-    for name, cls in zip(CLASS_NAMES, classes):
-        for v in cls:
-            labels[v] = name
+    # the classes run through 0..n-1 in order
+    class_of = tuple(name for name, cls in zip(CLASS_NAMES, classes) for _ in cls)
     crossing = {
         "u1": (1, 0),          # B1 -> A1
         "v1": (d, d + 1),      # A2 -> B2
         "u2": (d + 1, d),      # B2 -> A2
         "v2": (0, 1),          # A1 -> B1
     }
-    g = DiGraph(n, [sorted(r) for r in rows], tuple(labels))
-    return g, GadgetLabeling(tuple(labels), crossing)
+    g = DiGraph(n, [sorted(r) for r in rows])
+    return g, GadgetLabeling(class_of, crossing)
 
 
 def padded_gadget(k: int, d: int) -> DiGraph:

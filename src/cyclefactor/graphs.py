@@ -22,14 +22,9 @@ class DiGraph:
     tests go through per-vertex bitmasks (Python ints, so any n works).
     """
 
-    __slots__ = ("n", "out", "labels", "_in", "_masks")
+    __slots__ = ("n", "out", "_in", "_masks")
 
-    def __init__(
-        self,
-        n: int,
-        out_adj: Sequence[Iterable[int]],
-        labels: tuple[str, ...] | None = None,
-    ):
+    def __init__(self, n: int, out_adj: Sequence[Iterable[int]]):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if len(out_adj) != n:
@@ -43,11 +38,8 @@ class DiGraph:
             if len(set(row)) != len(row):
                 raise ValueError(f"parallel arcs at vertex {v}")
             rows.append(row)
-        if labels is not None and len(labels) != n:
-            raise ValueError("labels must cover every vertex")
         self.n = n
         self.out = tuple(rows)
-        self.labels = labels
         self._in: tuple[tuple[int, ...], ...] | None = None
         self._masks: tuple[int, ...] | None = None
 
@@ -98,13 +90,7 @@ class DiGraph:
         rows: list[list[int]] = [[] for _ in range(self.n)]
         for u in range(self.n):
             rows[perm[u]] = [perm[w] for w in self.out[u]]
-        labels = None
-        if self.labels is not None:
-            relab = [""] * self.n
-            for v in range(self.n):
-                relab[perm[v]] = self.labels[v]
-            labels = tuple(relab)
-        return DiGraph(self.n, rows, labels)
+        return DiGraph(self.n, rows)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -203,16 +189,12 @@ def is_d_regular(g: DiGraph, d: int) -> bool:
 def disjoint_union(gs: Sequence[DiGraph]) -> DiGraph:
     """Block-diagonal union; vertex indices are offset by cumulative sizes."""
     rows: list[list[int]] = []
-    labels: list[str] = []
-    any_labels = any(g.labels is not None for g in gs)
     offset = 0
     for g in gs:
         for v in range(g.n):
             rows.append([w + offset for w in g.out[v]])
-        if any_labels:
-            labels.extend(g.labels if g.labels is not None else ("",) * g.n)
         offset += g.n
-    return DiGraph(offset, rows, tuple(labels) if any_labels else None)
+    return DiGraph(offset, rows)
 
 
 def u_disjoint_union(gs: Sequence[UGraph]) -> UGraph:

@@ -24,6 +24,10 @@ DEFAULT_SEED = 2026
 MOVES_PER_STEP = 1
 # iterations without a new lineage best before the lineage restarts
 RESTART_AFTER = 25
+# shuffles per permutation layer before random_regular_digraph gives up
+MAX_LAYER_TRIES = 2000
+# random arc pairs swap_move draws before it returns the graph unchanged
+SWAP_TRIES = 64
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -80,15 +84,14 @@ class SearchRecord:
     lineage: str  # "random" or the parent graph's fingerprint in hex
 
 
-def random_regular_digraph(
-    n: int, d: int, rng: random.Random, max_tries: int = 2000
-) -> DiGraph:
+def random_regular_digraph(n: int, d: int, rng: random.Random) -> DiGraph:
     """Sample a d-regular digraph as a union of d random permutations.
 
     Each layer is drawn uniformly among permutations arc-disjoint from the
-    layers already placed, by rejection with max_tries shuffles per layer;
-    loops and 2-cycles are admissible outcomes.  n == d short-circuits to
-    the complete looped digraph, the only d-regular digraph on d vertices.
+    layers already placed, by rejection with MAX_LAYER_TRIES shuffles per
+    layer, raising GenerationError when they all fail; loops and 2-cycles
+    are admissible outcomes.  n == d short-circuits to the complete looped
+    digraph, the only d-regular digraph on d vertices.
     """
     if not 1 <= d <= n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
@@ -97,7 +100,7 @@ def random_regular_digraph(
     base = list(range(n))
     rows: list[set[int]] = [set() for _ in range(n)]
     for _ in range(d):
-        for _ in range(max_tries):
+        for _ in range(MAX_LAYER_TRIES):
             perm = base[:]
             rng.shuffle(perm)
             if all(w not in rows[v] for v, w in enumerate(perm)):
@@ -106,7 +109,7 @@ def random_regular_digraph(
                 break
         else:
             raise GenerationError(
-                f"no permutation disjoint from the placed layers in {max_tries} tries"
+                f"no permutation disjoint from the placed layers in {MAX_LAYER_TRIES} tries"
             )
     return DiGraph(n, [sorted(r) for r in rows])
 
@@ -128,16 +131,19 @@ def apply_swap(g: DiGraph, first: Arc, second: Arc) -> DiGraph:
     rows[u].append(y)
     rows[x].remove(y)
     rows[x].append(v)
-    return DiGraph(g.n, rows, g.labels)
+    return DiGraph(g.n, rows)
 
 
-def swap_move(g: DiGraph, rng: random.Random, tries: int = 64) -> DiGraph:
-    """One random degree-preserving 2-swap; g unchanged if none is found."""
+def swap_move(g: DiGraph, rng: random.Random) -> DiGraph:
+    """One random degree-preserving 2-swap; g unchanged if none is found.
+
+    Draws up to SWAP_TRIES random arc pairs and applies the first valid one.
+    """
     arcs = list(g.arcs())
     m = len(arcs)
     if m < 2:
         return g
-    for _ in range(tries):
+    for _ in range(SWAP_TRIES):
         u, v = arcs[rng.randrange(m)]
         x, y = arcs[rng.randrange(m)]
         if u != x and v != y and not g.has_arc(u, y) and not g.has_arc(x, v):

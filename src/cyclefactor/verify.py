@@ -144,7 +144,9 @@ def two_regular_suite(n_max: int = 6) -> SuiteReport:
     of fixed points is half the loop count, the mean cycle count is at most
     n/2 + loops/4, and it equals 3n/4 exactly when the graph is a disjoint
     union of looped mutual pairs.  No fingerprint dedup: the claims are
-    per-graph, so every labeled graph is checked outright.
+    per-graph, so every labeled graph is checked outright.  None is skipped:
+    a 2-regular digraph always has a cycle-factor (Hall's theorem on its
+    2-regular double cover).
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
@@ -153,8 +155,6 @@ def two_regular_suite(n_max: int = 6) -> SuiteReport:
     for n in range(2, n_max + 1):
         for g in iter_two_regular_digraphs(n):
             st = cycle_factor_stats(g, want_edge_usage=True)
-            if st.count == 0:
-                continue
             checked += 1
             loops = g.loop_count
             usage = st.edge_usage or {}

@@ -1,5 +1,6 @@
 """End-to-end CLI checks: exit codes, JSON shapes, schema conformance."""
 
+import hashlib
 import io
 import json
 import os
@@ -52,6 +53,54 @@ def test_gen_writes_to_stdout(capsys):
     code, out, _ = run_cli(capsys, "gen", "--family", "complete-looped", "--m", "3")
     assert code == 0
     assert out == "3 3\n0: 0 1 2\n1: 0 1 2\n2: 0 1 2\n"
+
+
+# every gen family at its defaults and with one non-default setting:
+# flags -> (header line, SHA-256 of the output text)
+GEN_GOLDEN = {
+    "complete-looped": ("5 5", "aeb00d5ab47d05cfaf6b1aac35deaa8d2f6058ca06fa89c4d81c346f3b14d6a0"),
+    "complete-looped --m 3": ("3 3", "58f90afacf669121687985e38c03400f5929b91622f25624379f24fc2accdbaf"),
+    "looped-cycle": ("6 3", "eb1b087cc11d33141c050229acc4036dd5dae22f8c6f4f48b83402a476f1d4bc"),
+    "looped-cycle --n 8": ("8 3", "8b272b451107a1861ac06acb5ac3d2caa26698d757f2cd107e51629a56ff6a7b"),
+    "gadget": ("6 3", "eb1b087cc11d33141c050229acc4036dd5dae22f8c6f4f48b83402a476f1d4bc"),
+    "gadget --d 4": ("8 4", "c00bb6b5692d144624979ead548d56680295af5783ff698aef0835c97abbf5eb"),
+    "padded-gadget": ("6 3", "eb1b087cc11d33141c050229acc4036dd5dae22f8c6f4f48b83402a476f1d4bc"),
+    "padded-gadget --k 3 --d 4": ("12 4", "1f3a03a62a01714ba534646b2145467606490a480bd8232974960e8e17879bd0"),
+    "cycle": ("6 -1", "649c7fc3e503ab2b07b030261b325e932d9f5c6268ef53fa4a664f8b0a00a258"),
+    "cycle --n 5 --copies 3": ("15 -1", "81a71fccf0b9722fa1875f2666d4dbe5e0b565411099e72217f5b784e614e229"),
+    "clique": ("5 -1", "94e6bf8cffc9c333bf4428d9f1be2232ec642313f5613260b751a3f2d932d69e"),
+    "clique --m 4 --copies 2": ("8 -1", "0eae4259a86fac5630f15648658cf2f4e3392278ec2add9fe6b0fe026c323f73"),
+    "k222": ("6 -1", "4d7c66e8f68e3d14f7becf799d356a4948b7d4e3609fa98de9d5762c4a233e90"),
+    "k222 --copies 2": ("12 -1", "9d07d916ce43a9d115736db2523dda59a6ccc5bfec219ab5bac3cd5a1989a0c1"),
+    "splice": ("15 -1", "7e4b26822ced843fb919b358893b5bd67a6a46b7eca05ef317cd59c0d33e1bcf"),
+    "splice --m 4": ("12 -1", "8488bded47de15d574fa9e3d4037783ef2224adff3b749308a002030db3cd12b"),
+}
+
+
+@pytest.mark.parametrize("flags", GEN_GOLDEN)
+def test_gen_matches_golden_output(capsys, flags):
+    header, digest = GEN_GOLDEN[flags]
+    code, out, err = run_cli(capsys, "gen", "--family", *flags.split())
+    assert code == 0, err
+    assert out.splitlines()[0] == header
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "family,flag,value",
+    [
+        ("gadget", "--n", "10"),
+        ("complete-looped", "--d", "4"),
+        ("k222", "--m", "4"),
+        ("splice", "--copies", "2"),
+    ],
+)
+def test_gen_rejects_foreign_flag(tmp_path, capsys, family, flag, value):
+    path = tmp_path / "g.txt"
+    code, out, err = run_cli(capsys, "gen", "--family", family, flag, value, "--out", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    assert not path.exists()
 
 
 def test_expect_reads_stdin(capsys, monkeypatch):

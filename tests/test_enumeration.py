@@ -206,6 +206,8 @@ def test_empty_and_tiny_graphs():
         bare.mean()
     with pytest.raises(NoCycleFactorError):
         expected_cycles(DiGraph(2, [[0], [0]]))
+    assert list(iter_cycle_factors(DiGraph(0, []))) == [()]
+    assert list(iter_cycle_factors(DiGraph(1, [[]]))) == []
 
 
 def test_order_cap_is_enforced():
