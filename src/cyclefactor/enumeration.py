@@ -7,16 +7,28 @@ spanning partitions into cycles (optionally also single matched edges),
 matchings of cycles, and a Ryser permanent used as an independent
 counting oracle.
 
-Every directed statistic comes from one enumeration core, _factor_table.
-It assigns successors in increasing vertex order under a used-heads
-bitmask, sums integer arc weights along each factor into a key, and counts
-factors by (key, cycle count).  cycle_factor_stats weights each loop 1, so
-the key is the number of fixed points; classify_crossing_patterns weights
-each crossing arc by its pattern bit, so the key is the crossing pattern.
-Cycle counts are maintained incrementally: each open path keeps its two
-endpoints spliced together in a successor/predecessor table, so closing a
-path into a cycle is an O(1) test instead of a decomposition pass at every
-leaf.  iter_cycle_factors stays a separate plain recursion, as an oracle.
+Every directed statistic comes from one table: the number of cycle-factors
+by (key, cycle count), where a factor's key sums integer arc weights along
+it.  cycle_factor_stats weights each loop 1, so the key is the number of
+fixed points; classify_crossing_patterns weights each crossing arc by its
+pattern bit, so the key is the crossing pattern.  Two exact engines build
+that table:
+
+- _factor_table, the leaf engine, visits every factor once.  It assigns
+  successors in increasing vertex order under a used-heads bitmask; each
+  open path keeps its two endpoints spliced together in a
+  successor/predecessor table, so closing a path into a cycle is an O(1)
+  test instead of a decomposition pass at every leaf.  It alone yields
+  per-arc usage, and it is the oracle the other engine is tested against.
+- _subset_table, the subset engine, never visits a factor.  It counts the
+  directed cycles on each vertex set, then covers the vertex set by
+  cycles, one cycle through the smallest uncovered vertex at a time
+  (Held-Karp / Bjorklund style), so its cost grows with vertex subsets.
+
+_tabulate picks the subset engine when no usage is wanted, the graph has
+at most MAX_SUBSET_VERTICES vertices, and the Bregman bound on the factor
+count, prod_v (|row_v|!)^(1/|row_v|), is at least 2^(n + SUBSET_MARGIN_BITS).
+iter_cycle_factors stays a separate plain recursion, as an oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lgamma, log, prod
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -40,7 +53,13 @@ from .graphs import Arc, DiGraph, UGraph
 
 MAX_FAST_VERTICES = 64
 # largest crossing-gadget degree the pattern classifier enumerates
-MAX_GADGET_DEGREE = 7
+MAX_GADGET_DEGREE = 8
+# the subset engine memoizes up to 2^n packed tables; at n = 18 a random
+# 9-regular digraph peaks at about 150 MiB and 70 s, so it stops there
+MAX_SUBSET_VERTICES = 18
+# the subset engine runs only where the Bregman bound on the factor count
+# exceeds 2^n, its own subset count, by at least this many bits
+SUBSET_MARGIN_BITS = 3
 # largest looped bidirected cycle whose factor set is classified
 MAX_LOOPED_CYCLE = 16
 
@@ -167,6 +186,97 @@ def _factor_table(
     return [flat[k * stride : (k + 1) * stride] for k in range(nkeys)], usage
 
 
+def _subset_table(rows: Sequence[Sequence[int]], weights: dict[Arc, int]) -> list[list[int]]:
+    """The table of _factor_table(rows, weights, False), built over vertex subsets.
+
+    A path DP starts each path at its minimum vertex and records, for each
+    vertex set T, the directed cycles on T; a memoized recursion then
+    covers the remaining set R by a cycle T through min(R) and a cover of
+    R - T.  Each table is a polynomial in the flat index key * (n + 1) +
+    cycles, packed into one int with a slot of bits per index (Kronecker
+    substitution), so adding an arc weight is a shift and joining a cycle
+    to a cover is one multiplication.  No count can exceed the number of
+    successor choices prod_v |row_v|, so the slots never overflow.
+    """
+    n = len(rows)
+    stride = n + 1
+    nkeys = 1 + sum(weights.values())
+    slot = prod(max(1, len(row)) for row in rows).bit_length()
+    cycles: dict[int, int] = {}  # vertex set -> packed table of its cycles
+    for s in range(n):
+        close = {
+            v: (weights.get((v, s), 0) * stride + 1) * slot
+            for v in range(s, n)
+            if s in rows[v]
+        }
+        step = [
+            [(w, 1 << w, weights.get((v, w), 0) * stride * slot) for w in row if w > s]
+            for v, row in enumerate(rows)
+        ]
+        # paths from s through larger vertices, by (vertex set, last vertex)
+        paths = {(1 << s, s): 1}
+        while paths:
+            longer: dict[tuple[int, int], int] = {}
+            for (mask, v), packed in paths.items():
+                if v in close:
+                    cycles[mask] = cycles.get(mask, 0) + (packed << close[v])
+                for w, bit, shift in step[v]:
+                    if not mask & bit:
+                        key = (mask | bit, w)
+                        longer[key] = longer.get(key, 0) + (packed << shift)
+            paths = longer
+
+    packed = _cover((1 << n) - 1, cycles, {0: 1})
+    full = (1 << slot) - 1
+    flat = [packed >> (i * slot) & full for i in range(nkeys * stride)]
+    return [flat[k * stride : (k + 1) * stride] for k in range(nkeys)]
+
+
+def _cover(rest: int, cycles: dict[int, int], covers: dict[int, int]) -> int:
+    # packed table of the cycle-factors of the subgraph induced on rest:
+    # the sum, over the cycles T through min(rest) inside rest, of T's
+    # table times the cover of rest - T.  A module function, not a closure:
+    # a recursive closure refers to itself, and only the cycle collector,
+    # long after the call, would free the memo it holds.
+    if rest in covers:
+        return covers[rest]
+    low = rest & -rest
+    others = rest ^ low
+    total = 0
+    part = others
+    while True:
+        cyc = cycles.get(part | low)
+        if cyc:
+            total += cyc * _cover(others ^ part, cycles, covers)
+        if not part:
+            break
+        part = (part - 1) & others
+    covers[rest] = total
+    return total
+
+
+def _subset_wins(rows: Sequence[Sequence[int]], want_usage: bool) -> bool:
+    """Whether _tabulate should run the subset engine on these candidate rows.
+
+    The leaf engine's cost follows the factor count, bounded by Bregman's
+    prod_v (|row_v|!)^(1/|row_v|); the subset engine's follows 2^n.
+    """
+    n = len(rows)
+    if want_usage or n > MAX_SUBSET_VERTICES or not all(rows):
+        return False
+    log2_bregman = sum(lgamma(len(row) + 1) / len(row) for row in rows) / log(2)
+    return log2_bregman - n >= SUBSET_MARGIN_BITS
+
+
+def _tabulate(
+    rows: Sequence[Sequence[int]], weights: dict[Arc, int], want_usage: bool
+) -> tuple[list[list[int]], dict[Arc, int] | None]:
+    """_factor_table's result, from whichever engine _subset_wins picks."""
+    if _subset_wins(rows, want_usage):
+        return _subset_table(rows, weights), None
+    return _factor_table(rows, weights, want_usage)
+
+
 def cycle_factor_stats(
     g: DiGraph,
     constraints: ArcConstraints | None = None,
@@ -175,10 +285,12 @@ def cycle_factor_stats(
     """Exact statistics over every cycle-factor of g meeting the constraints.
 
     A cycle-factor is a permutation sigma of the vertices with v -> sigma(v)
-    an arc for every v.  One pass of the enumeration core assigns sigma(v)
-    in increasing vertex order under a used-heads bitmask, with each loop
-    weighted 1, so a factor's key is its number of fixed points.  Count,
-    cycle sum, fixed-point sum and histogram are all read off the table.
+    an arc for every v.  One factor table, with each loop weighted 1, so a
+    factor's key is its number of fixed points; count, cycle sum,
+    fixed-point sum and histogram are all read off it.  _tabulate builds it
+    with the subset engine where the Bregman bound says the leaf engine
+    would visit too many factors, and with the leaf engine otherwise,
+    always when edge usage is wanted.
     """
     n = g.n
     if n > MAX_FAST_VERTICES:
@@ -187,7 +299,7 @@ def cycle_factor_stats(
         )
     rows = _candidate_rows(g, constraints)
     loops = {(v, v): 1 for v, row in enumerate(rows) if v in row}
-    table, usage = _factor_table(rows, loops, want_edge_usage)
+    table, usage = _tabulate(rows, loops, want_edge_usage)
     by_fix = list(map(sum, table))
     by_cycles = list(map(sum, zip(*table)))
     hist = {c: h for c, h in enumerate(by_cycles) if h}
@@ -237,9 +349,11 @@ def expected_cycles(g: DiGraph) -> Fraction:
 def classify_crossing_patterns(d: int) -> list[TableRow]:
     """Bucket the crossing gadget's factors by which crossing arcs they use.
 
-    One pass of the enumeration core with each crossing arc weighted by its
-    pattern bit.  The four crossing arcs have distinct tails, so a factor
-    uses each at most once and its key is its 4-bit pattern.  Degree balance
+    One factor table with each crossing arc weighted by its pattern bit.
+    The four crossing arcs have distinct tails, so a factor uses each at
+    most once and its key is its 4-bit pattern.  _tabulate picks the
+    engine: the leaf engine for d <= 4, the subset engine from d = 5 on,
+    where the Bregman bound on the gadget's factor count passes 2^(2d + 3).  Degree balance
     between the two gadget halves permits only six patterns; observing any
     other raises InternalCheckError.  Buckets are aggregated into the four
     fixed row groups so the result is comparable to crossing_pattern_table.
@@ -251,7 +365,7 @@ def classify_crossing_patterns(d: int) -> list[TableRow]:
     g, labeling = crossing_gadget(d)
     bit_of = {name: 1 << i for i, name in enumerate(CROSSING_ARC_ORDER)}
     weights = {arc: bit_of[name] for name, arc in labeling.crossing_arcs.items()}
-    table, _ = _factor_table(g.out, weights, False)
+    table, _ = _tabulate(g.out, weights, False)
     bucket_count = [sum(by_cycles) for by_cycles in table]
     bucket_sum = [sum(c * h for c, h in enumerate(by_cycles)) for by_cycles in table]
     name_of = [

@@ -176,9 +176,13 @@ def two_regular_suite(n_max: int = 6) -> SuiteReport:
 def gadget_cross_validation(d_max: int = 6) -> SuiteReport:
     """Brute force versus closed forms for the crossing gadget, d = 3..d_max.
 
-    One enumeration per degree: the crossing-pattern rows partition the
+    One factor table per degree: the crossing-pattern rows partition the
     factors (any other pattern raises), so their totals give the factor
-    count and cycle sum.  Compares count, total cycle sum, mean, and each
+    count and cycle sum.  Degrees 3 and 4 run on the leaf engine, which
+    visits every factor; from degree 5 on the subset engine builds the same
+    table over vertex subsets, which is what makes degree 8 (about 10^9
+    factors) reachable.  The leaf engine stays the subset engine's oracle
+    in the tests.  Compares count, total cycle sum, mean, and each
     aggregated row; reports the first differing quantity per degree.
     """
     if not 3 <= d_max <= MAX_GADGET_DEGREE:

@@ -218,6 +218,20 @@ def test_search_streams_records(tmp_path, capsys):
         best_by_fp[fp] = rec["certificate"]["excess_float"]
 
 
+def test_suite_gadget_cross_reaches_degree_eight(capsys):
+    doc = run_json(
+        capsys, "suite", "--name", "gadget-cross", "--d-max", "8", schema_name="suite"
+    )
+    assert doc["ok"] is True and doc["checked"] == 6 and doc["failures"] == []
+
+
+def test_report_at_the_largest_gadget_degree(capsys):
+    doc = run_json(capsys, "report", "--max-d", "8", schema_name="report")
+    assert doc["ok"] is True and doc["max_d"] == 8
+    names = [c["name"] for c in doc["checks"]]
+    assert "gadget excess positive at degree 8" in names
+
+
 def test_report_small(capsys):
     doc = run_json(capsys, "report", "--max-d", "3", schema_name="report")
     assert doc["ok"] is True

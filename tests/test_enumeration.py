@@ -1,16 +1,22 @@
-"""Exhaustive enumeration engine vs independent brute-force oracles."""
+"""Exhaustive enumeration engines vs independent brute-force oracles."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cyclefactor.enumeration import (
     MAX_FAST_VERTICES,
+    MAX_GADGET_DEGREE,
     ArcConstraints,
+    _candidate_rows,
+    _factor_table,
+    _subset_table,
+    _subset_wins,
     classify_crossing_patterns,
     cycle_factor_stats,
     cycle_matching_counts,
@@ -21,9 +27,10 @@ from cyclefactor.enumeration import (
     ryser_permanent,
     two_factor_stats,
 )
-from cyclefactor.errors import NoCycleFactorError
+from cyclefactor.errors import GenerationError, NoCycleFactorError
 from cyclefactor.exact import (
     ALLOWED_PATTERNS,
+    CROSSING_ARC_ORDER,
     ROW_GROUPS,
     crossing_pattern_table,
     harmonic,
@@ -38,6 +45,8 @@ from cyclefactor.families import (
     looped_bidirected_cycle,
 )
 from cyclefactor.graphs import DiGraph, UGraph, disjoint_union, double_cover
+from cyclefactor.search import random_regular_digraph
+from cyclefactor.verify import iter_two_regular_digraphs
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +237,7 @@ def test_stats_match_brute_force(data):
     check_against_brute(DiGraph(n, [sorted(r) for r in rows]))
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_digraphs(), st.data())
-def test_constrained_stats_match_brute_force(data, picks):
-    n, rows = data
-    g = DiGraph(n, [sorted(r) for r in rows])
+def draw_constraints(picks, n):
     arcs = [(u, w) for u in range(n) for w in range(n)]
     req_tails = picks.draw(st.sets(st.integers(0, n - 1), max_size=2))
     req_heads = picks.draw(st.permutations(list(range(n))))
@@ -242,8 +247,15 @@ def test_constrained_stats_match_brute_force(data, picks):
             lambda s: frozenset(s) - required
         )
     )
-    constraints = ArcConstraints(frozenset(required), forbidden)
-    check_against_brute(g, constraints)
+    return ArcConstraints(frozenset(required), forbidden)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_digraphs(), st.data())
+def test_constrained_stats_match_brute_force(data, picks):
+    n, rows = data
+    g = DiGraph(n, [sorted(r) for r in rows])
+    check_against_brute(g, draw_constraints(picks, n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -285,6 +297,84 @@ def test_constraint_validation():
 
 
 # ---------------------------------------------------------------------------
+# the subset engine against the leaf engine, table for table
+# ---------------------------------------------------------------------------
+
+
+def gadget_rows_and_weights(d):
+    """The gadget's rows with each crossing arc weighted by its pattern bit."""
+    g, labeling = crossing_gadget(d)
+    bit_of = {name: 1 << i for i, name in enumerate(CROSSING_ARC_ORDER)}
+    weights = {arc: bit_of[name] for name, arc in labeling.crossing_arcs.items()}
+    return g.out, weights
+
+
+def loop_weights(rows):
+    return {(v, v): 1 for v, row in enumerate(rows) if v in row}
+
+
+def assert_engines_agree(rows, weights):
+    assert _subset_table(rows, weights) == _factor_table(rows, weights, False)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_digraphs(), st.data())
+def test_subset_engine_matches_leaf_engine(data, picks):
+    n, rows = data
+    g = DiGraph(n, [sorted(r) for r in rows])
+    cand = _candidate_rows(g, draw_constraints(picks, n))
+    pairs = [(u, w) for u in range(n) for w in range(n)]
+    weights = picks.draw(
+        st.dictionaries(st.sampled_from(pairs), st.integers(0, 3), max_size=6)
+    )
+    assert_engines_agree(cand, weights)
+
+
+# (n, d) with n <= 14 and 2 <= d <= 7 whose Bregman bound (d!)^(n/d) keeps
+# the leaf-engine oracle under 2e5 factors per example
+REGULAR_PAIRS = [
+    (n, d)
+    for n in range(2, 15)
+    for d in range(2, min(n, 7) + 1)
+    if factorial(d) ** (n / d) <= 2e5
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(REGULAR_PAIRS), st.integers(0, 2**32 - 1))
+def test_subset_engine_matches_leaf_engine_on_regular_digraphs(pair, seed):
+    n, d = pair
+    try:
+        g = random_regular_digraph(n, d, random.Random(seed))
+    except GenerationError:
+        assume(False)
+    assert_engines_agree(g.out, loop_weights(g.out))
+
+
+@pytest.mark.parametrize("d", range(3, 7))
+def test_subset_engine_matches_leaf_engine_on_gadget_patterns(d):
+    assert_engines_agree(*gadget_rows_and_weights(d))
+
+
+def test_subset_engine_on_the_empty_graph():
+    assert _subset_table(DiGraph(0, []).out, {}) == [[1]]
+    assert _factor_table(DiGraph(0, []).out, {}, False)[0] == [[1]]
+
+
+def test_engine_choice_follows_the_bregman_bound():
+    leaf = [random_regular_digraph(n, 4, random.Random(n)) for n in (8, 16)]
+    leaf += [random_regular_digraph(14, 2, random.Random(14))]
+    leaf += list(iter_two_regular_digraphs(4))
+    for g in leaf:
+        assert not _subset_wins(g.out, False)
+    subset = [crossing_gadget(d)[0] for d in range(5, MAX_GADGET_DEGREE + 1)]
+    subset += [complete_looped(8), random_regular_digraph(12, 6, random.Random(12))]
+    for g in subset:
+        assert _subset_wins(g.out, False)
+        assert not _subset_wins(g.out, True)  # edge usage needs the leaf engine
+
+
+# ---------------------------------------------------------------------------
 # crossing-pattern classification
 # ---------------------------------------------------------------------------
 
@@ -302,7 +392,7 @@ def test_classifier_guards():
     with pytest.raises(ValueError):
         classify_crossing_patterns(2)
     with pytest.raises(ValueError):
-        classify_crossing_patterns(8)
+        classify_crossing_patterns(MAX_GADGET_DEGREE + 1)
 
 
 @pytest.mark.parametrize("d", (3, 4))

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cyclefactor import verify
+from cyclefactor.enumeration import MAX_GADGET_DEGREE
 from cyclefactor.errors import IndivisibleOrderError, NotRegularError
 from cyclefactor.exact import benchmark_excess, gadget_closed_form, harmonic
 from cyclefactor.families import (
@@ -96,7 +97,7 @@ def test_gadget_cross_validation_small():
     report = gadget_cross_validation(5)
     assert report.ok and report.checked == 3
     with pytest.raises(ValueError):
-        gadget_cross_validation(8)
+        gadget_cross_validation(MAX_GADGET_DEGREE + 1)
 
 
 @pytest.mark.parametrize("field", ("row count", "cycle sum"))
