@@ -15,11 +15,19 @@ pattern bit, so the key is the crossing pattern.  Two exact engines build
 that table:
 
 - _factor_table, the leaf engine, visits every factor once.  It assigns
-  successors in increasing vertex order under a used-heads bitmask; each
-  open path keeps its two endpoints spliced together in a
-  successor/predecessor table, so closing a path into a cycle is an O(1)
-  test instead of a decomposition pass at every leaf.  It alone yields
-  per-arc usage, and it is the oracle the other engine is tested against.
+  successors tail by tail under a used-heads bitmask; each open path
+  keeps its two endpoints spliced together in a start/end table, so
+  closing a path into a cycle is an O(1) test instead of a decomposition
+  pass at every leaf.  Two constraint-search devices cut its dead
+  branches.  Forward checking: due[i] masks the heads whose last
+  candidate tail is the i-th, so one mask test per node drops the branch
+  when two of them are still unused and forces the tail when one is.  A
+  fail-first static order (_leaf_order): each next tail is the one that
+  leaves the fewest heads open (some but not all of their tails placed),
+  ties by vertex index, so deadlines come early.  Where the Bregman bound
+  on the factor count is at most n^2 the order costs more than it saves
+  and the identity is used.  It alone yields per-arc usage, and it is the
+  oracle the other engine is tested against.
 - _subset_table, the subset engine, never visits a factor.  It counts the
   directed cycles on each vertex set, then covers the vertex set by
   cycles, one cycle through the smallest uncovered vertex at a time
@@ -36,7 +44,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lgamma, log, prod
+from math import lgamma, log, log2, prod
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -109,15 +117,17 @@ class ArcConstraints:
             raise ValueError("an arc cannot be both required and forbidden")
 
 
-def _candidate_rows(g: DiGraph, constraints: ArcConstraints | None) -> list[list[int]]:
+def _candidate_rows(
+    g: DiGraph, constraints: ArcConstraints | None
+) -> Sequence[Sequence[int]]:
+    if constraints is None:
+        return g.out
     req_head: dict[int, int] = {}
     req_heads: set[int] = set()
-    forbidden: frozenset[Arc] = frozenset()
-    if constraints is not None:
-        for tail, head in constraints.required:
-            req_head[tail] = head
-            req_heads.add(head)
-        forbidden = constraints.forbidden
+    for tail, head in constraints.required:
+        req_head[tail] = head
+        req_heads.add(head)
+    forbidden = constraints.forbidden
     rows = []
     for v in range(g.n):
         if v in req_head:
@@ -130,6 +140,53 @@ def _candidate_rows(g: DiGraph, constraints: ArcConstraints | None) -> list[list
     return rows
 
 
+# ln of (k!)^(1/k), Bregman's bound on a row's share of the permanent, by
+# row length k; a row of a graph the engines accept has at most
+# MAX_FAST_VERTICES candidates, and an empty row admits no factor at all
+_LN_ROOT_FACTORIAL = (float("-inf"),) + tuple(
+    lgamma(k + 1) / k for k in range(1, MAX_FAST_VERTICES + 1)
+)
+
+
+def _log2_bregman(rows: Sequence[Sequence[int]]) -> float:
+    """log2 of Bregman's bound prod_v (|row_v|!)^(1/|row_v|) on the factor count."""
+    return sum(map(_LN_ROOT_FACTORIAL.__getitem__, map(len, rows))) / log(2)
+
+
+def _leaf_order(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The order in which _factor_table assigns tails: fail first, ties by index.
+
+    A head is open while some but not all of its candidate tails are
+    placed.  Each next tail is the one that leaves the fewest heads open,
+    so heads run out of tails, and their deadlines prune, as early as
+    possible.  Where the Bregman bound on the factor count is at most n^2,
+    the search is smaller than the O(n^2) cost of ordering, and the order
+    is the identity.
+    """
+    n = len(rows)
+    if n < 2 or _log2_bregman(rows) <= 2 * log2(n):
+        return list(range(n))
+    indeg = [0] * n
+    for row in rows:
+        for w in row:
+            indeg[w] += 1
+    placed = [0] * n
+
+    def opened(v):
+        # heads that placing tail v opens, less the heads it closes
+        return sum((placed[w] == 0) - (placed[w] + 1 == indeg[w]) for w in rows[v])
+
+    left = list(range(n))
+    order = []
+    while left:
+        v = min(left, key=opened)
+        left.remove(v)
+        order.append(v)
+        for w in rows[v]:
+            placed[w] += 1
+    return order
+
+
 def _factor_table(
     rows: Sequence[Sequence[int]], weights: dict[Arc, int], want_usage: bool
 ) -> tuple[list[list[int]], dict[Arc, int] | None]:
@@ -140,50 +197,88 @@ def _factor_table(
     table with table[key][cycles] the number of factors of that key and
     cycle count, and, when want_usage is set, the number of factors
     through each arc (arcs in no factor omitted).
+
+    Tails are assigned in _leaf_order, and vertices are relabeled by their
+    position in it, so the search runs over positions 0..n-1; usage and
+    weights stay keyed by the original arcs.  due[i] masks the heads whose
+    last candidate tail is position i: at position i, a head of due[i]
+    still unused must be taken now, so two such heads prune the node and
+    one forces the choice.
     """
     n = len(rows)
     stride = n + 1
     nkeys = 1 + sum(weights.values())
-    # key and cycle count share one flat index key * stride + cycles, so
-    # each arc carries its weight pre-scaled and a closed cycle adds 1
-    cand = [
-        [(w, 1 << w, weights.get((v, w), 0) * stride) for w in row]
-        for v, row in enumerate(rows)
-    ]
     flat = [0] * (nkeys * stride)
     usage: dict[Arc, int] | None = {} if want_usage else None
+
+    def table():
+        return [flat[k * stride : (k + 1) * stride] for k in range(nkeys)]
+
+    order = _leaf_order(rows)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    # key and cycle count share one flat index key * stride + cycles, so
+    # each arc carries its weight pre-scaled and a closed cycle adds 1
+    cand = []
+    last = [-1] * n  # position of each head's last candidate tail
+    # a head is forced only at its deadline, by its last candidate tail, so
+    # one choice per head bit covers every forced node
+    forced = {}
+    for i, v in enumerate(order):
+        row = []
+        for w in rows[v]:
+            h = pos[w]
+            bit = 1 << h
+            arc = (v, w)
+            c = (h, bit, weights.get(arc, 0) * stride, arc)
+            row.append(c)
+            forced[bit] = (c,)
+            last[h] = i
+        cand.append(row)
+    if not all(cand) or -1 in last:  # a tail or a head without candidates
+        return table(), usage
+    due = [0] * n
+    for h, i in enumerate(last):
+        due[i] |= 1 << h
     start = list(range(n))
     end = list(range(n))
 
-    def rec(v, used, index):
+    def rec(i, used, index):
         # returns the number of factors below this node
-        if v == n:
+        if i == n:
             flat[index] += 1
             return 1
-        nxt = v + 1
-        s = start[v]
+        miss = due[i] & ~used
+        if miss:
+            if miss & (miss - 1):
+                return 0
+            choices = forced[miss]
+        else:
+            choices = cand[i]
+        nxt = i + 1
+        s = start[i]
         below = 0
-        for w, bit, wt in cand[v]:
+        for h, bit, wt, arc in choices:
             if used & bit:
                 continue
-            if w == s:
+            if h == s:
                 found = rec(nxt, used | bit, index + wt + 1)
             else:
-                e = end[w]
+                e = end[h]
                 start[e] = s
                 end[s] = e
                 found = rec(nxt, used | bit, index + wt)
-                start[e] = w
-                end[s] = v
+                start[e] = h
+                end[s] = i
             if found:
                 below += found
                 if usage is not None:
-                    usage[v, w] = usage.get((v, w), 0) + found
+                    usage[arc] = usage.get(arc, 0) + found
         return below
 
-    if all(rows):  # a vertex without candidates admits no factor
-        rec(0, 0, 0)
-    return [flat[k * stride : (k + 1) * stride] for k in range(nkeys)], usage
+    rec(0, 0, 0)
+    return table(), usage
 
 
 def _subset_table(rows: Sequence[Sequence[int]], weights: dict[Arc, int]) -> list[list[int]]:
@@ -262,10 +357,9 @@ def _subset_wins(rows: Sequence[Sequence[int]], want_usage: bool) -> bool:
     prod_v (|row_v|!)^(1/|row_v|); the subset engine's follows 2^n.
     """
     n = len(rows)
-    if want_usage or n > MAX_SUBSET_VERTICES or not all(rows):
+    if want_usage or n > MAX_SUBSET_VERTICES:
         return False
-    log2_bregman = sum(lgamma(len(row) + 1) / len(row) for row in rows) / log(2)
-    return log2_bregman - n >= SUBSET_MARGIN_BITS
+    return _log2_bregman(rows) - n >= SUBSET_MARGIN_BITS  # -inf with an empty row
 
 
 def _tabulate(

@@ -2,8 +2,8 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import factorial
+from itertools import combinations, permutations, product
+from math import factorial, lgamma, log
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +15,8 @@ from cyclefactor.enumeration import (
     ArcConstraints,
     _candidate_rows,
     _factor_table,
+    _leaf_order,
+    _log2_bregman,
     _subset_table,
     _subset_wins,
     classify_crossing_patterns,
@@ -297,6 +299,111 @@ def test_constraint_validation():
 
 
 # ---------------------------------------------------------------------------
+# the leaf engine's tail order and deadlines
+# ---------------------------------------------------------------------------
+
+
+def factor_table_by_iteration(g, constraints, weights):
+    """Nonzero (key, cycles) counts and arc usage from iter_cycle_factors."""
+    required = constraints.required if constraints else frozenset()
+    forbidden = constraints.forbidden if constraints else frozenset()
+    table = {}
+    usage = {}
+    for sigma in iter_cycle_factors(g):
+        arcs = set(enumerate(sigma))
+        if not required <= arcs or arcs & forbidden:
+            continue
+        key = sum(weights.get(arc, 0) for arc in arcs)
+        cell = (key, permutation_cycles(sigma))
+        table[cell] = table.get(cell, 0) + 1
+        for arc in arcs:
+            usage[arc] = usage.get(arc, 0) + 1
+    return table, usage
+
+
+def nonzero_cells(table):
+    return {(k, c): h for k, row in enumerate(table) for c, h in enumerate(row) if h}
+
+
+def random_constraints(g, rng):
+    """One or two required arcs with distinct tails and heads, a few forbidden."""
+    arcs = sorted(g.arcs())
+    required = set()
+    for tail, head in rng.sample(arcs, 2):
+        if all(tail != t and head != h for t, h in required):
+            required.add((tail, head))
+    forbidden = set(rng.sample(arcs, 3)) - required
+    return ArcConstraints(frozenset(required), frozenset(forbidden))
+
+
+def seeded_regular_digraph(n, d, rng):
+    while True:
+        try:
+            return random_regular_digraph(n, d, rng)
+        except GenerationError:
+            continue
+
+
+def test_leaf_engine_matches_iteration_on_reordered_regular_digraphs():
+    reordered = 0
+    for n, d, seed in product(range(9, 13), (3, 4), range(2)):
+        rng = random.Random(f"{n} {d} {seed}")
+        g = seeded_regular_digraph(n, d, rng)
+        arcs = sorted(g.arcs())
+        weights = {arc: rng.randrange(1, 3) for arc in rng.sample(arcs, 4)}
+        for constraints in (None, random_constraints(g, rng)):
+            rows = _candidate_rows(g, constraints)
+            reordered += _leaf_order(rows) != list(range(n))
+            table, usage = _factor_table(rows, weights, True)
+            assert (nonzero_cells(table), usage) == factor_table_by_iteration(
+                g, constraints, weights
+            )
+    assert reordered  # the relabeled search, not only the identity order
+
+
+def test_leaf_order_is_a_permutation_and_the_identity_below_the_gate():
+    for n in (8, 12, 16):
+        rows = random_regular_digraph(n, 4, random.Random(n)).out
+        order = _leaf_order(rows)
+        assert sorted(order) == list(range(n))
+        assert order != list(range(n))
+    # every 2-regular digraph has a Bregman bound 2^(n/2), at most n^2
+    for n in range(2, 6):
+        for g in iter_two_regular_digraphs(n):
+            assert _leaf_order(g.out) == list(range(n))
+    assert _leaf_order(()) == []
+
+
+def test_log2_bregman_matches_the_lgamma_formula():
+    for rows in ([[0]], [[0, 1], [1, 2, 3], [0], [0, 1, 2, 3]], complete_looped(9).out):
+        direct = sum(lgamma(len(row) + 1) / len(row) for row in rows) / log(2)
+        assert _log2_bregman(rows) == direct
+    # a row without candidates bounds the factor count by 0
+    assert _log2_bregman([[0, 1], []]) == float("-inf")
+    assert not _subset_wins([[0, 1], []], False)
+
+
+def test_unreachable_head_gives_no_factor():
+    g = complete_looped(5)
+    dead = ArcConstraints(forbidden=frozenset((v, 3) for v in range(5)))
+    stats = cycle_factor_stats(g, dead, want_edge_usage=True)
+    assert (stats.count, stats.edge_usage) == (0, {})
+    table, usage = _factor_table(_candidate_rows(g, dead), {}, True)
+    assert (table, usage) == ([[0] * 6], {})
+
+
+def test_two_heads_due_at_one_tail_prune_to_zero():
+    # heads 0 and 1 both have tail 2 as their only candidate
+    rows = [[2, 3], [2, 3], [0, 1], [2, 3]]
+    assert _factor_table(rows, {}, True) == ([[0] * 5], {})
+    # with head 1 also reachable from tail 3, tail 2 is forced to head 0
+    rows = [[2, 3], [2, 3], [0, 1], [1, 2, 3]]
+    table, usage = _factor_table(rows, {}, True)
+    brute = factor_table_by_iteration(DiGraph(4, rows), None, {})
+    assert (nonzero_cells(table), usage) == brute
+
+
+# ---------------------------------------------------------------------------
 # the subset engine against the leaf engine, table for table
 # ---------------------------------------------------------------------------
 
@@ -359,6 +466,7 @@ def test_subset_engine_matches_leaf_engine_on_gadget_patterns(d):
 def test_subset_engine_on_the_empty_graph():
     assert _subset_table(DiGraph(0, []).out, {}) == [[1]]
     assert _factor_table(DiGraph(0, []).out, {}, False)[0] == [[1]]
+    assert _factor_table(DiGraph(0, []).out, {}, True) == ([[1]], {})
 
 
 def test_engine_choice_follows_the_bregman_bound():
