@@ -28,20 +28,25 @@ that table:
   on the factor count is at most n^2 the order costs more than it saves
   and the identity is used.  It alone yields per-arc usage, and it is the
   oracle the other engine is tested against.
-- _subset_table, the subset engine, never visits a factor.  It counts the
-  directed cycles on each vertex set, then covers the vertex set by
-  cycles, one cycle through the smallest uncovered vertex at a time
-  (Held-Karp / Bjorklund style), so its cost grows with vertex subsets.
+- _subset_table, the subset engine, never visits a factor.  _cycle_sets
+  counts the directed cycles on each vertex set, then _cover covers the
+  vertex set by cycles, one cycle through the smallest uncovered vertex
+  at a time (Held-Karp / Bjorklund style), so its cost grows with vertex
+  subsets.
 
 _tabulate picks the subset engine when no usage is wanted, the graph has
 at most MAX_SUBSET_VERTICES vertices, and the Bregman bound on the factor
 count, prod_v (|row_v|!)^(1/|row_v|), is at least 2^(n + SUBSET_MARGIN_BITS).
 iter_cycle_factors stays a separate plain recursion, as an oracle.
+
+The undirected side is one more client of _cycle_sets and _cover:
+two_factor_stats reads each component as a symmetric digraph, halves its
+cycle counts (each undirected cycle is found in both directions), keeps
+the 2-cycles only as matched edges, and covers the component by them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lgamma, log, log2, prod
@@ -281,23 +286,20 @@ def _factor_table(
     return table(), usage
 
 
-def _subset_table(rows: Sequence[Sequence[int]], weights: dict[Arc, int]) -> list[list[int]]:
-    """The table of _factor_table(rows, weights, False), built over vertex subsets.
+def _cycle_sets(
+    rows: Sequence[Sequence[int]], weights: dict[Arc, int], slot: int
+) -> dict[int, int]:
+    """Vertex set T -> packed table of the directed cycles on exactly T.
 
-    A path DP starts each path at its minimum vertex and records, for each
-    vertex set T, the directed cycles on T; a memoized recursion then
-    covers the remaining set R by a cycle T through min(R) and a cover of
-    R - T.  Each table is a polynomial in the flat index key * (n + 1) +
-    cycles, packed into one int with a slot of bits per index (Kronecker
-    substitution), so adding an arc weight is a shift and joining a cycle
-    to a cover is one multiplication.  No count can exceed the number of
-    successor choices prod_v |row_v|, so the slots never overflow.
+    A path DP starts each path at its minimum vertex s, extends it through
+    larger vertices only, and closes it back to s, so each directed cycle
+    is found once.  A table is a polynomial in the flat index key * (n + 1)
+    + cycles, packed into one int with slot bits per index (Kronecker
+    substitution), so adding an arc weight or closing the cycle is a shift.
     """
     n = len(rows)
     stride = n + 1
-    nkeys = 1 + sum(weights.values())
-    slot = prod(max(1, len(row)) for row in rows).bit_length()
-    cycles: dict[int, int] = {}  # vertex set -> packed table of its cycles
+    cycles: dict[int, int] = {}
     for s in range(n):
         close = {
             v: (weights.get((v, s), 0) * stride + 1) * slot
@@ -320,17 +322,37 @@ def _subset_table(rows: Sequence[Sequence[int]], weights: dict[Arc, int]) -> lis
                         key = (mask | bit, w)
                         longer[key] = longer.get(key, 0) + (packed << shift)
             paths = longer
+    return cycles
 
-    packed = _cover((1 << n) - 1, cycles, {0: 1})
+
+def _unpack(packed: int, slot: int, size: int) -> list[int]:
+    # the first size coefficients of a table packed with slot bits each
     full = (1 << slot) - 1
-    flat = [packed >> (i * slot) & full for i in range(nkeys * stride)]
+    return [packed >> (i * slot) & full for i in range(size)]
+
+
+def _subset_table(rows: Sequence[Sequence[int]], weights: dict[Arc, int]) -> list[list[int]]:
+    """The table of _factor_table(rows, weights, False), built over vertex subsets.
+
+    _cover covers the whole vertex set by the cycle sets of _cycle_sets,
+    so joining a cycle to a cover is one multiplication of packed tables.
+    No count can exceed the number of successor choices prod_v |row_v|,
+    so the slots never overflow.
+    """
+    n = len(rows)
+    stride = n + 1
+    nkeys = 1 + sum(weights.values())
+    slot = prod(max(1, len(row)) for row in rows).bit_length()
+    packed = _cover((1 << n) - 1, _cycle_sets(rows, weights, slot), {0: 1})
+    flat = _unpack(packed, slot, nkeys * stride)
     return [flat[k * stride : (k + 1) * stride] for k in range(nkeys)]
 
 
 def _cover(rest: int, cycles: dict[int, int], covers: dict[int, int]) -> int:
-    # packed table of the cycle-factors of the subgraph induced on rest:
-    # the sum, over the cycles T through min(rest) inside rest, of T's
-    # table times the cover of rest - T.  A module function, not a closure:
+    # packed table of the covers of rest by disjoint cycle sets, with
+    # cycles[T] the packed table of the parts allowed on exactly T: the
+    # sum, over the sets T through min(rest) inside rest, of cycles[T]
+    # times the cover of rest - T.  A module function, not a closure:
     # a recursive closure refers to itself, and only the cycle collector,
     # long after the call, would free the memo it holds.
     if rest in covers:
@@ -574,47 +596,6 @@ def _components(g: UGraph) -> list[list[int]]:
     return comps
 
 
-def _partition_histogram(g: UGraph, comp: list[int], allow_edges: bool) -> dict[int, int]:
-    # histogram {number of parts: ways} over spanning partitions of the
-    # component into cycle parts (length >= 3) and, optionally, edge parts
-    adj = g.adj
-    unassigned = set(comp)
-    hist: Counter[int] = Counter()
-
-    def grow(path, nparts):
-        # extend the current part's open path, or close it into a cycle;
-        # the path is anchored at its minimal vertex path[0], and the
-        # direction is fixed by path[1] < path[-1] at closing time
-        u = path[-1]
-        if len(path) >= 3 and path[1] < u and g.has_edge(path[0], u):
-            rec(nparts + 1)
-        for w in adj[u]:
-            if w in unassigned:
-                unassigned.discard(w)
-                path.append(w)
-                grow(path, nparts)
-                path.pop()
-                unassigned.add(w)
-
-    def rec(nparts):
-        if not unassigned:
-            hist[nparts] += 1
-            return
-        v = min(unassigned)
-        unassigned.discard(v)
-        if allow_edges:
-            for w in adj[v]:
-                if w in unassigned:
-                    unassigned.discard(w)
-                    rec(nparts + 1)
-                    unassigned.add(w)
-        grow([v], nparts)
-        unassigned.add(v)
-
-    rec(0)
-    return dict(hist)
-
-
 def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     out: dict[int, int] = {}
     for ka, va in a.items():
@@ -629,18 +610,28 @@ def two_factor_stats(g: UGraph, allow_edge_as_2cycle: bool = False) -> FactorSta
 
     With allow_edge_as_2cycle False the parts are cycles of length >= 3
     only, i.e. exactly the 2-factors of g.  With it True a part may also be
-    a single matched edge, which counts as one cycle.  Components are
-    enumerated independently and combined by histogram convolution.
+    a single matched edge, which counts as one cycle.  Each component is
+    read as a symmetric digraph: _cycle_sets finds every undirected cycle
+    once in each direction, so its count is halved, and a matched edge is
+    the 2-cycle on its two ends.  _cover then tabulates the partitions by
+    part count, and the components combine by histogram convolution.
     """
-    hists = []
-    for comp in _components(g):
-        h = _partition_histogram(g, comp, allow_edge_as_2cycle)
-        if not h:
-            return FactorStats(0, 0, {})
-        hists.append(h)
     total = {0: 1}
-    for h in hists:
-        total = _convolve(total, h)
+    for comp in _components(g):
+        pos = {v: i for i, v in enumerate(comp)}
+        rows = [[pos[w] for w in g.adj[v]] for v in comp]
+        # a partition orients into at least one directed factor, so no
+        # count here exceeds prod_v |row_v| either
+        slot = prod(max(1, len(row)) for row in rows).bit_length()
+        parts: dict[int, int] = {}  # vertex set -> packed count of its parts
+        for vset, packed in _cycle_sets(rows, {}, slot).items():
+            if vset.bit_count() > 2:
+                parts[vset] = packed // 2
+            elif allow_edge_as_2cycle:
+                parts[vset] = packed
+        full = (1 << len(comp)) - 1
+        hist = _unpack(_cover(full, parts, {0: 1}), slot, len(comp) + 1)
+        total = _convolve(total, {k: c for k, c in enumerate(hist) if c})
     count = sum(total.values())
     cycle_sum = sum(k * v for k, v in total.items())
     return FactorStats(count, cycle_sum, dict(sorted(total.items())))

@@ -18,11 +18,10 @@ Arc = tuple[int, int]
 class DiGraph:
     """Immutable digraph stored as per-vertex sorted out-neighbor tuples.
 
-    A loop is the vertex itself appearing in its own out-set.  Membership
-    tests go through per-vertex bitmasks (Python ints, so any n works).
+    A loop is the vertex itself appearing in its own out-set.
     """
 
-    __slots__ = ("n", "out", "_in", "_masks")
+    __slots__ = ("n", "out", "_in")
 
     def __init__(self, n: int, out_adj: Sequence[Iterable[int]]):
         if n < 0:
@@ -41,7 +40,6 @@ class DiGraph:
         self.n = n
         self.out = tuple(rows)
         self._in: tuple[tuple[int, ...], ...] | None = None
-        self._masks: tuple[int, ...] | None = None
 
     @property
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
@@ -53,16 +51,8 @@ class DiGraph:
             self._in = tuple(tuple(p) for p in preds)  # already sorted by u
         return self._in
 
-    @property
-    def out_masks(self) -> tuple[int, ...]:
-        if self._masks is None:
-            self._masks = tuple(
-                sum(1 << w for w in row) for row in self.out
-            )
-        return self._masks
-
     def has_arc(self, u: int, v: int) -> bool:
-        return bool(self.out_masks[u] >> v & 1)
+        return v in self.out[u]
 
     def arcs(self) -> Iterator[Arc]:
         for u in range(self.n):
@@ -163,13 +153,6 @@ class BipartiteGraph:
         for u, v in self.edges:
             if not (0 <= u < self.n_left and 0 <= v < self.n_right):
                 raise ValueError(f"edge ({u},{v}) out of range")
-
-    def is_regular(self, d: int) -> bool:
-        left = Counter(u for u, _ in self.edges)
-        right = Counter(v for _, v in self.edges)
-        return all(left[u] == d for u in range(self.n_left)) and all(
-            right[v] == d for v in range(self.n_right)
-        )
 
     def biadjacency_rows(self) -> list[list[int]]:
         """0/1 matrix rows; entry [u][v] = 1 iff (u,v) is an edge."""
@@ -320,13 +303,3 @@ def from_text(text: str) -> tuple[DiGraph, int]:
 def ugraph_to_digraph(g: UGraph) -> DiGraph:
     """Symmetric digraph encoding of an undirected graph (for the text format)."""
     return DiGraph(g.n, [list(row) for row in g.adj])
-
-
-def digraph_to_ugraph(g: DiGraph) -> UGraph:
-    """Inverse of ugraph_to_digraph; rejects loops and one-way arcs."""
-    for u, w in g.arcs():
-        if u == w:
-            raise ValueError(f"loop at {u}: not an undirected graph encoding")
-        if not g.has_arc(w, u):
-            raise ValueError(f"arc {u}->{w} lacks its reverse")
-    return UGraph(g.n, [(u, w) for u, w in g.arcs() if u < w])

@@ -91,7 +91,7 @@ def test_c02_gadget_closed_forms_cross_validated():
 
 @pytest.mark.slow
 def test_c02_degree_seven_leg():
-    with Budget("criterion 2 (d=7)", 120.0):
+    with Budget("criterion 2 (d=7)", 10.0):
         report = gadget_cross_validation(7)
         assert report.ok, report.failures
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from cyclefactor.graphs import (
     DiGraph,
     UGraph,
-    digraph_to_ugraph,
     disjoint_union,
     double_cover,
     fingerprint,
@@ -87,7 +86,9 @@ def test_double_cover_shape():
     g = DiGraph(2, [[0, 1], [0, 1]])
     b = double_cover(g)
     assert b.n_left == b.n_right == 2
-    assert b.is_regular(2)
+    rows = b.biadjacency_rows()
+    assert [sum(r) for r in rows] == [2, 2]
+    assert [sum(c) for c in zip(*rows)] == [2, 2]
     assert sorted(b.edges) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -135,7 +136,6 @@ def test_fingerprint_separates_easy_cases():
 def test_undirected_encoding_round_trip():
     u = UGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     d = ugraph_to_digraph(u)
-    assert d.num_arcs == 8
-    assert digraph_to_ugraph(d) == u
-    with pytest.raises(ValueError):
-        digraph_to_ugraph(DiGraph(2, [[0], [0]]))
+    assert list(d.arcs()) == [
+        (0, 1), (0, 3), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (3, 2)
+    ]
