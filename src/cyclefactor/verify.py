@@ -178,11 +178,12 @@ def gadget_cross_validation(d_max: int = 6) -> SuiteReport:
 
     One factor table per degree: the crossing-pattern rows partition the
     factors (any other pattern raises), so their totals give the factor
-    count and cycle sum.  Degrees 3 and 4 run on the leaf engine, which
-    visits every factor; from degree 5 on the subset engine builds the same
-    table over vertex subsets, which is what makes degree 8 (about 10^9
-    factors) reachable.  The leaf engine stays the subset engine's oracle
-    in the tests.  Compares count, total cycle sum, mean, and each
+    count and cycle sum.  Degrees 3 and 4 run on the frontier engine,
+    the leaf search memoized by its open paths; from degree 5 on the
+    subset engine builds the same table over vertex subsets.  Neither
+    visits each factor, which is what makes degree 8 (about 10^9 factors)
+    reachable.  The leaf engine, which does, stays their oracle in the
+    tests.  Compares count, total cycle sum, mean, and each
     aggregated row; reports the first differing quantity per degree.
     """
     if not 3 <= d_max <= MAX_GADGET_DEGREE:

@@ -1,6 +1,8 @@
 """Exhaustive enumeration engines vs independent brute-force oracles."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, lgamma, log
@@ -9,16 +11,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cyclefactor import enumeration
 from cyclefactor.enumeration import (
     MAX_FAST_VERTICES,
     MAX_GADGET_DEGREE,
     ArcConstraints,
     _candidate_rows,
     _factor_table,
+    _frontier_table,
     _leaf_order,
     _log2_bregman,
     _subset_table,
     _subset_wins,
+    _tabulate,
     classify_crossing_patterns,
     cycle_factor_stats,
     cycle_matching_counts,
@@ -368,10 +373,11 @@ def test_leaf_engine_matches_iteration_on_reordered_regular_digraphs():
         for constraints in (None, random_constraints(g, rng)):
             rows = _candidate_rows(g, constraints)
             reordered += _leaf_order(rows) != list(range(n))
-            table, usage = _factor_table(rows, weights, True)
+            table, usage = _factor_table(rows, weights)
             assert (nonzero_cells(table), usage) == factor_table_by_iteration(
                 g, constraints, weights
             )
+            assert _frontier_table(rows, weights) == table
     assert reordered  # the relabeled search, not only the identity order
 
 
@@ -394,7 +400,7 @@ def test_log2_bregman_matches_the_lgamma_formula():
         assert _log2_bregman(rows) == direct
     # a row without candidates bounds the factor count by 0
     assert _log2_bregman([[0, 1], []]) == float("-inf")
-    assert not _subset_wins([[0, 1], []], False)
+    assert not _subset_wins([[0, 1], []])
 
 
 def test_unreachable_head_gives_no_factor():
@@ -402,23 +408,26 @@ def test_unreachable_head_gives_no_factor():
     dead = ArcConstraints(forbidden=frozenset((v, 3) for v in range(5)))
     stats = cycle_factor_stats(g, dead, want_edge_usage=True)
     assert (stats.count, stats.edge_usage) == (0, {})
-    table, usage = _factor_table(_candidate_rows(g, dead), {}, True)
-    assert (table, usage) == ([[0] * 6], {})
+    rows = _candidate_rows(g, dead)
+    assert _factor_table(rows, {}) == ([[0] * 6], {})
+    assert _frontier_table(rows, {}) == [[0] * 6]
 
 
 def test_two_heads_due_at_one_tail_prune_to_zero():
     # heads 0 and 1 both have tail 2 as their only candidate
     rows = [[2, 3], [2, 3], [0, 1], [2, 3]]
-    assert _factor_table(rows, {}, True) == ([[0] * 5], {})
+    assert _factor_table(rows, {}) == ([[0] * 5], {})
+    assert _frontier_table(rows, {}) == [[0] * 5]
     # with head 1 also reachable from tail 3, tail 2 is forced to head 0
     rows = [[2, 3], [2, 3], [0, 1], [1, 2, 3]]
-    table, usage = _factor_table(rows, {}, True)
+    table, usage = _factor_table(rows, {})
     brute = factor_table_by_iteration(DiGraph(4, rows), None, {})
     assert (nonzero_cells(table), usage) == brute
+    assert _frontier_table(rows, {}) == table
 
 
 # ---------------------------------------------------------------------------
-# the subset engine against the leaf engine, table for table
+# the subset and frontier engines against the leaf engine, table for table
 # ---------------------------------------------------------------------------
 
 
@@ -435,7 +444,9 @@ def loop_weights(rows):
 
 
 def assert_engines_agree(rows, weights):
-    assert _subset_table(rows, weights) == _factor_table(rows, weights, False)[0]
+    table = _factor_table(rows, weights)[0]
+    assert _subset_table(rows, weights) == table
+    assert _frontier_table(rows, weights) == table
 
 
 @settings(max_examples=80, deadline=None)
@@ -477,23 +488,59 @@ def test_subset_engine_matches_leaf_engine_on_gadget_patterns(d):
     assert_engines_agree(*gadget_rows_and_weights(d))
 
 
+@pytest.mark.parametrize("d", (7, 8))
+def test_frontier_engine_matches_subset_engine_on_large_gadgets(d):
+    # the leaf engine takes 40 s and more here, so the subset engine is
+    # the reference
+    rows, weights = gadget_rows_and_weights(d)
+    assert _frontier_table(rows, weights) == _subset_table(rows, weights)
+
+
 def test_subset_engine_on_the_empty_graph():
     assert _subset_table(DiGraph(0, []).out, {}) == [[1]]
-    assert _factor_table(DiGraph(0, []).out, {}, False)[0] == [[1]]
-    assert _factor_table(DiGraph(0, []).out, {}, True) == ([[1]], {})
+    assert _frontier_table(DiGraph(0, []).out, {}) == [[1]]
+    assert _factor_table(DiGraph(0, []).out, {}) == ([[1]], {})
 
 
-def test_engine_choice_follows_the_bregman_bound():
+def test_engine_choice_follows_the_bregman_bound(monkeypatch):
+    # each engine stubbed by its name, so _tabulate shows which one ran
+    for name in ("_factor_table", "_subset_table", "_frontier_table"):
+        monkeypatch.setattr(enumeration, name, lambda rows, weights, name=name: name)
     leaf = [random_regular_digraph(n, 4, random.Random(n)) for n in (8, 16)]
     leaf += [random_regular_digraph(14, 2, random.Random(14))]
     leaf += list(iter_two_regular_digraphs(4))
     for g in leaf:
-        assert not _subset_wins(g.out, False)
+        assert not _subset_wins(g.out)
+        assert _tabulate(g.out, {}, False) == ("_frontier_table", None)
     subset = [crossing_gadget(d)[0] for d in range(5, MAX_GADGET_DEGREE + 1)]
     subset += [complete_looped(8), random_regular_digraph(12, 6, random.Random(12))]
     for g in subset:
-        assert _subset_wins(g.out, False)
-        assert not _subset_wins(g.out, True)  # edge usage needs the leaf engine
+        assert _subset_wins(g.out)
+        assert _tabulate(g.out, {}, False) == ("_subset_table", None)
+        # edge usage needs the leaf engine
+        assert _tabulate(g.out, {}, True) == "_factor_table"
+
+
+def test_frontier_memo_is_freed_when_the_call_returns():
+    # with the cycle collector off, a memo kept alive by the recursion's
+    # closure would stay allocated after every call
+    g = random_regular_digraph(16, 4, random.Random(16))
+    assert not _subset_wins(g.out)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        cycle_factor_stats(g)
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cycle_factor_stats(g)
+        memo = tracemalloc.get_traced_memory()[1] - base
+        for _ in range(4):
+            cycle_factor_stats(g)
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert grown < memo
 
 
 # ---------------------------------------------------------------------------
