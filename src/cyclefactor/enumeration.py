@@ -11,7 +11,7 @@ Every directed statistic comes from one table: the number of cycle-factors
 by (key, cycle count), where a factor's key sums integer arc weights along
 it.  cycle_factor_stats weights each loop 1, so the key is the number of
 fixed points; classify_crossing_patterns weights each crossing arc by its
-pattern bit, so the key is the crossing pattern.  Three exact engines build
+pattern bit, so the key is the crossing pattern.  Two exact engines build
 that table:
 
 - _factor_table, the leaf engine, visits every factor once.  It assigns
@@ -27,30 +27,25 @@ that table:
   their tails placed), ties by vertex index, so deadlines come early.
   Where the Bregman bound on the factor count is at most n^2 the order
   costs more than it saves and the identity is used.  It alone yields
-  per-arc usage, and it is the oracle the other engines are tested
-  against.
+  per-arc usage, so it runs when usage is wanted, and it is the oracle
+  the frontier engine is tested against.
 - _frontier_table, the frontier engine, runs the same search but
   memoizes it by its frontier (Knuth's SIMPATH): below tail i, the rest
   of the search depends only on where the open paths ending at tails
   i..n-1 start, so each node returns the packed table of the factors
-  below it and nodes with equal starts share it.
-- _subset_table, the subset engine, never visits a factor.  _cycle_sets
-  counts the directed cycles on each vertex set, then _cover covers the
-  vertex set by cycles, one cycle through the smallest uncovered vertex
-  at a time (Held-Karp / Bjorklund style), so its cost grows with vertex
-  subsets.
+  below it and nodes with equal starts share it.  It builds every table
+  without usage.
 
-Packed tables are polynomials in the flat index key * (n + 1) + cycles,
-packed into one int (Kronecker substitution), so adding an arc weight or
-closing a cycle is a shift and joining two tables a multiplication.
+The frontier engine's tables are polynomials in the flat index
+key * (n + 1) + cycles, packed into one int (Kronecker substitution), so
+adding an arc weight or closing a cycle is a shift and merging two
+branches an addition.  iter_cycle_factors stays a separate plain
+recursion, as an oracle.
 
-_tabulate runs the leaf engine when usage is wanted.  Otherwise it runs
-the subset engine where the graph has at most MAX_SUBSET_VERTICES vertices
-and the Bregman bound on the factor count, prod_v (|row_v|!)^(1/|row_v|),
-is at least 2^(n + SUBSET_MARGIN_BITS), and the frontier engine elsewhere.
-iter_cycle_factors stays a separate plain recursion, as an oracle.
-
-The undirected side is one more client of _cycle_sets and _cover:
+The undirected side covers vertex sets by cycles instead.  _cycle_sets
+counts the directed cycles on each vertex set, packed by cycle count,
+and _cover covers a vertex set by them, one cycle through the smallest
+uncovered vertex at a time (Held-Karp / Bjorklund style).
 two_factor_stats reads each component as a symmetric digraph, halves its
 cycle counts (each undirected cycle is found in both directions), keeps
 the 2-cycles only as matched edges, and covers the component by them.
@@ -78,12 +73,6 @@ from .graphs import Arc, DiGraph, UGraph
 MAX_FAST_VERTICES = 64
 # largest crossing-gadget degree the pattern classifier enumerates
 MAX_GADGET_DEGREE = 8
-# the subset engine memoizes up to 2^n packed tables; at n = 18 a random
-# 9-regular digraph peaks at about 150 MiB and 70 s, so it stops there
-MAX_SUBSET_VERTICES = 18
-# the subset engine runs only where the Bregman bound on the factor count
-# exceeds 2^n, its own subset count, by at least this many bits
-SUBSET_MARGIN_BITS = 3
 # largest looped bidirected cycle whose factor set is classified
 MAX_LOOPED_CYCLE = 16
 
@@ -316,7 +305,7 @@ def _frontier_table(rows: Sequence[Sequence[int]], weights: dict[Arc, int]) -> l
     """The table of _factor_table(rows, weights), memoized by the open paths.
 
     The search of _leaf_search, but each node returns the packed table of
-    the factors below it (the Kronecker packing of _cycle_sets).  Below
+    the factors below it, packed with slot bits per flat index.  Below
     tail i the open paths end at tails i..n-1, and the unused heads are
     exactly their starts, so start[i:] fixes the rest of the search: nodes
     with equal starts share one table, and a cycle closed above a node
@@ -382,41 +371,31 @@ def _frontier_table(rows: Sequence[Sequence[int]], weights: dict[Arc, int]) -> l
     return [flat[k * stride : (k + 1) * stride] for k in range(nkeys)]
 
 
-def _cycle_sets(
-    rows: Sequence[Sequence[int]], weights: dict[Arc, int], slot: int
-) -> dict[int, int]:
-    """Vertex set T -> packed table of the directed cycles on exactly T.
+def _cycle_sets(rows: Sequence[Sequence[int]], slot: int) -> dict[int, int]:
+    """Vertex set T -> packed count of the directed cycles on exactly T.
 
     A path DP starts each path at its minimum vertex s, extends it through
     larger vertices only, and closes it back to s, so each directed cycle
-    is found once.  A table is a polynomial in the flat index key * (n + 1)
-    + cycles, packed into one int with slot bits per index (Kronecker
-    substitution), so adding an arc weight or closing the cycle is a shift.
+    is found once.  Counts are packed by cycle count with slot bits each,
+    so closing a path into a cycle shifts its count by slot, and _cover
+    joins cycles by multiplication.
     """
     n = len(rows)
-    stride = n + 1
     cycles: dict[int, int] = {}
     for s in range(n):
-        close = {
-            v: (weights.get((v, s), 0) * stride + 1) * slot
-            for v in range(s, n)
-            if s in rows[v]
-        }
-        step = [
-            [(w, 1 << w, weights.get((v, w), 0) * stride * slot) for w in row if w > s]
-            for v, row in enumerate(rows)
-        ]
+        close = {v for v in range(s, n) if s in rows[v]}
+        step = [[(w, 1 << w) for w in row if w > s] for row in rows]
         # paths from s through larger vertices, by (vertex set, last vertex)
         paths = {(1 << s, s): 1}
         while paths:
             longer: dict[tuple[int, int], int] = {}
-            for (mask, v), packed in paths.items():
+            for (mask, v), count in paths.items():
                 if v in close:
-                    cycles[mask] = cycles.get(mask, 0) + (packed << close[v])
-                for w, bit, shift in step[v]:
+                    cycles[mask] = cycles.get(mask, 0) + (count << slot)
+                for w, bit in step[v]:
                     if not mask & bit:
                         key = (mask | bit, w)
-                        longer[key] = longer.get(key, 0) + (packed << shift)
+                        longer[key] = longer.get(key, 0) + count
             paths = longer
     return cycles
 
@@ -425,23 +404,6 @@ def _unpack(packed: int, slot: int, size: int) -> list[int]:
     # the first size coefficients of a table packed with slot bits each
     full = (1 << slot) - 1
     return [packed >> (i * slot) & full for i in range(size)]
-
-
-def _subset_table(rows: Sequence[Sequence[int]], weights: dict[Arc, int]) -> list[list[int]]:
-    """The table of _factor_table(rows, weights), built over vertex subsets.
-
-    _cover covers the whole vertex set by the cycle sets of _cycle_sets,
-    so joining a cycle to a cover is one multiplication of packed tables.
-    No count can exceed the number of successor choices prod_v |row_v|,
-    so the slots never overflow.
-    """
-    n = len(rows)
-    stride = n + 1
-    nkeys = 1 + sum(weights.values())
-    slot = prod(max(1, len(row)) for row in rows).bit_length()
-    packed = _cover((1 << n) - 1, _cycle_sets(rows, weights, slot), {0: 1})
-    flat = _unpack(packed, slot, nkeys * stride)
-    return [flat[k * stride : (k + 1) * stride] for k in range(nkeys)]
 
 
 def _cover(rest: int, cycles: dict[int, int], covers: dict[int, int]) -> int:
@@ -468,33 +430,6 @@ def _cover(rest: int, cycles: dict[int, int], covers: dict[int, int]) -> int:
     return total
 
 
-def _subset_wins(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether _tabulate should run the subset engine on these candidate rows.
-
-    The leaf search's cost follows the factor count, bounded by Bregman's
-    prod_v (|row_v|!)^(1/|row_v|); the subset engine's follows 2^n.
-    """
-    n = len(rows)
-    if n > MAX_SUBSET_VERTICES:
-        return False
-    return _log2_bregman(rows) - n >= SUBSET_MARGIN_BITS  # -inf with an empty row
-
-
-def _tabulate(
-    rows: Sequence[Sequence[int]], weights: dict[Arc, int], want_usage: bool
-) -> tuple[list[list[int]], dict[Arc, int] | None]:
-    """_factor_table's table, and its usage only when wanted.
-
-    Usage needs the leaf engine; otherwise _subset_wins picks between the
-    subset and frontier engines.
-    """
-    if want_usage:
-        return _factor_table(rows, weights)
-    if _subset_wins(rows):
-        return _subset_table(rows, weights), None
-    return _frontier_table(rows, weights), None
-
-
 def cycle_factor_stats(
     g: DiGraph,
     constraints: ArcConstraints | None = None,
@@ -505,10 +440,8 @@ def cycle_factor_stats(
     A cycle-factor is a permutation sigma of the vertices with v -> sigma(v)
     an arc for every v.  One factor table, with each loop weighted 1, so a
     factor's key is its number of fixed points; count, cycle sum,
-    fixed-point sum and histogram are all read off it.  _tabulate builds it
-    with the leaf engine when edge usage is wanted, and otherwise with the
-    subset engine where the Bregman bound says the search would visit too
-    many factors and with the frontier engine elsewhere.
+    fixed-point sum and histogram are all read off it.  The leaf engine
+    builds it when edge usage is wanted, and the frontier engine otherwise.
     """
     n = g.n
     if n > MAX_FAST_VERTICES:
@@ -517,7 +450,10 @@ def cycle_factor_stats(
         )
     rows = _candidate_rows(g, constraints)
     loops = {(v, v): 1 for v, row in enumerate(rows) if v in row}
-    table, usage = _tabulate(rows, loops, want_edge_usage)
+    if want_edge_usage:
+        table, usage = _factor_table(rows, loops)
+    else:
+        table, usage = _frontier_table(rows, loops), None
     by_fix = list(map(sum, table))
     by_cycles = list(map(sum, zip(*table)))
     hist = {c: h for c, h in enumerate(by_cycles) if h}
@@ -569,13 +505,12 @@ def classify_crossing_patterns(d: int) -> list[TableRow]:
 
     One factor table with each crossing arc weighted by its pattern bit.
     The four crossing arcs have distinct tails, so a factor uses each at
-    most once and its key is its 4-bit pattern.  _tabulate picks the
-    engine: the frontier engine for d <= 4, the subset engine from d = 5
-    on, where the Bregman bound on the gadget's factor count passes
-    2^(2d + 3).  Degree balance between the two gadget halves permits only
-    six patterns; observing any other raises InternalCheckError.  Buckets
-    are aggregated into the four fixed row groups so the result is
-    comparable to crossing_pattern_table.
+    most once and its key is its 4-bit pattern.  The frontier engine
+    builds the table without visiting each factor, which is what makes
+    d = 8 (about 10^9 factors) reachable.  Degree balance between the two
+    gadget halves permits only six patterns; observing any other raises
+    InternalCheckError.  Buckets are aggregated into the four fixed row
+    groups so the result is comparable to crossing_pattern_table.
     """
     if d < 3:
         raise ValueError("need d >= 3")
@@ -584,7 +519,7 @@ def classify_crossing_patterns(d: int) -> list[TableRow]:
     g, labeling = crossing_gadget(d)
     bit_of = {name: 1 << i for i, name in enumerate(CROSSING_ARC_ORDER)}
     weights = {arc: bit_of[name] for name, arc in labeling.crossing_arcs.items()}
-    table, _ = _tabulate(g.out, weights, False)
+    table = _frontier_table(g.out, weights)
     bucket_count = [sum(by_cycles) for by_cycles in table]
     bucket_sum = [sum(c * h for c, h in enumerate(by_cycles)) for by_cycles in table]
     name_of = [
@@ -727,7 +662,7 @@ def two_factor_stats(g: UGraph, allow_edge_as_2cycle: bool = False) -> FactorSta
         # count here exceeds prod_v |row_v| either
         slot = prod(max(1, len(row)) for row in rows).bit_length()
         parts: dict[int, int] = {}  # vertex set -> packed count of its parts
-        for vset, packed in _cycle_sets(rows, {}, slot).items():
+        for vset, packed in _cycle_sets(rows, slot).items():
             if vset.bit_count() > 2:
                 parts[vset] = packed // 2
             elif allow_edge_as_2cycle:

@@ -28,6 +28,9 @@ from .families import crossing_gadget  # noqa: F401
 from .graphs import DiGraph, is_d_regular, to_text
 
 VERDICTS = ("beats_benchmark", "ties", "below")
+# largest order the two-regular suite walks: n = 8 alone has 187,530,840
+# labeled 2-regular digraphs, hours of enumeration
+MAX_TWO_REGULAR_N = 7
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,8 @@ def two_regular_suite(n_max: int = 6) -> SuiteReport:
     a 2-regular digraph always has a cycle-factor (Hall's theorem on its
     2-regular double cover).
     """
-    if n_max < 2:
-        raise ValueError("need n_max >= 2")
+    if not 2 <= n_max <= MAX_TWO_REGULAR_N:
+        raise ValueError(f"need 2 <= n_max <= {MAX_TWO_REGULAR_N}")
     failures = []
     checked = 0
     for n in range(2, n_max + 1):
@@ -178,13 +181,12 @@ def gadget_cross_validation(d_max: int = 6) -> SuiteReport:
 
     One factor table per degree: the crossing-pattern rows partition the
     factors (any other pattern raises), so their totals give the factor
-    count and cycle sum.  Degrees 3 and 4 run on the frontier engine,
-    the leaf search memoized by its open paths; from degree 5 on the
-    subset engine builds the same table over vertex subsets.  Neither
-    visits each factor, which is what makes degree 8 (about 10^9 factors)
-    reachable.  The leaf engine, which does, stays their oracle in the
-    tests.  Compares count, total cycle sum, mean, and each
-    aggregated row; reports the first differing quantity per degree.
+    count and cycle sum.  Every degree runs on the frontier engine, the
+    leaf search memoized by its open paths, which does not visit each
+    factor; that is what makes degree 8 (about 10^9 factors) reachable.
+    The leaf engine, which does, stays its oracle in the tests.  Compares
+    count, total cycle sum, mean, and each aggregated row; reports the
+    first differing quantity per degree.
     """
     if not 3 <= d_max <= MAX_GADGET_DEGREE:
         raise ValueError(f"need 3 <= d_max <= {MAX_GADGET_DEGREE}")

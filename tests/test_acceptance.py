@@ -5,8 +5,8 @@ the stated budget is exceeded, so a pass here certifies both the values
 and the performance envelope.  The degree-7 and degree-8 cross-validation
 legs and the 8-vertex degree-4 search carry the slow marker.  The search
 is the one expensive leg: the degree legs build the gadget's factor table
-on the subset engine, in about 0.1 s and 1 s, where the leaf engine took
-about 40 s at degree 7 and cannot finish degree 8.
+on the frontier engine, in about 10 ms and 30 ms, where the leaf engine
+took about 40 s at degree 7 and cannot finish degree 8.
 """
 
 import random
@@ -114,7 +114,7 @@ def test_c03_excess_positivity_and_scaled_limit():
 
 def test_c04_padded_gadget_margins():
     with Budget("criterion 4", 10.0):
-        for k, d in ((3, 3), (4, 3), (3, 4)):
+        for k, d in ((3, 3), (4, 3), (3, 4), (3, 6), (4, 6), (3, 8)):
             cert = certify(padded_gadget(k, d), d)
             assert cert.expectation == k * harmonic(d) + benchmark_excess(d)
             assert cert.expectation > k * harmonic(d)

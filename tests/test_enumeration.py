@@ -17,13 +17,12 @@ from cyclefactor.enumeration import (
     MAX_GADGET_DEGREE,
     ArcConstraints,
     _candidate_rows,
+    _cover,
+    _cycle_sets,
     _factor_table,
     _frontier_table,
     _leaf_order,
     _log2_bregman,
-    _subset_table,
-    _subset_wins,
-    _tabulate,
     classify_crossing_patterns,
     cycle_factor_stats,
     cycle_matching_counts,
@@ -400,7 +399,6 @@ def test_log2_bregman_matches_the_lgamma_formula():
         assert _log2_bregman(rows) == direct
     # a row without candidates bounds the factor count by 0
     assert _log2_bregman([[0, 1], []]) == float("-inf")
-    assert not _subset_wins([[0, 1], []])
 
 
 def test_unreachable_head_gives_no_factor():
@@ -427,7 +425,7 @@ def test_two_heads_due_at_one_tail_prune_to_zero():
 
 
 # ---------------------------------------------------------------------------
-# the subset and frontier engines against the leaf engine, table for table
+# the frontier engine against the leaf engine, table for table
 # ---------------------------------------------------------------------------
 
 
@@ -444,14 +442,12 @@ def loop_weights(rows):
 
 
 def assert_engines_agree(rows, weights):
-    table = _factor_table(rows, weights)[0]
-    assert _subset_table(rows, weights) == table
-    assert _frontier_table(rows, weights) == table
+    assert _frontier_table(rows, weights) == _factor_table(rows, weights)[0]
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_digraphs(), st.data())
-def test_subset_engine_matches_leaf_engine(data, picks):
+def test_frontier_engine_matches_leaf_engine(data, picks):
     n, rows = data
     g = DiGraph(n, [sorted(r) for r in rows])
     cand = _candidate_rows(g, draw_constraints(picks, n))
@@ -474,7 +470,7 @@ REGULAR_PAIRS = [
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(REGULAR_PAIRS), st.integers(0, 2**32 - 1))
-def test_subset_engine_matches_leaf_engine_on_regular_digraphs(pair, seed):
+def test_frontier_engine_matches_leaf_engine_on_regular_digraphs(pair, seed):
     n, d = pair
     try:
         g = random_regular_digraph(n, d, random.Random(seed))
@@ -484,48 +480,53 @@ def test_subset_engine_matches_leaf_engine_on_regular_digraphs(pair, seed):
 
 
 @pytest.mark.parametrize("d", range(3, 7))
-def test_subset_engine_matches_leaf_engine_on_gadget_patterns(d):
+def test_frontier_engine_matches_leaf_engine_on_gadget_patterns(d):
     assert_engines_agree(*gadget_rows_and_weights(d))
 
 
-@pytest.mark.parametrize("d", (7, 8))
-def test_frontier_engine_matches_subset_engine_on_large_gadgets(d):
-    # the leaf engine takes 40 s and more here, so the subset engine is
-    # the reference
-    rows, weights = gadget_rows_and_weights(d)
-    assert _frontier_table(rows, weights) == _subset_table(rows, weights)
-
-
 def test_subset_engine_on_the_empty_graph():
-    assert _subset_table(DiGraph(0, []).out, {}) == [[1]]
+    # the subset cover of the undirected side: one empty cover, no cycles
+    assert _cover(0, _cycle_sets([], 1), {0: 1}) == 1
     assert _frontier_table(DiGraph(0, []).out, {}) == [[1]]
     assert _factor_table(DiGraph(0, []).out, {}) == ([[1]], {})
 
 
-def test_engine_choice_follows_the_bregman_bound(monkeypatch):
-    # each engine stubbed by its name, so _tabulate shows which one ran
-    for name in ("_factor_table", "_subset_table", "_frontier_table"):
-        monkeypatch.setattr(enumeration, name, lambda rows, weights, name=name: name)
-    leaf = [random_regular_digraph(n, 4, random.Random(n)) for n in (8, 16)]
-    leaf += [random_regular_digraph(14, 2, random.Random(14))]
-    leaf += list(iter_two_regular_digraphs(4))
-    for g in leaf:
-        assert not _subset_wins(g.out)
-        assert _tabulate(g.out, {}, False) == ("_frontier_table", None)
-    subset = [crossing_gadget(d)[0] for d in range(5, MAX_GADGET_DEGREE + 1)]
-    subset += [complete_looped(8), random_regular_digraph(12, 6, random.Random(12))]
-    for g in subset:
-        assert _subset_wins(g.out)
-        assert _tabulate(g.out, {}, False) == ("_subset_table", None)
+def test_engine_choice_follows_the_usage_flag(monkeypatch):
+    # each engine records its name, so each entry point shows which one ran
+    ran = []
+
+    def spy(name, engine):
+        def recorded(rows, weights):
+            ran.append(name)
+            return engine(rows, weights)
+
+        monkeypatch.setattr(enumeration, name, recorded)
+
+    spy("_frontier_table", _frontier_table)
+    # the leaf engine never finishes the d = 8 gadget; an empty table stands in
+    spy("_factor_table", lambda rows, weights: ([[0]], {}))
+    graphs = [random_regular_digraph(n, 4, random.Random(n)) for n in (8, 16)]
+    graphs += [random_regular_digraph(14, 2, random.Random(14))]
+    graphs += list(iter_two_regular_digraphs(4))
+    # and dense inputs, whose Bregman bound exceeds 2^(n + 3)
+    graphs += [crossing_gadget(d)[0] for d in range(5, MAX_GADGET_DEGREE + 1)]
+    graphs += [complete_looped(8), random_regular_digraph(12, 6, random.Random(12))]
+    for g in graphs:
+        ran.clear()
+        cycle_factor_stats(g)
         # edge usage needs the leaf engine
-        assert _tabulate(g.out, {}, True) == "_factor_table"
+        cycle_factor_stats(g, want_edge_usage=True)
+        assert ran == ["_frontier_table", "_factor_table"]
+    ran.clear()
+    for d in range(3, MAX_GADGET_DEGREE + 1):
+        classify_crossing_patterns(d)
+    assert ran == ["_frontier_table"] * (MAX_GADGET_DEGREE - 2)
 
 
 def test_frontier_memo_is_freed_when_the_call_returns():
     # with the cycle collector off, a memo kept alive by the recursion's
     # closure would stay allocated after every call
     g = random_regular_digraph(16, 4, random.Random(16))
-    assert not _subset_wins(g.out)
     gc.disable()
     tracemalloc.start()
     try:
@@ -548,7 +549,7 @@ def test_frontier_memo_is_freed_when_the_call_returns():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("d", (3, 4, 5))
+@pytest.mark.parametrize("d", range(3, MAX_GADGET_DEGREE + 1))
 def test_classified_buckets_match_closed_table(d):
     got = classify_crossing_patterns(d)
     want = crossing_pattern_table(d)

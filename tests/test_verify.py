@@ -16,6 +16,7 @@ from cyclefactor.families import (
 )
 from cyclefactor.graphs import DiGraph, disjoint_union, from_text, is_d_regular
 from cyclefactor.verify import (
+    MAX_TWO_REGULAR_N,
     SuiteReport,
     certify,
     gadget_cross_validation,
@@ -91,6 +92,8 @@ def test_two_regular_suite_holds_below_six():
     assert report.checked == 1 + 6 + 90 + 2040
     with pytest.raises(ValueError):
         two_regular_suite(1)
+    with pytest.raises(ValueError):
+        two_regular_suite(MAX_TWO_REGULAR_N + 1)
 
 
 def test_gadget_cross_validation_small():
