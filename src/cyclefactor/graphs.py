@@ -67,12 +67,6 @@ class DiGraph:
     def loop_count(self) -> int:
         return sum(1 for v in range(self.n) if self.has_arc(v, v))
 
-    def out_degree(self, v: int) -> int:
-        return len(self.out[v])
-
-    def in_degree(self, v: int) -> int:
-        return len(self.in_adj[v])
-
     def relabel(self, perm: Sequence[int]) -> "DiGraph":
         """Image under the vertex bijection v -> perm[v]."""
         if sorted(perm) != list(range(self.n)):
@@ -257,6 +251,97 @@ def fingerprint(g: DiGraph) -> int:
     )
     digest = hashlib.blake2b(repr(payload).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+# ---------------------------------------------------------------------------
+# Canonical form by individualization-refinement
+# ---------------------------------------------------------------------------
+
+
+def _cells(signatures: list) -> list[int]:
+    """Colour each vertex by the first position of its signature in sorted order.
+
+    The colours name the cells of an ordered partition by where they start.
+    """
+    order = sorted(range(len(signatures)), key=signatures.__getitem__)
+    colour = [0] * len(signatures)
+    start, prev = 0, None
+    for i, v in enumerate(order):
+        if signatures[v] != prev:
+            start, prev = i, signatures[v]
+        colour[v] = start
+    return colour
+
+
+def _refine(colour: list[int], out, inn) -> list[int]:
+    """Split cells by their out- and in-neighbour colours until none splits.
+
+    A neighbour multiset is a sum with one base-2^width digit per colour;
+    no count exceeds n < 2^width, so no digit carries.  Each signature leads
+    with the old colour, so a cell only splits in place and the result is
+    an equitable ordered partition.  The rule reads colours only, so it
+    commutes with relabeling.
+    """
+    n = len(colour)
+    width = n.bit_length()
+    cells = len(set(colour))
+    while True:
+        digit = [1 << (width * c) for c in colour].__getitem__
+        refined = _cells(
+            [
+                (colour[v], sum(map(digit, out[v])), sum(map(digit, inn[v])))
+                for v in range(n)
+            ]
+        )
+        split = len(set(refined))
+        if split == cells:
+            return colour
+        colour, cells = refined, split
+
+
+def canonical_form(g: DiGraph) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Canonical out-rows of g and the order of its automorphism group.
+
+    Two digraphs get the same rows exactly when they are isomorphic, and
+    the rows are those of a relabeling of g.  Individualization-refinement
+    (McKay and Piperno, "Practical graph isomorphism II", 2014): colour
+    refinement seeded by loops, then each vertex of the first smallest
+    non-singleton cell is individualized in turn and the partition refined
+    again, down to discrete leaves.  Each leaf orders the vertices; the
+    form is the least relabeled adjacency over all leaves.  The search tree
+    is invariant under Aut(g), which acts freely on the leaves, and two
+    leaves give the same adjacency only when an automorphism maps one to
+    the other, so the leaves reaching the minimum number |Aut(g)|.
+
+    There is no automorphism pruning: the search visits at least |Aut(g)|
+    leaves, so this is for small graphs such as the 2-regular suite's
+    (n <= 7).  Search dedup stays on fingerprint.
+    """
+    n = g.n
+    out, inn = g.out, g.in_adj
+    best: tuple[tuple[int, ...], ...] = ()
+    aut = 0
+    stack = [_cells([v not in out[v] for v in range(n)])]
+    while stack:
+        colour = _refine(stack.pop(), out, inn)
+        sizes = Counter(colour)
+        target = min(((size, c) for c, size in sizes.items() if size > 1), default=None)
+        if target is None:
+            rows: list[tuple[int, ...]] = [()] * n
+            for v in range(n):
+                rows[colour[v]] = tuple(sorted(map(colour.__getitem__, out[v])))
+            key = tuple(rows)
+            if aut == 0 or key < best:
+                best, aut = key, 1
+            elif key == best:
+                aut += 1
+            continue
+        cell = target[1]
+        for v in range(n):
+            if colour[v] == cell:
+                child = [c + 1 if c == cell and w != v else c for w, c in enumerate(colour)]
+                stack.append(child)
+    return best, aut
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
-"""Core graph containers, the text format, and the structural fingerprint."""
+"""Core graph containers, the text format, the fingerprint and the canonical form."""
+
+import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclefactor.families import complete_looped, crossing_gadget
 from cyclefactor.graphs import (
     DiGraph,
     UGraph,
+    canonical_form,
     disjoint_union,
     double_cover,
     fingerprint,
@@ -16,11 +21,13 @@ from cyclefactor.graphs import (
     u_disjoint_union,
     ugraph_to_digraph,
 )
+from cyclefactor.search import random_regular_digraph
+from cyclefactor.verify import two_regular_candidates
 
 
-def small_digraphs():
+def small_digraphs(max_n=7):
     # random adjacency as a strategy: n plus one out-set per vertex
-    return st.integers(1, 7).flatmap(
+    return st.integers(1, max_n).flatmap(
         lambda n: st.tuples(
             st.just(n),
             st.lists(
@@ -48,7 +55,7 @@ def test_digraph_basics():
     assert g.has_arc(0, 1) and not g.has_arc(1, 0)
     assert g.num_arcs == 5
     assert g.loop_count == 2
-    assert g.out_degree(0) == 2 and g.in_degree(0) == 2
+    assert len(g.out[0]) == 2 and len(g.in_adj[0]) == 2
     assert list(g.arcs()) == [(0, 0), (0, 1), (1, 2), (2, 0), (2, 2)]
 
 
@@ -64,7 +71,7 @@ def test_relabel_preserves_structure():
     g = DiGraph(3, [[1], [2], [0]])
     h = g.relabel([2, 0, 1])
     assert h.num_arcs == 3
-    assert sorted(h.out_degree(v) for v in range(3)) == [1, 1, 1]
+    assert sorted(len(h.out[v]) for v in range(3)) == [1, 1, 1]
     assert h.has_arc(2, 0)
 
 
@@ -131,6 +138,63 @@ def test_fingerprint_separates_easy_cases():
     a = DiGraph(2, [[0, 1], [0, 1]])
     b = DiGraph(2, [[1], [0]])
     assert fingerprint(a) != fingerprint(b)
+
+
+def brute_automorphisms(g):
+    return sum(
+        all(tuple(sorted(p[w] for w in g.out[v])) == g.out[p[v]] for v in range(g.n))
+        for p in permutations(range(g.n))
+    )
+
+
+def assert_canonical_under_relabeling(g, rng, trials=5):
+    rows, aut = canonical_form(g)
+    # the form is a relabeling of g, so it is its own form
+    assert canonical_form(DiGraph(g.n, rows)) == (rows, aut)
+    for _ in range(trials):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert canonical_form(g.relabel(perm)) == (rows, aut)
+
+
+def test_canonical_form_under_seeded_relabelings():
+    rng = random.Random(20260)
+    for d in (3, 4):
+        for n in range(d, 9):
+            for _ in range(3):
+                g = random_regular_digraph(n, d, rng)
+                assert_canonical_under_relabeling(g, rng)
+        assert_canonical_under_relabeling(crossing_gadget(d)[0], rng)
+    gadget = crossing_gadget(3)[0]
+    assert canonical_form(gadget)[1] == brute_automorphisms(gadget)
+
+
+# up to 720 leaves and 720 brute-force permutations per example
+@settings(max_examples=40, deadline=None)
+@given(small_digraphs(max_n=6), st.randoms(use_true_random=False))
+def test_canonical_form_of_arbitrary_digraphs(data, rnd):
+    n, rows = data
+    g = DiGraph(n, [sorted(r) for r in rows])
+    assert_canonical_under_relabeling(g, rnd, trials=2)
+    assert canonical_form(g)[1] == brute_automorphisms(g)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_automorphism_counts_of_two_regular_classes(n):
+    for rows in {canonical_form(g)[0] for g in two_regular_candidates(n)}:
+        g = DiGraph(n, rows)
+        assert canonical_form(g)[1] == brute_automorphisms(g)
+
+
+def test_canonical_form_separates_and_counts_small_cases():
+    loop_cycle = DiGraph(5, [[v, (v + 1) % 5] for v in range(5)])
+    assert canonical_form(loop_cycle)[1] == 5
+    assert canonical_form(complete_looped(4))[1] == 24
+    assert canonical_form(DiGraph(0, [])) == ((), 1)
+    a = DiGraph(3, [[1], [2], [0]])
+    b = DiGraph(3, [[0], [2], [1]])
+    assert canonical_form(a) != canonical_form(b)
+    assert canonical_form(a)[1] == 3 and canonical_form(b)[1] == 2
 
 
 def test_undirected_encoding_round_trip():

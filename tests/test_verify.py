@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -14,14 +15,23 @@ from cyclefactor.families import (
     crossing_gadget,
     padded_gadget,
 )
-from cyclefactor.graphs import DiGraph, disjoint_union, from_text, is_d_regular
+from cyclefactor.graphs import (
+    DiGraph,
+    canonical_form,
+    disjoint_union,
+    from_text,
+    is_d_regular,
+)
 from cyclefactor.verify import (
     MAX_TWO_REGULAR_N,
     SuiteReport,
     certify,
+    cycle_types,
     gadget_cross_validation,
     iter_two_regular_digraphs,
     looped_cycle_suite,
+    two_regular_candidates,
+    two_regular_count,
     two_regular_suite,
 )
 
@@ -83,7 +93,41 @@ def test_two_regular_census(n, total):
     for g in iter_two_regular_digraphs(n):
         assert is_d_regular(g, 2)
         seen.add(g.out)
-    assert len(seen) == total
+    assert len(seen) == total == two_regular_count(n)
+
+
+def classes(graphs):
+    return {canonical_form(g)[0] for g in graphs}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cycle_type_candidates_cover_every_class(n):
+    candidates = list(two_regular_candidates(n))
+    assert len(candidates) == len(cycle_types(n)) * factorial(n)
+    assert all(is_d_regular(g, 2) for g in candidates)
+    assert classes(candidates) == classes(iter_two_regular_digraphs(n))
+
+
+def test_two_regular_suite_fails_on_a_missing_class(monkeypatch):
+    every = cycle_types
+    monkeypatch.setattr(verify, "cycle_types", lambda n: [t for t in every(n) if t != (3, 2)])
+    report = two_regular_suite(5)
+    assert report.ok is False
+    assert report.checked < 1 + 6 + 90 + 2040
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("n=5: ")
+    assert "short of A001499(5) = 2040" in report.failures[0]
+
+
+def test_two_regular_suite_fails_on_a_form_that_is_not_canonical(monkeypatch):
+    # the identity labeling as the key: one class, several keys
+    monkeypatch.setattr(verify, "canonical_form", lambda g: (g.out, canonical_form(g)[1]))
+    report = two_regular_suite(5)
+    assert report.ok is False
+    assert report.checked > 1 + 6 + 90 + 2040
+    coverage = [f for f in report.failures if " labeled graphs, " in f]
+    assert coverage and all(" over A001499(" in f for f in coverage)
+    assert any(f.startswith("n=5: ") for f in coverage)
 
 
 def test_two_regular_suite_holds_below_six():
