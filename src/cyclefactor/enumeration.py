@@ -298,6 +298,9 @@ def _factor_table(
         return below
 
     rec(0, 0, 0)
+    # rec refers to itself through its closure, so without this its tables
+    # would live until the cycle collector ran
+    del rec
     return table(), usage
 
 

@@ -273,30 +273,47 @@ def _cells(signatures: list) -> list[int]:
     return colour
 
 
-def _refine(colour: list[int], out, inn) -> list[int]:
+def _refine(colour: list[int], out, inn) -> tuple[list[int], tuple]:
     """Split cells by their out- and in-neighbour colours until none splits.
 
     A neighbour multiset is a sum with one base-2^width digit per colour;
     no count exceeds n < 2^width, so no digit carries.  Each signature leads
     with the old colour, so a cell only splits in place and the result is
-    an equitable ordered partition.  The rule reads colours only, so it
-    commutes with relabeling.
+    an equitable ordered partition.  Returns it with its quotient: the
+    signatures of the last round, one per cell, in increasing order.  The
+    rule reads colours only, so both commute with relabeling; the quotient
+    of a discrete partition is the relabeled graph itself.
     """
     n = len(colour)
     width = n.bit_length()
     cells = len(set(colour))
     while True:
         digit = [1 << (width * c) for c in colour].__getitem__
-        refined = _cells(
-            [
-                (colour[v], sum(map(digit, out[v])), sum(map(digit, inn[v])))
-                for v in range(n)
-            ]
-        )
+        signatures = [
+            (colour[v], sum(map(digit, out[v])), sum(map(digit, inn[v])))
+            for v in range(n)
+        ]
+        refined = _cells(signatures)
         split = len(set(refined))
         if split == cells:
-            return colour
+            return colour, tuple(sorted(set(signatures)))
         colour, cells = refined, split
+
+
+def _orbits(n: int, gens: list[list[int]]) -> list[int]:
+    """The least vertex of each vertex's orbit under the group gens generate."""
+    root = list(range(n))
+    for gen in gens:
+        for v, w in enumerate(gen):
+            while root[v] != v:
+                v = root[v]
+            while root[w] != w:
+                w = root[w]
+            if v != w:
+                root[max(v, w)] = min(v, w)
+    for v in range(n):
+        root[v] = root[root[v]]  # roots are below v, so already final
+    return root
 
 
 def canonical_form(g: DiGraph) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -304,44 +321,101 @@ def canonical_form(g: DiGraph) -> tuple[tuple[tuple[int, ...], ...], int]:
 
     Two digraphs get the same rows exactly when they are isomorphic, and
     the rows are those of a relabeling of g.  Individualization-refinement
-    (McKay and Piperno, "Practical graph isomorphism II", 2014): colour
-    refinement seeded by loops, then each vertex of the first smallest
-    non-singleton cell is individualized in turn and the partition refined
-    again, down to discrete leaves.  Each leaf orders the vertices; the
-    form is the least relabeled adjacency over all leaves.  The search tree
-    is invariant under Aut(g), which acts freely on the leaves, and two
-    leaves give the same adjacency only when an automorphism maps one to
-    the other, so the leaves reaching the minimum number |Aut(g)|.
+    (McKay, "Practical graph isomorphism", 1981; McKay and Piperno,
+    "Practical graph isomorphism II", 2014): colour refinement seeded by
+    each vertex's loop and its number of mutual arcs (a loop counts as
+    one), then each vertex of the first smallest non-singleton cell is
+    individualized in turn and the partition refined again, down to
+    discrete leaves.  A node's trace is
+    the quotient of every partition from the root down to it; a leaf's
+    trace ends in its relabeled adjacency, and the form is the leaf with
+    the least trace.  The tree is invariant under Aut(g).
 
-    There is no automorphism pruning: the search visits at least |Aut(g)|
-    leaves, so this is for small graphs such as the 2-regular suite's
-    (n <= 7).  Search dedup stays on fingerprint.
+    The search keeps the first leaf and the least leaf.  A leaf with the
+    same adjacency as either gives an automorphism, and the search returns
+    to the node where their paths part: the subtree it leaves is an image
+    of one already searched.  Children in the orbit of an explored sibling,
+    under the automorphisms found that fix the node's path, are skipped,
+    and so is every node whose trace neither begins the first leaf's nor
+    is at most the least leaf's over the same levels.  Once a node of the first leaf's path is
+    done, the automorphisms found fixing the path above it give the full
+    orbit of the vertex it individualized, and |Aut(g)| is the product of
+    those orbit sizes.  So the search visits a few leaves per orbit, not
+    |Aut(g)| of them.
     """
     n = g.n
     out, inn = g.out, g.in_adj
-    best: tuple[tuple[int, ...], ...] = ()
-    aut = 0
-    stack = [_cells([v not in out[v] for v in range(n)])]
-    while stack:
-        colour = _refine(stack.pop(), out, inn)
-        sizes = Counter(colour)
-        target = min(((size, c) for c, size in sizes.items() if size > 1), default=None)
-        if target is None:
-            rows: list[tuple[int, ...]] = [()] * n
-            for v in range(n):
-                rows[colour[v]] = tuple(sorted(map(colour.__getitem__, out[v])))
-            key = tuple(rows)
-            if aut == 0 or key < best:
-                best, aut = key, 1
-            elif key == best:
-                aut += 1
-            continue
-        cell = target[1]
-        for v in range(n):
-            if colour[v] == cell:
-                child = [c + 1 if c == cell and w != v else c for w, c in enumerate(colour)]
-                stack.append(child)
-    return best, aut
+    colour, quotient = _refine(
+        _cells([(v not in out[v], len(set(out[v]).intersection(inn[v]))) for v in range(n)]),
+        out,
+        inn,
+    )
+    path: list[int] = []  # the vertex individualized below each frame
+    trace = [quotient]  # the quotient at each level of the path
+    # per internal node of the path: its colour, the colour and members of
+    # its target cell, the index of the next member to try, the members tried
+    frames: list[list] = []
+    first = best = None  # (trace, path, colour) of the first and the least leaf
+    gens: list[list[int]] = []
+    aut = 1
+    while True:
+        if len(quotient) < n:  # one signature per cell
+            sizes = Counter(colour)
+            target = min((size, c) for c, size in sizes.items() if size > 1)[1]
+            frames.append([colour, target, [v for v in range(n) if colour[v] == target], 0, []])
+        elif first is None:
+            first = best = (trace[:], path[:], colour)
+        else:
+            match = (
+                first if quotient == first[0][-1] else best if quotient == best[0][-1] else None
+            )
+            if match is not None:
+                at = [0] * n
+                for v, p in enumerate(colour):
+                    at[p] = v
+                gens.append([at[p] for p in match[2]])
+                parted = 0
+                while path[parted] == match[1][parted]:
+                    parted += 1
+                del frames[parted + 1 :]
+            elif trace < best[0]:
+                best = (trace[:], path[:], colour)
+        # advance to the next child of the deepest unfinished frame
+        while frames:
+            level = len(frames) - 1
+            del path[level:], trace[level + 1 :]
+            frame = frames[-1]
+            parent, cell_colour, cell, i, tried = frame
+            fixing = [gen for gen in gens if all(gen[p] == p for p in path)] if gens else gens
+            if i == len(cell):
+                frames.pop()
+                if path == first[1][:level]:
+                    root = _orbits(n, fixing)
+                    aut *= root.count(root[first[1][level]])
+                continue
+            frame[3] = i + 1
+            v = cell[i]
+            if fixing:
+                root = _orbits(n, fixing)
+                if root[v] in {root[u] for u in tried}:
+                    continue
+            tried.append(v)
+            child = [c + 1 if c == cell_colour and w != v else c for w, c in enumerate(parent)]
+            colour, quotient = _refine(child, out, inn)
+            trace.append(quotient)
+            depth = level + 2
+            if first is not None and trace != first[0][:depth] and trace > best[0][:depth]:
+                trace.pop()
+                continue
+            path.append(v)
+            break
+        else:
+            break
+    rows: list[tuple[int, ...]] = [()] * n
+    colour = best[2]
+    for v in range(n):
+        rows[colour[v]] = tuple(sorted(map(colour.__getitem__, out[v])))
+    return tuple(rows), aut
 
 
 # ---------------------------------------------------------------------------

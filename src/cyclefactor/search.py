@@ -1,10 +1,11 @@
 """Seeded local search for d-regular digraphs with large certified excess.
 
 A generate-score-prune-mutate beam: random regular digraphs from the
-permutation-superposition model, exact scoring through certify, fingerprint
-dedup, 2-swap mutations, and restarts for stagnant lineages.  Every random
-draw descends from one 64-bit master seed through splitmix64-derived
-per-lineage streams, so runs are bit-reproducible.
+permutation-superposition model, exact scoring through certify once per
+isomorphism class, fingerprint dedup, 2-swap mutations, and restarts for
+stagnant lineages.  Every random draw descends from one 64-bit master seed
+through splitmix64-derived per-lineage streams, so runs are
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GenerationError
-from .graphs import Arc, DiGraph, fingerprint
+from .graphs import Arc, DiGraph, canonical_form, fingerprint
 from .verify import Certificate, certify
 
 _MASK64 = (1 << 64) - 1
@@ -170,7 +171,12 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
     Per iteration every lineage proposes a mutated child; parents and
     children are ranked by exact excess with fingerprint dedup, the top
     `population` survive, and lineages that have not improved for
-    RESTART_AFTER iterations restart from a fresh random graph.  Every
+    RESTART_AFTER iterations restart from a fresh random graph.
+    Certificates and fingerprints are cached per isomorphism class, keyed
+    by canonical form, which is exact; a dict of labeled graphs in front
+    of it spares a graph seen again its canonical form.  The leaderboard
+    identity, the per-iteration dedup and the tie-break stay on the
+    fingerprint, which is invariant, so the cache changes no output.  Every
     graph here is d-regular, so it has a cycle-factor (its bipartite double
     cover is d-regular, and Hall's theorem gives a perfect matching) and
     certify never raises NoCycleFactorError.
@@ -181,17 +187,23 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
     stream = SeedStream(config.seed)
     leaderboard: dict[int, SearchRecord] = {}
     evaluated: dict[DiGraph, tuple[Certificate, int]] = {}
+    classes: dict[tuple[tuple[int, ...], ...], tuple[Certificate, int]] = {}
 
     def evaluate(g: DiGraph, it: int, origin: str) -> tuple[Certificate, int]:
-        # a graph is offered to the leaderboard once, when first evaluated;
-        # offering it again cannot beat the record it already set or met
+        # a class is offered to the leaderboard once, when its first member
+        # is evaluated; an isomorph has the same excess and fingerprint, so
+        # offering it cannot beat the record that member set or met; later
+        # members share the first one's certificate, read only for excess
         if g not in evaluated:
-            cert, fp = evaluated[g] = certify(g, config.d), fingerprint(g)
-            held = leaderboard.get(fp)
-            if held is None or cert.excess > held.certificate.excess:
-                rec = leaderboard[fp] = SearchRecord(cert, it, fp, origin)
-                if sink is not None:
-                    sink(rec)
+            form = canonical_form(g)[0]
+            if form not in classes:
+                cert, fp = classes[form] = certify(g, config.d), fingerprint(g)
+                held = leaderboard.get(fp)
+                if held is None or cert.excess > held.certificate.excess:
+                    rec = leaderboard[fp] = SearchRecord(cert, it, fp, origin)
+                    if sink is not None:
+                        sink(rec)
+            evaluated[g] = classes[form]
         return evaluated[g]
 
     def fresh(it: int) -> _Lineage:

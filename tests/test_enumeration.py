@@ -50,7 +50,7 @@ from cyclefactor.families import (
     cycle_graph,
     looped_bidirected_cycle,
 )
-from cyclefactor.graphs import DiGraph, UGraph, disjoint_union, double_cover
+from cyclefactor.graphs import DiGraph, UGraph, canonical_form, disjoint_union, double_cover
 from cyclefactor.search import random_regular_digraph
 from cyclefactor.verify import iter_two_regular_digraphs
 
@@ -542,6 +542,25 @@ def test_frontier_memo_is_freed_when_the_call_returns():
         tracemalloc.stop()
         gc.enable()
     assert grown < memo
+
+
+def test_engines_and_canonical_form_leave_no_reference_cycles():
+    # a self-recursive closure left alive holds its tables until the cycle
+    # collector runs; with it off, gc.collect() finds whatever leaked
+    graphs = list(iter_two_regular_digraphs(5))[:100]
+    gadget = crossing_gadget(6)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            cycle_factor_stats(g, want_edge_usage=True)
+            cycle_factor_stats(g)
+            canonical_form(g)
+        canonical_form(gadget)
+        leaked = gc.collect()
+    finally:
+        gc.enable()
+    assert leaked == 0
 
 
 # ---------------------------------------------------------------------------

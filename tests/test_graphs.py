@@ -1,12 +1,15 @@
 """Core graph containers, the text format, the fingerprint and the canonical form."""
 
 import random
+import time
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclefactor import graphs
 from cyclefactor.families import complete_looped, crossing_gadget
 from cyclefactor.graphs import (
     DiGraph,
@@ -195,6 +198,86 @@ def test_canonical_form_separates_and_counts_small_cases():
     b = DiGraph(3, [[0], [2], [1]])
     assert canonical_form(a) != canonical_form(b)
     assert canonical_form(a)[1] == 3 and canonical_form(b)[1] == 2
+
+
+def timed_automorphisms(g):
+    start = time.perf_counter()
+    aut = canonical_form(g)[1]
+    return aut, time.perf_counter() - start
+
+
+# orbit pruning visits a few leaves per orbit; without it each of these
+# graphs would take at least |Aut| leaves (seconds at 40,320 already)
+@pytest.mark.parametrize("d", range(4, 9))
+def test_crossing_gadget_automorphisms_are_counted_without_visiting_them(d):
+    # 4 symmetries of the ring of classes times each big class's own
+    aut, seconds = timed_automorphisms(crossing_gadget(d)[0])
+    assert aut == 4 * factorial(d - 2) ** 2
+    assert seconds < 0.5
+
+
+def test_clique_automorphisms_are_counted_without_visiting_them():
+    aut, seconds = timed_automorphisms(complete_looped(8))
+    assert (aut, seconds < 0.5) == (40_320, True)
+    aut, seconds = timed_automorphisms(disjoint_union([complete_looped(4)] * 4))
+    assert (aut, seconds < 0.5) == (24**4 * factorial(4), True)
+
+
+def refinements(monkeypatch, g):
+    calls = []
+    real = graphs._refine
+    monkeypatch.setattr(graphs, "_refine", lambda *args: calls.append(1) or real(*args))
+    canonical_form(g)
+    return len(calls)
+
+
+def test_refinements_grow_with_n_not_with_the_group(monkeypatch):
+    # about n^2/2 each; without orbit pruning or without the return to
+    # where the paths part, several times that
+    assert refinements(monkeypatch, complete_looped(16)) < 16**2
+    assert refinements(monkeypatch, crossing_gadget(12)[0]) < 24**2
+
+
+def grid_cayley(steps):
+    # the Cayley digraph of Z_4 x Z_4 with the given steps
+    return DiGraph(
+        16, [[4 * ((a + x) % 4) + (b + y) % 4 for x, y in steps] for a in range(4) for b in range(4)]
+    )
+
+
+def test_canonical_form_where_refinement_cannot_tell_subtrees_apart():
+    # the Shrikhande and the 4x4 rook's graph are both strongly regular
+    # (16, 6, 2, 2): a vertex individualized in either gives equal
+    # quotients, so subtrees with equal traces need not be images of each
+    # other, and pruning one of them as if it were loses the least leaf
+    shrikhande = grid_cayley([(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)])
+    rook = grid_cayley([(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)])
+    ring = DiGraph(16, [[(v + s) % 16 for s in (1, 2, 3, 13, 14, 15)] for v in range(16)])
+    assert canonical_form(shrikhande)[1] == 192
+    assert canonical_form(rook)[1] == 1152
+    rng = random.Random(48)
+    for parts in ([ring, shrikhande, rook], [ring, rook, shrikhande]):
+        g = disjoint_union(parts)
+        rows, aut = canonical_form(g)
+        assert aut == 32 * 192 * 1152
+        assert_canonical_under_relabeling(g, rng, trials=3)
+
+
+def parse_rows(spec):
+    return DiGraph(8, [[int(w) for w in token.partition(":")[2]] for token in spec.split()])
+
+
+def test_fingerprint_collides_where_the_canonical_form_does_not():
+    # two 4-regular digraphs on 8 vertices with excesses -19/105 and -37/51:
+    # the fingerprint cannot tell them apart, so it is no dedup identity
+    a = parse_rows("0:0345 1:0127 2:1247 3:0357 4:1246 5:0356 6:3456 7:1267")
+    b = parse_rows("0:2346 1:1345 2:0246 3:1357 4:0157 5:0145 6:0267 7:2367")
+    assert fingerprint(a) == fingerprint(b)
+    assert canonical_form(a) != canonical_form(b)
+    assert not any(
+        all(tuple(sorted(p[w] for w in a.out[v])) == b.out[p[v]] for v in range(8))
+        for p in permutations(range(8))
+    )
 
 
 def test_undirected_encoding_round_trip():

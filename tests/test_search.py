@@ -2,9 +2,12 @@
 
 import hashlib
 import random
+import time
+from itertools import permutations
 
 import pytest
 
+from cyclefactor import search
 from cyclefactor.families import complete_looped, crossing_gadget, looped_bidirected_cycle
 from cyclefactor.graphs import fingerprint, from_text, is_d_regular
 from cyclefactor.search import (
@@ -133,6 +136,56 @@ def test_sink_sees_every_leaderboard_entry():
         by_fp[rec.fingerprint] = rec
     for rec in records:
         assert by_fp[rec.fingerprint].certificate.excess == rec.certificate.excess
+
+
+def brute_form(g):
+    # the least relabeled adjacency over all n! relabelings
+    return min(
+        tuple(tuple(sorted(p[w] for w in g.out[p.index(v)])) for v in range(g.n))
+        for p in permutations(range(g.n))
+    )
+
+
+def spy(monkeypatch, name):
+    calls = []
+    real = getattr(search, name)
+
+    def wrapper(g, *args):
+        calls.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(search, name, wrapper)
+    return calls
+
+
+def test_search_certifies_each_isomorphism_class_once(monkeypatch):
+    # every graph the search evaluates is put in canonical form first
+    offered = spy(monkeypatch, "canonical_form")
+    certified = spy(monkeypatch, "certify")
+    run_search(SearchConfig(6, 3, seed=5, population=8, iterations=30))
+    classes = {brute_form(g) for g in offered}
+    assert len(offered) > len(classes)  # some isomorphs were offered
+    assert len(certified) == len(classes)
+    assert {brute_form(g) for g in certified} == classes
+
+
+def test_relabeled_isomorph_costs_no_certify_call(monkeypatch):
+    base = random_regular_digraph(8, 4, random.Random(3))
+    perms = [[(v * k) % 8 for v in range(8)] for k in (1, 3, 5, 7)]
+    draws = iter([base.relabel(p) for p in perms])
+    monkeypatch.setattr(search, "random_regular_digraph", lambda n, d, rng: next(draws))
+    certified = spy(monkeypatch, "certify")
+    records = run_search(SearchConfig(8, 4, population=4, iterations=0))
+    assert certified == [base]
+    assert [r.certificate for r in records] == [certify(base, 4)]
+
+
+def test_looped_clique_start_is_fast():
+    # n == d: every lineage is the looped clique, whose group has 8! elements
+    start = time.perf_counter()
+    records = run_search(SearchConfig(8, 8, population=2, iterations=3))
+    assert time.perf_counter() - start < 0.5
+    assert [r.certificate.excess for r in records] == [0]
 
 
 # Recorded from run_search and fingerprint as of this file; a change to the
