@@ -326,10 +326,10 @@ def canonical_form(g: DiGraph) -> tuple[tuple[tuple[int, ...], ...], int]:
     each vertex's loop and its number of mutual arcs (a loop counts as
     one), then each vertex of the first smallest non-singleton cell is
     individualized in turn and the partition refined again, down to
-    discrete leaves.  A node's trace is
-    the quotient of every partition from the root down to it; a leaf's
-    trace ends in its relabeled adjacency, and the form is the leaf with
-    the least trace.  The tree is invariant under Aut(g).
+    discrete leaves.  A node's trace is the quotient of every partition
+    from the root down to it; a leaf's trace ends in its relabeled
+    adjacency, and the form is the leaf with the least trace.  The tree is
+    invariant under Aut(g).
 
     The search keeps the first leaf and the least leaf.  A leaf with the
     same adjacency as either gives an automorphism, and the search returns
@@ -337,11 +337,11 @@ def canonical_form(g: DiGraph) -> tuple[tuple[tuple[int, ...], ...], int]:
     of one already searched.  Children in the orbit of an explored sibling,
     under the automorphisms found that fix the node's path, are skipped,
     and so is every node whose trace neither begins the first leaf's nor
-    is at most the least leaf's over the same levels.  Once a node of the first leaf's path is
-    done, the automorphisms found fixing the path above it give the full
-    orbit of the vertex it individualized, and |Aut(g)| is the product of
-    those orbit sizes.  So the search visits a few leaves per orbit, not
-    |Aut(g)| of them.
+    is at most the least leaf's over the same levels.  Once a node of the
+    first leaf's path is done, the automorphisms found fixing the path
+    above it give the full orbit of the vertex it individualized, and
+    |Aut(g)| is the product of those orbit sizes.  So the search visits a
+    few leaves per orbit, not |Aut(g)| of them.
     """
     n = g.n
     out, inn = g.out, g.in_adj
