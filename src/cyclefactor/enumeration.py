@@ -468,20 +468,31 @@ def cycle_factor_stats(
 def iter_cycle_factors(g: DiGraph) -> Iterator[tuple[int, ...]]:
     """Yield each cycle-factor as a successor tuple sigma."""
     n = g.n
+    if n == 0:
+        yield ()
+        return
     sigma = [-1] * n
-
-    def rec(v, used):
-        if v == n:
+    used = 0
+    # depth-first on an explicit stack: one iterator over out[v] per level,
+    # each level undoing its previous choice before taking the next
+    stack = [iter(g.out[0])]
+    while stack:
+        v = len(stack) - 1
+        if sigma[v] >= 0:
+            used ^= 1 << sigma[v]
+            sigma[v] = -1
+        for w in stack[v]:
+            if not used >> w & 1:
+                break
+        else:
+            stack.pop()
+            continue
+        sigma[v] = w
+        used |= 1 << w
+        if v + 1 == n:
             yield tuple(sigma)
-            return
-        for w in g.out[v]:
-            bit = 1 << w
-            if used & bit:
-                continue
-            sigma[v] = w
-            yield from rec(v + 1, used | bit)
-
-    yield from rec(0, 0)
+        else:
+            stack.append(iter(g.out[v + 1]))
 
 
 def permutation_cycles(sigma: Sequence[int]) -> int:
@@ -550,21 +561,19 @@ def classify_crossing_patterns(d: int) -> list[TableRow]:
 
 
 def _cycle_matchings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    # matchings of the undirected n-cycle with edges (i, i+1 mod n)
+    # matchings of the undirected n-cycle with edges (i, i+1 mod n), depth
+    # first on an explicit stack, each edge first left out, then taken
     edges = [(i, (i + 1) % n) for i in range(n)]
-
-    def rec(i, used, cur):
+    stack = [(0, 0, ())]
+    while stack:
+        i, used, cur = stack.pop()
         if i == len(edges):
-            yield tuple(cur)
-            return
-        yield from rec(i + 1, used, cur)
+            yield cur
+            continue
         u, v = edges[i]
         if not used >> u & 1 and not used >> v & 1:
-            cur.append((u, v))
-            yield from rec(i + 1, used | 1 << u | 1 << v, cur)
-            cur.pop()
-
-    yield from rec(0, 0, [])
+            stack.append((i + 1, used | 1 << u | 1 << v, cur + ((u, v),)))
+        stack.append((i + 1, used, cur))
 
 
 def gn_classification_check(n: int) -> bool:

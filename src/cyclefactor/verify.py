@@ -3,10 +3,11 @@
 certify compares a d-regular digraph's exact mean cycle count against the
 looped-clique benchmark (n/d)*H_d and classifies the sign of the margin.
 The suites re-derive the closed forms by brute force: every 2-regular
-digraph up to a size cap, one per isomorphism class with an orbit-count
-certificate that no labeled graph is missed, the crossing gadget across
-degrees, and the looped bidirected cycles against their matching
-description.
+digraph up to a size cap, one per isomorphism class (generated from the
+symmetry group of each cycle type's double-cover layout) with an
+orbit-count certificate that no labeled graph is missed, the crossing
+gadget across degrees, and the looped bidirected cycles against their
+matching description.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .enumeration import (
     MAX_GADGET_DEGREE,
@@ -32,10 +33,10 @@ from .families import crossing_gadget  # noqa: F401
 from .graphs import DiGraph, canonical_form, is_d_regular, to_text
 
 VERDICTS = ("beats_benchmark", "ties", "below")
-# largest order the two-regular suite walks: n = 8 alone puts 282,240
-# cycle-type candidates in canonical form for its 5,055 classes, about
-# 30 s against about 2.5 s for the whole suite at n_max = 7 (2-core Xeon,
-# CPython 3.11.7)
+# largest order the two-regular suite walks: n = 8 alone floods 282,240
+# head placements into its 5,055 classes and checks one graph of each in
+# about 2.1 s, against about 0.2 s for the whole suite at n_max = 7
+# (2-core Xeon, CPython 3.11.7)
 MAX_TWO_REGULAR_N = 7
 
 
@@ -114,26 +115,23 @@ def iter_two_regular_digraphs(n: int) -> Iterator[DiGraph]:
     if n < 2:
         return
     subsets = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    chosen: list[tuple[int, int]] = []
-    indeg = [0] * n
-
-    def rec(v):
+    # depth-first on an explicit stack: (next vertex, in-degrees, rows so far)
+    stack = [(0, (0,) * n, ())]
+    while stack:
+        v, indeg, chosen = stack.pop()
         if v == n:
-            yield DiGraph(n, [list(p) for p in chosen])
-            return
+            yield DiGraph(n, chosen)
+            continue
         left = n - v - 1
+        children = []
         for a, b in subsets:
             if indeg[a] < 2 and indeg[b] < 2:
-                indeg[a] += 1
-                indeg[b] += 1
-                if all(2 - indeg[w] <= left for w in range(n)):
-                    chosen.append((a, b))
-                    yield from rec(v + 1)
-                    chosen.pop()
-                indeg[a] -= 1
-                indeg[b] -= 1
-
-    yield from rec(0)
+                deg = list(indeg)
+                deg[a] += 1
+                deg[b] += 1
+                if all(2 - k <= left for k in deg):
+                    children.append((v + 1, tuple(deg), chosen + ((a, b),)))
+        stack += reversed(children)
 
 
 def _is_loop_pair_union(g: DiGraph) -> bool:
@@ -167,32 +165,85 @@ def cycle_types(n: int) -> list[tuple[int, ...]]:
     m tails and m heads, with m >= 2 since no arc is parallel; their m's
     partition n.
     """
-
-    def parts(rest: int, cap: int) -> Iterator[tuple[int, ...]]:
+    types = []
+    # depth-first on an explicit stack: (parts so far, rest of n)
+    stack = [((), n)]
+    while stack:
+        head, rest = stack.pop()
         if rest == 0:
-            yield ()
-        for p in range(min(rest, cap), 1, -1):
-            for tail in parts(rest - p, p):
-                yield (p,) + tail
+            types.append(head)
+            continue
+        cap = min(rest, head[-1] if head else n)
+        stack += ((head + (p,), rest - p) for p in range(2, cap + 1))
+    return types
 
-    return list(parts(n, n))
+
+Perm = tuple[int, ...]
+
+
+def layout_symmetries(shape: Sequence[int]) -> tuple[list[int], list[tuple[Perm, Perm]]]:
+    """The double-cover layout of a cycle type and its symmetry generators.
+
+    A part of size m at offset a has tails t_j = a+j over head slots
+    s_j = a+j, and t_j's arcs go to the heads in slots s_j and
+    s_(j+1 mod m); succ maps each slot to the next slot on its cycle.
+    Each generator is a pair (sigma, rho^-1): sigma relabels the tails
+    (the vertices), rho the slots, and sigma o pi o rho^-1 is a head
+    placement whose graph is pi's relabeled by sigma.  Per part a
+    rotation (sigma = rho = j -> j+1) and a reflection (sigma: t_j ->
+    t_(-j), rho: s_j -> s_(1-j)); per pair of consecutive equal parts a
+    swap (sigma = rho).
+    """
+    n = sum(shape)
+    ident = list(range(n))
+    succ: list[int] = []
+    gens = []
+    for k, m in enumerate(shape):
+        a = len(succ)
+        succ += [a + (j + 1) % m for j in range(m)]
+        turn, back, flip, mirror = ident[:], ident[:], ident[:], ident[:]
+        for j in range(m):
+            turn[a + j] = a + (j + 1) % m
+            back[a + j] = a + (j - 1) % m
+            flip[a + j] = a + -j % m
+            mirror[a + j] = a + (1 - j) % m  # its own inverse
+        gens += [(tuple(turn), tuple(back)), (tuple(flip), tuple(mirror))]
+        if k and shape[k - 1] == m:
+            swap = ident[:]
+            swap[a - m : a + m] = ident[a : a + m] + ident[a - m : a]
+            gens.append((tuple(swap), tuple(swap)))
+    return succ, gens
 
 
 def two_regular_candidates(n: int) -> Iterator[DiGraph]:
-    """A 2-regular digraph of every isomorphism class on n vertices, with repeats.
+    """One 2-regular digraph of each isomorphism class on n vertices.
 
-    For each cycle type, the tails of a double-cover cycle with m tails are
-    consecutive labels t_1..t_m over consecutive head slots s_1..s_m, and
-    tail t_j gets the arcs to pi(s_j) and pi(s_(j+1 mod m)), for each head
-    placement pi in S_n.  Walking each cycle of any 2-regular digraph and
-    renaming its tails to this layout gives one of these graphs.
+    For each cycle type, the graph of a head placement pi in S_n gives
+    tail t_j the arcs to pi(s_j) and pi(s_(j+1 mod m)) (layout_symmetries).
+    Walking each cycle of any 2-regular digraph's double cover and naming
+    its tails and slots this way gives one of these graphs.  The layout's
+    symmetry group acts on S_n by pi -> sigma o pi o rho^-1; any
+    isomorphism between two layout graphs maps double-cover cycles to
+    double-cover cycles, so its orbits are exactly the classes of the
+    type.  S_n is walked in lexicographic order, the first unseen pi
+    represents its orbit, the orbit is flooded through the generators,
+    and the representative's graph is yielded.
     """
     for shape in cycle_types(n):
-        succ: list[int] = []  # slot -> the next slot on its cycle
-        for m in shape:
-            start = len(succ)
-            succ += [start + (j + 1) % m for j in range(m)]
+        succ, gens = layout_symmetries(shape)
+        seen: set[Perm] = set()
         for pi in permutations(range(n)):
+            if pi in seen:
+                continue
+            seen.add(pi)
+            stack = [pi]
+            while stack:
+                p = stack.pop()
+                for sigma, rho_inv in gens:
+                    q = tuple([sigma[p[s]] for s in rho_inv])
+                    if q not in seen:
+                        seen.add(q)
+                        stack.append(q)
             yield DiGraph(n, [(pi[t], pi[succ[t]]) for t in range(n)])
 
 
@@ -204,7 +255,9 @@ def two_regular_suite(n_max: int = 6) -> SuiteReport:
     n/2 + loops/4, and it equals 3n/4 exactly when the graph is a disjoint
     union of looped mutual pairs.  Every claim is invariant under
     relabeling, so each isomorphism class is checked once, on its
-    canonical form; the classes come from two_regular_candidates.  None is
+    canonical form.  two_regular_candidates yields one graph per class;
+    the suite still keys each on its canonical form, so a repeated class
+    is checked once and a missing one fails the orbit sum below.  None is
     skipped: a 2-regular digraph always has a cycle-factor (Hall's theorem
     on its 2-regular double cover).
 

@@ -52,7 +52,7 @@ from cyclefactor.families import (
 )
 from cyclefactor.graphs import DiGraph, UGraph, canonical_form, disjoint_union, double_cover
 from cyclefactor.search import random_regular_digraph
-from cyclefactor.verify import iter_two_regular_digraphs
+from cyclefactor.verify import iter_two_regular_digraphs, two_regular_candidates
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +545,9 @@ def test_frontier_memo_is_freed_when_the_call_returns():
 
 
 def test_engines_and_canonical_form_leave_no_reference_cycles():
-    # a self-recursive closure left alive holds its tables until the cycle
-    # collector runs; with it off, gc.collect() finds whatever leaked
+    # a self-recursive closure, function or generator, left alive holds its
+    # state until the cycle collector runs; with it off, gc.collect() finds
+    # whatever leaked
     graphs = list(iter_two_regular_digraphs(5))[:100]
     gadget = crossing_gadget(6)[0]
     gc.collect()
@@ -556,7 +557,12 @@ def test_engines_and_canonical_form_leave_no_reference_cycles():
             cycle_factor_stats(g, want_edge_usage=True)
             cycle_factor_stats(g)
             canonical_form(g)
+            list(iter_cycle_factors(g))
         canonical_form(gadget)
+        for n in range(2, 6):
+            list(iter_two_regular_digraphs(n))
+            list(two_regular_candidates(n))
+        gn_classification_check(6)
         leaked = gc.collect()
     finally:
         gc.enable()

@@ -2,9 +2,10 @@
 
 from dataclasses import replace
 from fractions import Fraction
-from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclefactor import verify
 from cyclefactor.enumeration import MAX_GADGET_DEGREE
@@ -29,6 +30,7 @@ from cyclefactor.verify import (
     cycle_types,
     gadget_cross_validation,
     iter_two_regular_digraphs,
+    layout_symmetries,
     looped_cycle_suite,
     two_regular_candidates,
     two_regular_count,
@@ -100,12 +102,37 @@ def classes(graphs):
     return {canonical_form(g)[0] for g in graphs}
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+# isomorphism classes of 2-regular digraphs on n vertices
+CLASS_COUNTS = {2: 1, 3: 3, 4: 8, 5: 27, 6: 131}
+
+
+@pytest.mark.parametrize("n", sorted(CLASS_COUNTS))
 def test_cycle_type_candidates_cover_every_class(n):
     candidates = list(two_regular_candidates(n))
-    assert len(candidates) == len(cycle_types(n)) * factorial(n)
+    assert len(candidates) == len(classes(candidates)) == CLASS_COUNTS[n]
     assert all(is_d_regular(g, 2) for g in candidates)
-    assert classes(candidates) == classes(iter_two_regular_digraphs(n))
+    if n <= 5:
+        assert classes(candidates) == classes(iter_two_regular_digraphs(n))
+
+
+def layout_graph(succ, pi):
+    return DiGraph(len(pi), [(pi[t], pi[succ[t]]) for t in range(len(pi))])
+
+
+# every cycle type with n <= 7, each with up to 8 generators
+@settings(max_examples=25, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_layout_symmetries_preserve_the_class(rnd):
+    for n in range(2, MAX_TWO_REGULAR_N + 1):
+        for shape in cycle_types(n):
+            succ, gens = layout_symmetries(shape)
+            pi = rnd.sample(range(n), n)
+            g = layout_graph(succ, pi)
+            form = canonical_form(g)
+            for sigma, rho_inv in gens:
+                image = layout_graph(succ, [sigma[pi[s]] for s in rho_inv])
+                assert image == g.relabel(sigma)
+                assert canonical_form(image) == form
 
 
 def test_two_regular_suite_fails_on_a_missing_class(monkeypatch):
@@ -119,15 +146,31 @@ def test_two_regular_suite_fails_on_a_missing_class(monkeypatch):
     assert "short of A001499(5) = 2040" in report.failures[0]
 
 
+def doubled_candidates(n):
+    # each class twice: the representative and a relabeled copy
+    shift = [(v + 1) % n for v in range(n)]
+    for g in list(two_regular_candidates(n)):
+        yield g
+        yield g.relabel(shift)
+
+
 def test_two_regular_suite_fails_on_a_form_that_is_not_canonical(monkeypatch):
     # the identity labeling as the key: one class, several keys
     monkeypatch.setattr(verify, "canonical_form", lambda g: (g.out, canonical_form(g)[1]))
+    monkeypatch.setattr(verify, "two_regular_candidates", doubled_candidates)
     report = two_regular_suite(5)
     assert report.ok is False
     assert report.checked > 1 + 6 + 90 + 2040
     coverage = [f for f in report.failures if " labeled graphs, " in f]
     assert coverage and all(" over A001499(" in f for f in coverage)
     assert any(f.startswith("n=5: ") for f in coverage)
+
+
+def test_two_regular_suite_dedups_repeated_classes(monkeypatch):
+    monkeypatch.setattr(verify, "two_regular_candidates", doubled_candidates)
+    report = two_regular_suite(5)
+    assert report.ok
+    assert report.checked == 1 + 6 + 90 + 2040
 
 
 def test_two_regular_suite_holds_below_six():
