@@ -149,7 +149,7 @@ def test_two_regular_suite_fails_on_a_missing_class(monkeypatch):
 def doubled_candidates(n):
     # each class twice: the representative and a relabeled copy
     shift = [(v + 1) % n for v in range(n)]
-    for g in list(two_regular_candidates(n)):
+    for g in two_regular_candidates(n):
         yield g
         yield g.relabel(shift)
 
