@@ -35,7 +35,11 @@ from .verify import (
 )
 
 # each suite and the one size bound it takes
-SUITES = {"two-regular": "n_max", "gadget-cross": "d_max", "looped-cycle": "n_max"}
+SUITES = {
+    "two-regular": (two_regular_suite, "n_max"),
+    "gadget-cross": (gadget_cross_validation, "d_max"),
+    "looped-cycle": (looped_cycle_suite, "n_max"),
+}
 
 
 def _undirected(u: UGraph) -> str:
@@ -197,13 +201,8 @@ def cmd_table1(args) -> int:
 
 def cmd_suite(args) -> int:
     # a bound goes to the suite only when given, so the defaults live in verify
-    bounds = _given(args, ("n_max", "d_max"), {SUITES[args.name]}, f"suite {args.name}")
-    suite = {
-        "two-regular": two_regular_suite,
-        "gadget-cross": gadget_cross_validation,
-        "looped-cycle": looped_cycle_suite,
-    }[args.name]
-    report = suite(**bounds)
+    suite, bound = SUITES[args.name]
+    report = suite(**_given(args, ("n_max", "d_max"), {bound}, f"suite {args.name}"))
     _emit(
         {
             "name": report.name,

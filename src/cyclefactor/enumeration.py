@@ -1,18 +1,17 @@
 """Exact brute-force engines for factor statistics.
 
-Directed side: cycle-factor counts, cycle-count histograms, fixed-point
-sums, per-arc usage, constrained enumeration with prescribed or forbidden
-arcs, and the crossing-pattern table of the gadget.  Undirected side:
+Directed side: cycle-factor counts, cycle-count histograms, per-arc
+usage, constrained enumeration with prescribed or forbidden arcs, and the
+crossing-pattern table of the gadget.  Undirected side:
 spanning partitions into cycles (optionally also single matched edges),
 matchings of cycles, and a Ryser permanent used as an independent
 counting oracle.
 
 Every directed statistic comes from one table: the number of cycle-factors
 by (key, cycle count), where a factor's key sums integer arc weights along
-it.  cycle_factor_stats weights each loop 1, so the key is the number of
-fixed points; classify_crossing_patterns weights each crossing arc by its
-pattern bit, so the key is the crossing pattern.  Two exact engines build
-that table:
+it.  cycle_factor_stats weights no arc, so its table has the one key 0;
+classify_crossing_patterns weights each crossing arc by its pattern bit,
+so the key is the crossing pattern.  Two exact engines build that table:
 
 - _factor_table, the leaf engine, visits every factor once.  It assigns
   successors tail by tail under a used-heads bitmask; each open path
@@ -82,7 +81,6 @@ class FactorStats:
     """Exact aggregate statistics over a set of factors.
 
     histogram maps a cycle count to the number of factors attaining it.
-    fix_sum totals the fixed points (loops used) across all factors.
     edge_usage, when requested, maps each arc to the number of factors
     containing it; arcs in no factor are omitted.
     """
@@ -90,7 +88,6 @@ class FactorStats:
     count: int
     cycle_sum: int
     histogram: dict[int, int]
-    fix_sum: int = 0
     edge_usage: dict[Arc, int] | None = None
 
     def mean(self) -> Fraction:
@@ -441,10 +438,10 @@ def cycle_factor_stats(
     """Exact statistics over every cycle-factor of g meeting the constraints.
 
     A cycle-factor is a permutation sigma of the vertices with v -> sigma(v)
-    an arc for every v.  One factor table, with each loop weighted 1, so a
-    factor's key is its number of fixed points; count, cycle sum,
-    fixed-point sum and histogram are all read off it.  The leaf engine
-    builds it when edge usage is wanted, and the frontier engine otherwise.
+    an arc for every v.  One factor table with no arc weighted, so it is a
+    single row by cycle count; count, cycle sum and histogram are all read
+    off it.  The leaf engine builds it when edge usage is wanted, and the
+    frontier engine otherwise.
     """
     n = g.n
     if n > MAX_FAST_VERTICES:
@@ -452,17 +449,13 @@ def cycle_factor_stats(
             f"graph order {n} exceeds the fast-path limit {MAX_FAST_VERTICES}"
         )
     rows = _candidate_rows(g, constraints)
-    loops = {(v, v): 1 for v, row in enumerate(rows) if v in row}
     if want_edge_usage:
-        table, usage = _factor_table(rows, loops)
+        (by_cycles,), usage = _factor_table(rows, {})
     else:
-        table, usage = _frontier_table(rows, loops), None
-    by_fix = list(map(sum, table))
-    by_cycles = list(map(sum, zip(*table)))
+        (by_cycles,), usage = _frontier_table(rows, {}), None
     hist = {c: h for c, h in enumerate(by_cycles) if h}
     cycle_sum = sum(map(mul, range(n + 1), by_cycles))
-    fix_sum = sum(map(mul, range(len(by_fix)), by_fix))
-    return FactorStats(sum(by_fix), cycle_sum, hist, fix_sum, usage)
+    return FactorStats(sum(by_cycles), cycle_sum, hist, usage)
 
 
 def iter_cycle_factors(g: DiGraph) -> Iterator[tuple[int, ...]]:

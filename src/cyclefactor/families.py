@@ -27,16 +27,6 @@ class GadgetLabeling:
     class_of: tuple[str, ...]
     crossing_arcs: dict[str, Arc]
 
-    def half_1(self) -> frozenset[int]:
-        return frozenset(
-            v for v, c in enumerate(self.class_of) if c in ("B1", "C1", "A2")
-        )
-
-    def half_2(self) -> frozenset[int]:
-        return frozenset(
-            v for v, c in enumerate(self.class_of) if c in ("B2", "C2", "A1")
-        )
-
 
 def complete_looped(m: int) -> DiGraph:
     """Complete looped digraph on m vertices: every ordered pair is an arc."""

@@ -116,15 +116,6 @@ class UGraph:
     def num_edges(self) -> int:
         return sum(len(r) for r in self.adj) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def is_regular(self, d: int) -> bool:
-        return all(len(r) == d for r in self.adj)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, UGraph) and self.n == other.n and self.adj == other.adj
 
@@ -195,66 +186,7 @@ def double_cover(g: DiGraph) -> BipartiteGraph:
 
 
 # ---------------------------------------------------------------------------
-# Relabeling-insensitive fingerprint
-# ---------------------------------------------------------------------------
-
-_EMPTY_SENTINEL = int.from_bytes(
-    hashlib.blake2b(b"digraph:empty", digest_size=8).digest(), "big"
-)
-
-
-def _rank(signatures: list) -> list[int]:
-    order = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-    return [order[sig] for sig in signatures]
-
-
-def fingerprint(g: DiGraph) -> int:
-    """Deterministic 64-bit hash, invariant under vertex relabeling.
-
-    Built from iterated neighborhood refinement seeded with degree and
-    out/in neighborhood-overlap profiles.  Refinement stops at the first
-    round that splits no class, and after n rounds at most: each signature
-    leads with the old rank, so such a round returns the ranks unchanged.
-    Distinct fingerprints imply non-isomorphic graphs; equal fingerprints
-    imply nothing, so this is a dedup heuristic, not a canonical form.
-    """
-    n = g.n
-    if n == 0:
-        return _EMPTY_SENTINEL
-    out_sets = [set(row) for row in g.out]
-    in_sets = [set(row) for row in g.in_adj]
-    base = []
-    for v in range(n):
-        over_out = tuple(sorted(len(out_sets[v] & out_sets[w]) for w in g.out[v]))
-        over_in = tuple(sorted(len(in_sets[v] & in_sets[w]) for w in g.in_adj[v]))
-        base.append(
-            (len(g.out[v]), len(g.in_adj[v]), g.has_arc(v, v), over_out, over_in)
-        )
-    ranks = _rank(base)
-    for _ in range(n):
-        sigs = [
-            (
-                ranks[v],
-                tuple(sorted(ranks[w] for w in g.out[v])),
-                tuple(sorted(ranks[u] for u in g.in_adj[v])),
-            )
-            for v in range(n)
-        ]
-        refined = _rank(sigs)
-        if refined == ranks:  # a fixed point: every later round returns it too
-            break
-        ranks = refined
-    payload = (
-        n,
-        tuple(sorted(Counter(ranks).items())),
-        tuple(sorted((ranks[u], ranks[w]) for u, w in g.arcs())),
-    )
-    digest = hashlib.blake2b(repr(payload).encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
-# ---------------------------------------------------------------------------
-# Canonical form by individualization-refinement
+# Canonical form by individualization-refinement, and its digest
 # ---------------------------------------------------------------------------
 
 
@@ -416,6 +348,16 @@ def canonical_form(g: DiGraph) -> tuple[tuple[tuple[int, ...], ...], int]:
     for v in range(n):
         rows[colour[v]] = tuple(sorted(map(colour.__getitem__, out[v])))
     return tuple(rows), aut
+
+
+def fingerprint(g: DiGraph) -> int:
+    """Deterministic 64-bit digest of the canonical form of g.
+
+    Isomorphic digraphs get equal fingerprints.  Two that are not collide
+    only when the blake2b digests of their canonical forms do.
+    """
+    digest = hashlib.blake2b(repr(canonical_form(g)[0]).encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
 
 
 # ---------------------------------------------------------------------------

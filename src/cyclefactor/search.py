@@ -2,9 +2,9 @@
 
 A generate-score-prune-mutate beam: random regular digraphs from the
 permutation-superposition model, exact scoring through certify once per
-isomorphism class, fingerprint dedup, 2-swap mutations, and restarts for
-stagnant lineages.  Every random draw descends from one 64-bit master seed
-through splitmix64-derived per-lineage streams, so runs are
+isomorphism class, dedup by canonical form, 2-swap mutations, and restarts
+for stagnant lineages.  Every random draw descends from one 64-bit master
+seed through splitmix64-derived per-lineage streams, so runs are
 bit-reproducible.
 """
 
@@ -169,40 +169,33 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
     """Beam search over d-regular digraphs maximizing certified excess.
 
     Per iteration every lineage proposes a mutated child; parents and
-    children are ranked by exact excess with fingerprint dedup, the top
-    `population` survive, and lineages that have not improved for
-    RESTART_AFTER iterations restart from a fresh random graph.
-    Certificates and fingerprints are cached per isomorphism class, keyed
-    by canonical form, which is exact; a dict of labeled graphs in front
-    of it spares a graph seen again its canonical form.  The leaderboard
-    identity, the per-iteration dedup and the tie-break stay on the
-    fingerprint, which is invariant, so the cache changes no output.  Every
-    graph here is d-regular, so it has a cycle-factor (its bipartite double
-    cover is d-regular, and Hall's theorem gives a perfect matching) and
-    certify never raises NoCycleFactorError.
-    The returned leaderboard is sorted by descending excess and capped at
-    `population` entries; `sink`, when given, receives each record the
-    moment it first enters the leaderboard.
+    children are ranked by exact excess, one graph per isomorphism class,
+    the top `population` survive, and lineages that have not improved for
+    RESTART_AFTER iterations restart from a fresh random graph.  Classes
+    are keyed by canonical form, which is exact, and each is certified and
+    fingerprinted once, when its first member is evaluated; a dict of
+    labeled graphs in front of it spares a graph seen again its canonical
+    form.  The fingerprint, a digest of the canonical form, is the printed
+    identity, the lineage tag and the tie-break.  Every graph here is
+    d-regular, so it has a cycle-factor (its bipartite double cover is
+    d-regular, and Hall's theorem gives a perfect matching) and certify
+    never raises NoCycleFactorError.
+    The returned leaderboard holds one record per class certified, sorted
+    by descending excess and capped at `population` entries; `sink`, when
+    given, receives each record the moment its class is certified.
     """
     stream = SeedStream(config.seed)
-    leaderboard: dict[int, SearchRecord] = {}
-    evaluated: dict[DiGraph, tuple[Certificate, int]] = {}
-    classes: dict[tuple[tuple[int, ...], ...], tuple[Certificate, int]] = {}
+    # the leaderboard: one record per isomorphism class, by canonical form
+    classes: dict[tuple[tuple[int, ...], ...], SearchRecord] = {}
+    evaluated: dict[DiGraph, SearchRecord] = {}
 
-    def evaluate(g: DiGraph, it: int, origin: str) -> tuple[Certificate, int]:
-        # a class is offered to the leaderboard once, when its first member
-        # is evaluated; an isomorph has the same excess and fingerprint, so
-        # offering it cannot beat the record that member set or met; later
-        # members share the first one's certificate, read only for excess
+    def evaluate(g: DiGraph, it: int, origin: str) -> SearchRecord:
         if g not in evaluated:
             form = canonical_form(g)[0]
             if form not in classes:
-                cert, fp = classes[form] = certify(g, config.d), fingerprint(g)
-                held = leaderboard.get(fp)
-                if held is None or cert.excess > held.certificate.excess:
-                    rec = leaderboard[fp] = SearchRecord(cert, it, fp, origin)
-                    if sink is not None:
-                        sink(rec)
+                rec = classes[form] = SearchRecord(certify(g, config.d), it, fingerprint(g), origin)
+                if sink is not None:
+                    sink(rec)
             evaluated[g] = classes[form]
         return evaluated[g]
 
@@ -212,25 +205,25 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
             g = random_regular_digraph(config.n, config.d, rng)
         except GenerationError:
             return _Lineage(None, rng, "random", None)  # dropped next iteration
-        return _Lineage(g, rng, "random", evaluate(g, it, "random")[0].excess)
+        return _Lineage(g, rng, "random", evaluate(g, it, "random").certificate.excess)
 
     pop = [fresh(0) for _ in range(config.population)]
     for it in range(1, config.iterations + 1):
         # rank parents and mutated children together
         ranked: list[tuple[Fraction, int, DiGraph, _Lineage, str]] = []
-        seen_fps: set[int] = set()
+        seen: set[int] = set()  # the classes ranked, by their record's id
         for member in pop:
             if member.graph is None:
                 continue
             child = member.graph
             for _ in range(MOVES_PER_STEP):
                 child = swap_move(child, member.rng)
-            parent_tag = f"{evaluated[member.graph][1]:016x}"
+            parent_tag = f"{evaluated[member.graph].fingerprint:016x}"
             for g, origin in ((member.graph, member.origin), (child, parent_tag)):
-                cert, fp = evaluate(g, it, origin)
-                if fp not in seen_fps:
-                    seen_fps.add(fp)
-                    ranked.append((-cert.excess, fp, g, member, origin))
+                rec = evaluate(g, it, origin)
+                if id(rec) not in seen:
+                    seen.add(id(rec))
+                    ranked.append((-rec.certificate.excess, rec.fingerprint, g, member, origin))
         ranked.sort(key=lambda e: (e[0], e[1]))
         survivors: list[_Lineage] = []
         used_members: set[int] = set()
@@ -251,7 +244,7 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
         pop += [fresh(it) for _ in range(config.population - len(pop))]
 
     final = sorted(
-        leaderboard.values(),
+        classes.values(),
         key=lambda r: (-r.certificate.excess, r.fingerprint, r.iteration),
     )
     return final[: config.population]

@@ -251,7 +251,8 @@ def two_regular_suite(n_max: int = 6) -> SuiteReport:
     """Exhaustive degree-2 checks on every 2-regular digraph with n <= n_max.
 
     Per graph: every arc lies in exactly half the factors, the mean number
-    of fixed points is half the loop count, the mean cycle count is at most
+    of fixed points (the loops a factor uses, summed from their usage) is
+    half the loop count, the mean cycle count is at most
     n/2 + loops/4, and it equals 3n/4 exactly when the graph is a disjoint
     union of looped mutual pairs.  Every claim is invariant under
     relabeling, so each isomorphism class is checked once, on its
@@ -286,7 +287,7 @@ def two_regular_suite(n_max: int = 6) -> SuiteReport:
             problems = []
             if any(2 * usage.get(a, 0) != st.count for a in g.arcs()):
                 problems.append("some arc marginal differs from 1/2")
-            if 2 * st.fix_sum != loops * st.count:
+            if 2 * sum(usage.get((v, v), 0) for v in range(n)) != loops * st.count:
                 problems.append("mean fixed points differ from loops/2")
             if 4 * st.cycle_sum > (2 * n + loops) * st.count:
                 problems.append("mean cycles exceed n/2 + loops/4")

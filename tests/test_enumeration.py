@@ -183,7 +183,8 @@ def check_against_brute(g, constraints=None):
     stats = cycle_factor_stats(g, constraints, want_edge_usage=True)
     assert stats.count == count
     assert stats.cycle_sum == cycle_sum
-    assert stats.fix_sum == fix_sum
+    # a factor's fixed points are the loops it uses
+    assert sum((stats.edge_usage or {}).get((v, v), 0) for v in range(g.n)) == fix_sum
     assert stats.histogram == hist
     assert (stats.edge_usage or {}) == usage
 
@@ -227,8 +228,8 @@ def test_small_looped_clique_pinned_counts():
 def test_empty_and_tiny_graphs():
     s = cycle_factor_stats(DiGraph(0, []))
     assert (s.count, s.cycle_sum, s.histogram) == (1, 0, {0: 1})
-    loop = cycle_factor_stats(DiGraph(1, [[0]]))
-    assert (loop.count, loop.cycle_sum, loop.fix_sum) == (1, 1, 1)
+    loop = cycle_factor_stats(DiGraph(1, [[0]]), want_edge_usage=True)
+    assert (loop.count, loop.cycle_sum, loop.edge_usage) == (1, 1, {(0, 0): 1})
     bare = cycle_factor_stats(DiGraph(1, [[]]))
     assert bare.count == 0
     with pytest.raises(NoCycleFactorError):
@@ -237,6 +238,16 @@ def test_empty_and_tiny_graphs():
         expected_cycles(DiGraph(2, [[0], [0]]))
     assert list(iter_cycle_factors(DiGraph(0, []))) == [()]
     assert list(iter_cycle_factors(DiGraph(1, [[]]))) == []
+
+
+def test_looped_cycle_at_the_order_cap_matches_its_matchings():
+    # the factors of looped C_n are its two rotations (one n-cycle each)
+    # plus one factor per matching of C_n, whose k pairs leave n - k cycles
+    n = MAX_FAST_VERTICES
+    m = cycle_matching_counts(n)
+    stats = cycle_factor_stats(looped_bidirected_cycle(n))
+    assert stats.count == 2 + sum(m) == 23725150497409  # L_64 + 2
+    assert stats.cycle_sum == 2 + sum(c * (n - k) for k, c in enumerate(m))
 
 
 def test_order_cap_is_enforced():
