@@ -28,17 +28,17 @@ so the key is the crossing pattern.  Two exact engines build that table:
   costs more than it saves and the identity is used.  It alone yields
   per-arc usage, so it runs when usage is wanted, and it is the oracle
   the frontier engine is tested against.
-- _frontier_table, the frontier engine, runs the same search but
-  memoizes it by its frontier (Knuth's SIMPATH): below tail i, the rest
-  of the search depends only on where the open paths ending at tails
-  i..n-1 start, so each node returns the packed table of the factors
-  below it and nodes with equal starts share it.  It builds every table
-  without usage.
+- _frontier_table, the frontier engine, runs the same search forward,
+  one tail at a time, over its frontiers (Knuth's SIMPATH): before tail
+  i is assigned, the rest of the search depends only on where the open
+  paths ending at tails i..n-1 start, so each level keeps one packed
+  table of the partial factors per tuple of starts, and partial factors
+  with equal starts merge.  It builds every table without usage.
 
 The frontier engine's tables are polynomials in the flat index
 key * (n + 1) + cycles, packed into one int (Kronecker substitution), so
 adding an arc weight or closing a cycle is a shift and merging two
-branches an addition.  iter_cycle_factors stays a separate plain
+frontiers an addition.  iter_cycle_factors stays a separate plain
 recursion, as an oracle.
 
 The undirected side covers vertex sets by cycles instead.  _cycle_sets
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lgamma, log, log2, prod
+from math import comb, lgamma, log, log2, prod
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -142,17 +142,14 @@ def _candidate_rows(
     return rows
 
 
-# ln of (k!)^(1/k), Bregman's bound on a row's share of the permanent, by
-# row length k; a row of a graph the engines accept has at most
-# MAX_FAST_VERTICES candidates, and an empty row admits no factor at all
-_LN_ROOT_FACTORIAL = (float("-inf"),) + tuple(
-    lgamma(k + 1) / k for k in range(1, MAX_FAST_VERTICES + 1)
-)
-
-
 def _log2_bregman(rows: Sequence[Sequence[int]]) -> float:
-    """log2 of Bregman's bound prod_v (|row_v|!)^(1/|row_v|) on the factor count."""
-    return sum(map(_LN_ROOT_FACTORIAL.__getitem__, map(len, rows))) / log(2)
+    """log2 of Bregman's bound prod_v (|row_v|!)^(1/|row_v|) on the factor count.
+
+    A row without candidates admits no factor at all, so the bound is 0.
+    """
+    if not all(rows):
+        return float("-inf")
+    return sum(lgamma(len(row) + 1) / len(row) for row in rows) / log(2)
 
 
 def _leaf_order(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -302,21 +299,23 @@ def _factor_table(
 
 
 def _frontier_table(rows: Sequence[Sequence[int]], weights: dict[Arc, int]) -> list[list[int]]:
-    """The table of _factor_table(rows, weights), memoized by the open paths.
+    """The table of _factor_table(rows, weights), built level by level.
 
-    The search of _leaf_search, but each node returns the packed table of
-    the factors below it, packed with slot bits per flat index.  Below
-    tail i the open paths end at tails i..n-1, and the unused heads are
-    exactly their starts, so start[i:] fixes the rest of the search: nodes
-    with equal starts share one table, and a cycle closed above a node
-    only shifts it.  Only even tails are memoized.  An odd node's children
-    are, so redoing it costs a few lookups, and the memo holds about half
-    the states: on random 4-regular digraphs with n = 16 the time is the
-    same and the peak memory of the memo about half.
+    The search of _leaf_search, run forward over its frontiers (Knuth's
+    SIMPATH).  Before tail i is assigned, the open paths end at tails
+    i..n-1, and the unused heads are exactly their starts, so the starts
+    fix the rest of the search.  Level i maps those starts, as bytes
+    indexed by tail - i, to the used heads and the packed table of the
+    partial factors reaching them; equal starts merge by addition.
+    Closing a cycle drops the first start and joining tail i to the path
+    that starts at h replaces h by tail i's start, so level n holds one
+    entry, the empty frontier, whose table is the answer.
 
-    A count below a node counts completions of one partial factor, so it
-    is at most the factor count, which Bregman's bound caps; the slots,
-    two bits wider than its log2 to absorb rounding, never overflow.
+    The partial factors reaching a level-i frontier are perfect matchings
+    of tails 0..i-1 onto the heads it has used, so Bregman's bound on
+    those rows, and with it the bound on all rows, caps their count; the
+    slots, two bits wider than its log2 to absorb rounding, never
+    overflow, even for frontiers with no completion.
     """
     n = len(rows)
     stride = n + 1
@@ -326,47 +325,38 @@ def _frontier_table(rows: Sequence[Sequence[int]], weights: dict[Arc, int]) -> l
     if search is None:
         return [[0] * stride for _ in range(nkeys)]
     cand, due, forced = search
-    start = list(range(n))
-    end = list(range(n))
-    memo: dict[bytes, int] = {}
-
-    def rec(i, used):
-        if i == n:
-            return 1
-        miss = due[i] & ~used
-        if miss:
-            if miss & (miss - 1):
-                return 0
-            choices = forced[miss]
-        else:
-            choices = cand[i]
-        key = None if i & 1 else bytes(start[i:])
-        below = memo.get(key)
-        if below is not None:
-            return below
-        nxt = i + 1
-        s = start[i]
-        below = 0
-        for h, bit, shift, _ in choices:
-            if used & bit:
-                continue
-            if h == s:
-                below += rec(nxt, used | bit) << (shift + slot)
+    # every caller keeps n <= MAX_FAST_VERTICES, so positions fit in a byte
+    byte = [bytes((v,)) for v in range(n)]
+    level = {bytes(range(n)): [0, 1]}
+    for i in range(n):
+        nxt: dict[bytes, list[int]] = {}
+        while level:
+            starts, (used, table) = level.popitem()
+            miss = due[i] & ~used
+            if miss:
+                if miss & (miss - 1):
+                    continue
+                choices = forced[miss]
             else:
-                e = end[h]
-                start[e] = s
-                end[s] = e
-                below += rec(nxt, used | bit) << shift
-                start[e] = h
-                end[s] = i
-        if key is not None:
-            memo[key] = below
-        return below
-
-    packed = rec(0, 0)
-    # rec refers to itself through its closure, so without this the memo
-    # would live until the cycle collector ran
-    del rec
+                choices = cand[i]
+            s = starts[0]
+            rest = starts[1:]
+            for h, bit, shift, _ in choices:
+                if used & bit:
+                    continue
+                if h == s:
+                    key = rest
+                    part = table << (shift + slot)
+                else:
+                    key = rest.replace(byte[h], byte[s])
+                    part = table << shift
+                state = nxt.get(key)
+                if state is None:
+                    nxt[key] = [used | bit, part]
+                else:
+                    state[1] += part
+        level = nxt
+    packed = level[b""][1] if level else 0
     flat = _unpack(packed, slot, nkeys * stride)
     return [flat[k * stride : (k + 1) * stride] for k in range(nkeys)]
 
@@ -513,11 +503,12 @@ def classify_crossing_patterns(d: int) -> list[TableRow]:
     One factor table with each crossing arc weighted by its pattern bit.
     The four crossing arcs have distinct tails, so a factor uses each at
     most once and its key is its 4-bit pattern.  The frontier engine
-    builds the table without visiting each factor, which is what makes
-    d = 8 (about 10^9 factors) reachable.  Degree balance between the two
-    gadget halves permits only six patterns; observing any other raises
-    InternalCheckError.  Buckets are aggregated into the four fixed row
-    groups so the result is comparable to crossing_pattern_table.
+    merges the partial factors whose open paths start alike, so it never
+    visits each factor, which is what makes d = 8 (about 10^9 factors)
+    reachable.  Degree balance between the two gadget halves permits only
+    six patterns; observing any other raises InternalCheckError.  Buckets
+    are aggregated into the four fixed row groups so the result is
+    comparable to crossing_pattern_table.
     """
     if d < 3:
         raise ValueError("need d >= 3")
@@ -592,26 +583,15 @@ def gn_classification_check(n: int) -> bool:
     return found == expected
 
 
-def _poly_add_shift(a: list[int], b: list[int]) -> list[int]:
-    # a(x) + x*b(x) as coefficient lists
-    out = list(a) + [0] * max(0, len(b) + 1 - len(a))
-    for i, c in enumerate(b):
-        out[i + 1] += c
-    return out
-
-
 def cycle_matching_counts(n: int) -> list[int]:
     """Matchings of the n-cycle counted by size, for sizes 0..n//2.
 
-    Path DP: appending a vertex either leaves it unmatched or matches it to
-    its predecessor; the cycle closes by splitting on the wrap-around edge.
+    The n-cycle has n/(n-k) * C(n-k, k) matchings of size k, the
+    coefficients of the Lucas polynomial L_n.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    paths = [[1], [1]]
-    for _ in range(2, n + 1):
-        paths.append(_poly_add_shift(paths[-1], paths[-2]))
-    return _poly_add_shift(paths[n], paths[n - 2])
+    return [n * comb(n - k, k) // (n - k) for k in range(n // 2 + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,11 @@ from .families import crossing_gadget  # noqa: F401
 from .graphs import DiGraph, canonical_form, is_d_regular, to_text
 
 VERDICTS = ("beats_benchmark", "ties", "below")
-# largest order the two-regular suite walks: n = 8 alone floods 282,240
-# head placements into its 5,055 classes and checks one graph of each in
-# about 2.1 s, against about 0.2 s for the whole suite at n_max = 7
-# (2-core Xeon, CPython 3.11.7)
-MAX_TWO_REGULAR_N = 7
+# largest order the two-regular suite walks: n_max = 8 covers 190,711,867
+# labeled graphs through 5,936 classes in about 2.9 s, against about 0.2 s
+# at n_max = 7 (2-core Xeon, CPython 3.11.7); n = 9 would walk and hold
+# nine times as many layout orderings per cycle type
+MAX_TWO_REGULAR_N = 8
 
 
 @dataclass(frozen=True)
@@ -313,8 +313,9 @@ def gadget_cross_validation(d_max: int = 6) -> SuiteReport:
     One factor table per degree: the crossing-pattern rows partition the
     factors (any other pattern raises), so their totals give the factor
     count and cycle sum.  Every degree runs on the frontier engine, the
-    leaf search memoized by its open paths, which does not visit each
-    factor; that is what makes degree 8 (about 10^9 factors) reachable.
+    leaf search run forward with partial factors merged by their open
+    paths, which does not visit each factor; that is what makes degree 8
+    (about 10^9 factors) reachable.
     The leaf engine, which does, stays its oracle in the tests.  Compares
     count, total cycle sum, mean, and each aggregated row; reports the
     first differing quantity per degree.

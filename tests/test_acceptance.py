@@ -3,13 +3,13 @@
 Every test times its operative work with time.perf_counter and fails when
 the stated budget is exceeded, so a pass here certifies both the values
 and the performance envelope.  The degree-7 and degree-8 cross-validation
-legs, the 7-vertex leg of the 2-regular suite and the 8-vertex degree-4
-search carry the slow marker.  The search is the one expensive leg: the
-degree legs build the gadget's factor table on the frontier engine, in
-about 10 ms and 30 ms, where the leaf engine took about 40 s at degree 7
-and cannot finish degree 8, and the 2-regular suite covers the 3,181,027
-labeled graphs with n <= 7 through their 881 isomorphism classes in about
-5 s.
+legs, the 7- and 8-vertex legs of the 2-regular suite and the 8-vertex
+degree-4 search carry the slow marker.  The search is the one expensive
+leg: the degree legs build the gadget's factor table on the frontier
+engine, in about 3 ms and 7 ms, where the leaf engine took about 40 s at
+degree 7 and cannot finish degree 8, and the 2-regular suite covers the
+190,711,867 labeled graphs with n <= 8 through their 5,936 isomorphism
+classes in about 3 s.
 """
 
 import random
@@ -137,6 +137,14 @@ def test_c05_two_regular_order_seven_leg():
         report = two_regular_suite(7)
         assert report.ok, report.failures[:3]
         assert report.checked == 1 + 6 + 90 + 2040 + 67950 + 3110940
+
+
+@pytest.mark.slow
+def test_c05_two_regular_order_eight_leg():
+    with Budget("criterion 5 (n=8)", 30.0):
+        report = two_regular_suite(8)
+        assert report.ok, report.failures[:3]
+        assert report.checked == 190711867
 
 
 def test_c06_looped_cycle_classification():

@@ -182,7 +182,7 @@ def test_suite_failure_exits_three(capsys, monkeypatch):
     "name,flag,value",
     [
         ("two-regular", "--n-max", "0"),  # below the library's n_max >= 2
-        ("two-regular", "--n-max", "8"),  # above MAX_TWO_REGULAR_N, about 2 s of work
+        ("two-regular", "--n-max", "9"),  # above MAX_TWO_REGULAR_N
         ("gadget-cross", "--d-max", "0"),  # below the library's d_max >= 3
         ("looped-cycle", "--d-max", "9"),  # looped-cycle takes no degree bound
         ("gadget-cross", "--n-max", "5"),  # gadget-cross takes no order bound

@@ -469,11 +469,11 @@ def test_frontier_engine_matches_leaf_engine(data, picks):
     assert_engines_agree(cand, weights)
 
 
-# (n, d) with n <= 14 and 2 <= d <= 7 whose Bregman bound (d!)^(n/d) keeps
+# (n, d) with n <= 20 and 2 <= d <= 7 whose Bregman bound (d!)^(n/d) keeps
 # the leaf-engine oracle under 2e5 factors per example
 REGULAR_PAIRS = [
     (n, d)
-    for n in range(2, 15)
+    for n in range(2, 21)
     for d in range(2, min(n, 7) + 1)
     if factorial(d) ** (n / d) <= 2e5
 ]

@@ -119,7 +119,7 @@ def layout_graph(succ, pi):
     return DiGraph(len(pi), [(pi[t], pi[succ[t]]) for t in range(len(pi))])
 
 
-# every cycle type with n <= 7, each with up to 8 generators
+# every cycle type with n <= MAX_TWO_REGULAR_N, each with up to 11 generators
 @settings(max_examples=25, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_layout_symmetries_preserve_the_class(rnd):
