@@ -152,7 +152,7 @@ def _log2_bregman(rows: Sequence[Sequence[int]]) -> float:
     return sum(lgamma(len(row) + 1) / len(row) for row in rows) / log(2)
 
 
-def _leaf_order(rows: Sequence[Sequence[int]]) -> list[int]:
+def _leaf_order(rows: Sequence[Sequence[int]], log2_bound: float | None = None) -> list[int]:
     """The order in which _factor_table assigns tails: fail first, ties by index.
 
     A head is open while some but not all of its candidate tails are
@@ -160,37 +160,40 @@ def _leaf_order(rows: Sequence[Sequence[int]]) -> list[int]:
     so heads run out of tails, and their deadlines prune, as early as
     possible.  Where the Bregman bound on the factor count is at most n^2,
     the search is smaller than the O(n^2) cost of ordering, and the order
-    is the identity.
+    is the identity.  log2_bound is _log2_bregman(rows), computed here
+    when the caller has not.
     """
     n = len(rows)
-    if n < 2 or _log2_bregman(rows) <= 2 * log2(n):
+    if log2_bound is None:
+        log2_bound = _log2_bregman(rows)
+    if n < 2 or log2_bound <= 2 * log2(n):
         return list(range(n))
     indeg = [0] * n
     for row in rows:
         for w in row:
             indeg[w] += 1
     placed = [0] * n
-
-    def opened(v):
-        # heads that placing tail v opens, less the heads it closes
-        return sum((placed[w] == 0) - (placed[w] + 1 == indeg[w]) for w in rows[v])
-
+    # gain[w]: 1 if placing one more tail of head w opens it, -1 if that
+    # closes it, else 0; only the heads of a placed tail change
+    gain = [int(k > 1) for k in indeg]
     left = list(range(n))
     order = []
     while left:
-        v = min(left, key=opened)
+        v = min(left, key=lambda u: sum(map(gain.__getitem__, rows[u])))
         left.remove(v)
         order.append(v)
         for w in rows[v]:
-            placed[w] += 1
+            k = placed[w] = placed[w] + 1
+            gain[w] = -(indeg[w] == k + 1)
     return order
 
 
 def _leaf_search(
-    rows: Sequence[Sequence[int]], weights: dict[Arc, int], scale: int
+    rows: Sequence[Sequence[int]], weights: dict[Arc, int], scale: int, log2_bound: float
 ) -> tuple[list[list[tuple]], list[int], dict[int, tuple]] | None:
     """The search space the leaf and frontier engines share, or None if empty.
 
+    log2_bound is _log2_bregman(rows), which the caller has computed.
     Tails are assigned in _leaf_order, and vertices are relabeled by their
     position in it, so the search runs over positions 0..n-1.  Returns
     cand, due and forced.  cand[i] lists tail i's choices as (head, head
@@ -201,7 +204,7 @@ def _leaf_search(
     no candidate, so no factor exists.
     """
     n = len(rows)
-    order = _leaf_order(rows)
+    order = _leaf_order(rows, log2_bound)
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
@@ -252,7 +255,7 @@ def _factor_table(
 
     # key and cycle count share one flat index key * stride + cycles, so
     # each arc carries its weight pre-scaled and a closed cycle adds 1
-    search = _leaf_search(rows, weights, stride)
+    search = _leaf_search(rows, weights, stride, _log2_bregman(rows))
     if search is None:
         return table(), usage
     cand, due, forced = search
@@ -320,8 +323,9 @@ def _frontier_table(rows: Sequence[Sequence[int]], weights: dict[Arc, int]) -> l
     n = len(rows)
     stride = n + 1
     nkeys = 1 + sum(weights.values())
-    slot = int(max(_log2_bregman(rows), 0)) + 2  # -inf with an empty row
-    search = _leaf_search(rows, weights, stride * slot)
+    log2_bound = _log2_bregman(rows)
+    slot = int(max(log2_bound, 0)) + 2  # -inf with an empty row
+    search = _leaf_search(rows, weights, stride * slot, log2_bound)
     if search is None:
         return [[0] * stride for _ in range(nkeys)]
     cand, due, forced = search

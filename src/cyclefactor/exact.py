@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import InternalCheckError
 
@@ -60,10 +60,14 @@ def pattern_name(used) -> str:
 
 
 def harmonic(m: int) -> Fraction:
-    """H_m = 1 + 1/2 + ... + 1/m exactly; H_0 = 0."""
+    """H_m = 1 + 1/2 + ... + 1/m exactly; H_0 = 0.
+
+    One Fraction over the common denominator lcm(1..m), not m additions.
+    """
     if m < 0:
         raise ValueError("harmonic number needs m >= 0")
-    return sum((Fraction(1, j) for j in range(1, m + 1)), Fraction(0))
+    common = lcm(*range(1, m + 1))
+    return Fraction(sum(common // j for j in range(1, m + 1)), common)
 
 
 def partial_perm_count(n: int, r: int) -> int:

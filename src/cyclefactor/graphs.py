@@ -350,13 +350,17 @@ def canonical_form(g: DiGraph) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(rows), aut
 
 
-def fingerprint(g: DiGraph) -> int:
+def fingerprint(g: DiGraph, form: tuple[tuple[int, ...], ...] | None = None) -> int:
     """Deterministic 64-bit digest of the canonical form of g.
 
     Isomorphic digraphs get equal fingerprints.  Two that are not collide
-    only when the blake2b digests of their canonical forms do.
+    only when the blake2b digests of their canonical forms do.  A caller
+    that already holds canonical_form(g)[0] passes it as form, and g is
+    not put in canonical form again.
     """
-    digest = hashlib.blake2b(repr(canonical_form(g)[0]).encode(), digest_size=8).digest()
+    if form is None:
+        form = canonical_form(g)[0]
+    digest = hashlib.blake2b(repr(form).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import GenerationError
 from .graphs import Arc, DiGraph, canonical_form, fingerprint
@@ -152,6 +153,18 @@ def swap_move(g: DiGraph, rng: random.Random) -> DiGraph:
     return g
 
 
+def _rank_key(rec: SearchRecord) -> tuple[float, Fraction, int]:
+    """Sort key ranking records by descending exact excess, then fingerprint.
+
+    The excess leads as a float: float() is monotone, so two keys whose
+    floats differ are in the order of their Fractions, and two whose floats
+    are equal fall through to the exact Fraction.  The order is that of
+    (-excess, fingerprint), with a Fraction compared only on a float tie.
+    """
+    neg = -rec.certificate.excess
+    return float(neg), neg, rec.fingerprint
+
+
 class _Lineage:
     __slots__ = ("graph", "rng", "origin", "best", "stale")
 
@@ -175,8 +188,11 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
     are keyed by canonical form, which is exact, and each is certified and
     fingerprinted once, when its first member is evaluated; a dict of
     labeled graphs in front of it spares a graph seen again its canonical
-    form.  The fingerprint, a digest of the canonical form, is the printed
-    identity, the lineage tag and the tie-break.  Every graph here is
+    form, so each labeled graph is put in canonical form once.  The
+    fingerprint digests the canonical form already in hand, and is the
+    printed identity, the lineage tag and the tie-break.  The ranking
+    compares excesses as floats first and as Fractions only on a float tie
+    (_rank_key), which gives the exact order.  Every graph here is
     d-regular, so it has a cycle-factor (its bipartite double cover is
     d-regular, and Hall's theorem gives a perfect matching) and certify
     never raises NoCycleFactorError.
@@ -193,7 +209,9 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
         if g not in evaluated:
             form = canonical_form(g)[0]
             if form not in classes:
-                rec = classes[form] = SearchRecord(certify(g, config.d), it, fingerprint(g), origin)
+                rec = classes[form] = SearchRecord(
+                    certify(g, config.d), it, fingerprint(g, form), origin
+                )
                 if sink is not None:
                     sink(rec)
             evaluated[g] = classes[form]
@@ -210,7 +228,7 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
     pop = [fresh(0) for _ in range(config.population)]
     for it in range(1, config.iterations + 1):
         # rank parents and mutated children together
-        ranked: list[tuple[Fraction, int, DiGraph, _Lineage, str]] = []
+        ranked: list[tuple[tuple[float, Fraction, int], DiGraph, _Lineage, str]] = []
         seen: set[int] = set()  # the classes ranked, by their record's id
         for member in pop:
             if member.graph is None:
@@ -223,11 +241,11 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
                 rec = evaluate(g, it, origin)
                 if id(rec) not in seen:
                     seen.add(id(rec))
-                    ranked.append((-rec.certificate.excess, rec.fingerprint, g, member, origin))
-        ranked.sort(key=lambda e: (e[0], e[1]))
+                    ranked.append((_rank_key(rec), g, member, origin))
+        ranked.sort(key=itemgetter(0))
         survivors: list[_Lineage] = []
         used_members: set[int] = set()
-        for neg_excess, fp, g, member, origin in ranked[: config.population]:
+        for (_, neg_excess, _), g, member, origin in ranked[: config.population]:
             if id(member) in used_members:
                 # parent and child both survive: the child forks its own stream
                 survivors.append(_Lineage(g, stream.next_rng(), origin, -neg_excess))

@@ -259,6 +259,30 @@ def test_bad_parameters_are_exit_two(capsys):
     assert code == 2
 
 
+def test_main_builds_its_parser_once_across_calls(tmp_path, capsys, monkeypatch):
+    good = tmp_path / "x4.txt"
+    run_cli(capsys, "gen", "--family", "gadget", "--d", "4", "--out", str(good))
+    bad = tmp_path / "bad.txt"
+    bad.write_text("3 -1\n0: 1\n")
+    built = []
+    real = cli.build_parser
+
+    def build():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", build)
+    cli._parser.cache_clear()
+    first = run_cli(capsys, "verify", "--graph", str(good), "--d", "4")
+    malformed = run_cli(capsys, "verify", "--graph", str(bad), "--d", "4")
+    second = run_cli(capsys, "verify", "--graph", str(good), "--d", "4")
+    cli._parser.cache_clear()
+    assert [first[0], malformed[0], second[0]] == [0, 2, 0]
+    assert "error:" in malformed[2]
+    assert first[1] == second[1] and json.loads(first[1])["excess"] == "29/114"
+    assert built == [1]
+
+
 def test_wrong_degree_is_exit_two(tmp_path, capsys):
     path = tmp_path / "k3.txt"
     run_cli(capsys, "gen", "--family", "complete-looped", "--m", "3", "--out", str(path))

@@ -5,7 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial, lgamma, log
+from math import factorial, lgamma, log, log2
 
 import pytest
 from hypothesis import assume, given, settings
@@ -402,6 +402,72 @@ def test_leaf_order_is_a_permutation_and_the_identity_below_the_gate():
         for g in iter_two_regular_digraphs(n):
             assert _leaf_order(g.out) == list(range(n))
     assert _leaf_order(()) == []
+
+
+def reference_leaf_order(rows):
+    # _leaf_order as first written: each step rescores every tail left
+    # from the placed counts, with no gain kept between steps
+    n = len(rows)
+    if n < 2 or _log2_bregman(rows) <= 2 * log2(n):
+        return list(range(n))
+    indeg = [0] * n
+    for row in rows:
+        for w in row:
+            indeg[w] += 1
+    placed = [0] * n
+
+    def opened(v):
+        return sum((placed[w] == 0) - (placed[w] + 1 == indeg[w]) for w in rows[v])
+
+    left = list(range(n))
+    order = []
+    while left:
+        v = min(left, key=opened)
+        left.remove(v)
+        order.append(v)
+        for w in rows[v]:
+            placed[w] += 1
+    return order
+
+
+def test_leaf_order_matches_the_reference_order():
+    cases = []
+    for n in range(2, 21):
+        for d in range(2, min(n, 5) + 1):
+            rng = random.Random(f"order {n} {d}")
+            for _ in range(3):
+                g = seeded_regular_digraph(n, d, rng)
+                cases.append(g.out)
+                if n >= 4:
+                    cases.append(_candidate_rows(g, random_constraints(g, rng)))
+    cases += [crossing_gadget(d)[0].out for d in range(3, 9)]
+    reordered = 0
+    for rows in cases:
+        expected = reference_leaf_order(rows)
+        assert _leaf_order(rows) == expected
+        assert _leaf_order(rows, _log2_bregman(rows)) == expected
+        reordered += expected != list(range(len(rows)))
+    assert reordered > len(cases) // 4
+
+
+def test_bregman_bound_is_computed_once_per_engine_call(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return _log2_bregman(rows)
+
+    monkeypatch.setattr(enumeration, "_log2_bregman", counted)
+    rng = random.Random(5)
+    cases = [random_regular_digraph(n, 4, rng).out for n in (8, 12, 16)]
+    cases += [crossing_gadget(d)[0].out for d in (3, 4, 5)]
+    g = random_regular_digraph(10, 3, rng)
+    cases.append(_candidate_rows(g, random_constraints(g, rng)))
+    for rows in cases:
+        for engine in (_frontier_table, _factor_table):
+            calls.clear()
+            engine(rows, {})
+            assert calls == [rows], engine.__name__
 
 
 def test_log2_bregman_matches_the_lgamma_formula():

@@ -31,6 +31,13 @@ def test_harmonic_values(m, value):
     assert harmonic(m) == value
 
 
+def test_harmonic_equals_the_fraction_sum():
+    for m in range(61):
+        assert harmonic(m) == sum((Fraction(1, j) for j in range(1, m + 1)), Fraction(0))
+    with pytest.raises(ValueError):
+        harmonic(-1)
+
+
 def test_harmonic_recurrence_and_errors():
     for m in range(1, 40):
         assert harmonic(m) - harmonic(m - 1) == Fraction(1, m)

@@ -137,6 +137,14 @@ def test_fingerprint_relabel_invariant(data, rnd):
     assert fingerprint(g) == fingerprint(g.relabel(perm))
 
 
+def test_fingerprint_of_a_given_form_is_the_fingerprint():
+    rng = random.Random(11)
+    for n, d in [(1, 1), (6, 2), (8, 4), (12, 3), (16, 4)]:
+        for _ in range(5):
+            g = random_regular_digraph(n, d, rng)
+            assert fingerprint(g, canonical_form(g)[0]) == fingerprint(g)
+
+
 def test_fingerprint_separates_easy_cases():
     a = DiGraph(2, [[0, 1], [0, 1]])
     b = DiGraph(2, [[1], [0]])

@@ -3,16 +3,19 @@
 import hashlib
 import random
 import time
+from dataclasses import replace
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from cyclefactor import search
+from cyclefactor import graphs, search
 from cyclefactor.families import complete_looped, crossing_gadget, looped_bidirected_cycle
 from cyclefactor.graphs import fingerprint, from_text, is_d_regular
 from cyclefactor.search import (
     DEFAULT_SEED,
     SearchConfig,
+    SearchRecord,
     SeedStream,
     apply_swap,
     random_regular_digraph,
@@ -169,10 +172,58 @@ def test_search_certifies_each_isomorphism_class_once(monkeypatch):
     assert {brute_form(g) for g in certified} == classes
 
 
+def test_each_labeled_graph_is_put_in_canonical_form_once(monkeypatch):
+    # one counter at both bindings: the search's own and the one the
+    # one-argument fingerprint reads, so a second form per class shows
+    formed = []
+    real_form = graphs.canonical_form
+
+    def counted(g):
+        formed.append(g)
+        return real_form(g)
+
+    monkeypatch.setattr(search, "canonical_form", counted)
+    monkeypatch.setattr(graphs, "canonical_form", counted)
+    produced = []
+
+    def producing(name):
+        real = getattr(search, name)
+
+        def wrapper(*args):
+            g = real(*args)
+            produced.append(g)
+            return g
+
+        monkeypatch.setattr(search, name, wrapper)
+
+    producing("random_regular_digraph")
+    producing("swap_move")
+    certified = spy(monkeypatch, "certify")
+    run_search(SearchConfig(8, 4, seed=3, population=16, iterations=20))
+    assert len(formed) == len(set(formed)) == len(set(produced))
+    assert set(formed) == set(produced)
+    assert len(certified) < len(formed)  # some graphs joined a class already certified
+
+
+def test_rank_key_orders_float_ties_by_the_exact_excess():
+    cert = certify(crossing_gadget(4)[0], 4)
+    low = Fraction(-1, 3)
+    high = low + Fraction(1, 10**30)
+    assert low < high and float(low) == float(high)
+    # the higher excess has the larger fingerprint, so only the exact
+    # excess can put it first
+    a = SearchRecord(replace(cert, excess=high), 1, 2, "random")
+    b = SearchRecord(replace(cert, excess=low), 1, 1, "random")
+    for records in ([a, b], [b, a]):
+        assert sorted(records, key=search._rank_key) == [a, b]
+    c = SearchRecord(replace(cert, excess=high), 1, 1, "random")
+    assert sorted([a, c], key=search._rank_key) == [c, a]
+
+
 def test_fingerprint_collisions_drop_no_class(monkeypatch):
     # with every fingerprint equal, the leaderboard and the per-iteration
     # dedup still tell the classes apart by canonical form
-    monkeypatch.setattr(search, "fingerprint", lambda g: 0)
+    monkeypatch.setattr(search, "fingerprint", lambda g, form=None: 0)
     certified = spy(monkeypatch, "certify")
     drawn = spy(monkeypatch, "random_regular_digraph")
     cfg = SearchConfig(6, 3, seed=5, population=8, iterations=30)
