@@ -41,6 +41,14 @@ class DiGraph:
         self.out = tuple(rows)
         self._in: tuple[tuple[int, ...], ...] | None = None
 
+    @classmethod
+    def _of_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "DiGraph":
+        """The digraph on rows already in __init__'s form, unchecked: one
+        sorted, duplicate-free tuple of in-range out-neighbors per vertex."""
+        g = cls.__new__(cls)
+        g.n, g.out, g._in = len(rows), rows, None
+        return g
+
     @property
     def in_adj(self) -> tuple[tuple[int, ...], ...]:
         if self._in is None:

@@ -259,6 +259,13 @@ def test_bad_parameters_are_exit_two(capsys):
     assert code == 2
 
 
+def test_search_past_the_fast_path_limit_is_exit_two(capsys):
+    # the search's dict keys hold any graph order; certify is what refuses it
+    code, out, err = run_cli(capsys, "search", "--n", "300", "--d", "3", "--pop", "1", "--iters", "0")
+    assert code == 2 and out == ""
+    assert "exceeds the fast-path limit" in err
+
+
 def test_main_builds_its_parser_once_across_calls(tmp_path, capsys, monkeypatch):
     good = tmp_path / "x4.txt"
     run_cli(capsys, "gen", "--family", "gadget", "--d", "4", "--out", str(good))

@@ -1,5 +1,6 @@
 """Seeded search: reproducibility, soundness of records, move mechanics."""
 
+import gc
 import hashlib
 import random
 import time
@@ -203,6 +204,73 @@ def test_each_labeled_graph_is_put_in_canonical_form_once(monkeypatch):
     assert len(formed) == len(set(formed)) == len(set(produced))
     assert set(formed) == set(produced)
     assert len(certified) < len(formed)  # some graphs joined a class already certified
+
+
+def test_search_keeps_no_graph_past_its_lineage():
+    # the caches hold records under integer keys, so the live digraphs are
+    # the population, the graphs ranked this iteration and their children,
+    # however many labeled graphs the search has met
+    cfg = SearchConfig(8, 4, seed=2, population=16, iterations=60)
+
+    def live():
+        return sum(isinstance(o, graphs.DiGraph) for o in gc.get_objects())
+
+    before = live()
+    counts = []
+    sunk = []
+
+    def sink(rec):
+        sunk.append(rec)
+        if len(sunk) % 150 == 0:
+            counts.append(live() - before)
+
+    run_search(cfg, sink=sink)
+    assert len(sunk) > 4 * 150  # classes met, each from a labeled graph or more
+    assert len(counts) >= 4
+    assert max(counts) <= 4 * cfg.population, counts
+
+
+def test_leaders_match_the_sorted_prefix():
+    cert = certify(crossing_gadget(4)[0], 4)
+    rng = random.Random(8)
+    records = [
+        SearchRecord(
+            replace(cert, excess=Fraction(rng.randrange(-4, 1), 3)),
+            rng.randrange(3),
+            rng.randrange(3),
+            str(i),  # tells apart records equal in every ranked field
+        )
+        for i in range(200)
+    ]
+    for size in (1, 5, 64, 200, 300):
+        expected = sorted(
+            records, key=lambda r: (-r.certificate.excess, r.fingerprint, r.iteration)
+        )[:size]
+        assert search._leaders(records, size) == expected
+
+
+def test_swap_move_needs_equal_out_degrees():
+    g = graphs.DiGraph(3, [[0, 1], [1], [2]])
+    with pytest.raises(ValueError):
+        swap_move(g, random.Random(0))
+
+
+def test_swap_move_draws_arcs_in_arc_order():
+    # the k-th arc drawn is the k-th of g.arcs(): replay the draws
+    rng = random.Random(4)
+    for _ in range(30):
+        g = random_regular_digraph(8, 4, rng)
+        state = rng.getstate()
+        h = swap_move(g, rng)
+        rng.setstate(state)
+        arcs = list(g.arcs())
+        for _ in range(search.SWAP_TRIES):
+            (u, v), (x, y) = arcs[rng.randrange(len(arcs))], arcs[rng.randrange(len(arcs))]
+            if u != x and v != y and not g.has_arc(u, y) and not g.has_arc(x, v):
+                assert h == apply_swap(g, (u, v), (x, y))
+                break
+        else:
+            assert h is g
 
 
 def test_rank_key_orders_float_ties_by_the_exact_excess():
