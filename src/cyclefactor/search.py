@@ -236,7 +236,7 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
     form, so each labeled graph is put in canonical form once.  Both dicts
     key on _row_key, the rows' adjacency matrix as one integer, so no
     graph outlives its lineage: at (8, 4) a 200-iteration search peaks at
-    about 28 MiB, where keying on the graphs and on tuple forms took 49 MiB.
+    about 28 MiB, where keying on the graphs and on tuple forms took 50 MiB.
     The fingerprint digests the canonical form already in hand, and is the
     printed identity, the lineage tag and the tie-break.  The ranking
     compares excesses as floats first and as Fractions only on a float tie

@@ -261,7 +261,9 @@ def test_bad_parameters_are_exit_two(capsys):
 
 def test_search_past_the_fast_path_limit_is_exit_two(capsys):
     # the search's dict keys hold any graph order; certify is what refuses it
-    code, out, err = run_cli(capsys, "search", "--n", "300", "--d", "3", "--pop", "1", "--iters", "0")
+    code, out, err = run_cli(
+        capsys, "search", "--n", "300", "--d", "3", "--pop", "1", "--iters", "0"
+    )
     assert code == 2 and out == ""
     assert "exceeds the fast-path limit" in err
 
