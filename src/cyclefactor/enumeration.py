@@ -17,23 +17,30 @@ so the key is the crossing pattern.  Two exact engines build that table:
   successors tail by tail under a used-heads bitmask; each open path
   keeps its two endpoints spliced together in a start/end table, so
   closing a path into a cycle is an O(1) test instead of a decomposition
-  pass at every leaf.  Two constraint-search devices, set up once by
-  _leaf_search, cut its dead branches.  Forward checking: due[i] masks
-  the heads whose last candidate tail is the i-th, so one mask test per
-  node drops the branch when two of them are still unused and forces the
-  tail when one is.  A fail-first static order (_leaf_order): each next
-  tail is the one that leaves the fewest heads open (some but not all of
-  their tails placed), ties by vertex index, so deadlines come early.
-  Where the Bregman bound on the factor count is at most n^2 the order
-  costs more than it saves and the identity is used.  It alone yields
-  per-arc usage, so it runs when usage is wanted, and it is the oracle
-  the frontier engine is tested against.
+  pass at every leaf.  Forward checking cuts its dead branches: due[i]
+  masks the heads whose last candidate tail is the i-th, so one mask test
+  per node drops the branch when two of them are still unused and forces
+  the tail when one is.  It alone yields per-arc usage, so it runs when
+  usage is wanted, and it is the oracle the frontier engine is tested
+  against.
 - _frontier_table, the frontier engine, runs the same search forward,
   one tail at a time, over its frontiers (Knuth's SIMPATH): before tail
   i is assigned, the rest of the search depends only on where the open
   paths ending at tails i..n-1 start, so each level keeps one packed
   table of the partial factors per tuple of starts, and partial factors
   with equal starts merge.  It builds every table without usage.
+
+Both engines run the search _leaf_search sets up, and its cost is set by
+how many frontiers a level holds, which the tail order decides.
+_leaf_order places next the tail that leaves the least width: open heads,
+and paths with a sure end or a sure start (_width_order), ties by vertex
+index.  Where every vertex has a loop, only open heads count, and this is
+the fail-first order that also brings the leaf engine's deadlines early.
+Where the Bregman bound on the factor count is at most n^2 the order
+costs more than it saves and the identity is used.  sigma -> sigma^-1
+maps the factors of g one to one onto those of its transpose, with equal
+cycle counts, so above a bound of n^4 a non-symmetric input runs in the
+direction whose order has the lower summed width (_orient).
 
 The frontier engine's tables are polynomials in the flat index
 key * (n + 1) + cycles, packed into one int (Kronecker substitution), so
@@ -71,7 +78,7 @@ from .graphs import Arc, DiGraph, UGraph
 
 MAX_FAST_VERTICES = 64
 # largest crossing-gadget degree the pattern classifier enumerates
-MAX_GADGET_DEGREE = 8
+MAX_GADGET_DEGREE = 12
 # largest looped bidirected cycle whose factor set is classified
 MAX_LOOPED_CYCLE = 16
 
@@ -152,13 +159,82 @@ def _log2_bregman(rows: Sequence[Sequence[int]]) -> float:
     return sum(lgamma(len(row) + 1) / len(row) for row in rows) / log(2)
 
 
-def _leaf_order(rows: Sequence[Sequence[int]], log2_bound: float | None = None) -> list[int]:
-    """The order in which _factor_table assigns tails: fail first, ties by index.
+def _width_order(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """The greedy tail order of _leaf_order, and its summed cost.
 
-    A head is open while some but not all of its candidate tails are
-    placed.  Each next tail is the one that leaves the fewest heads open,
-    so heads run out of tails, and their deadlines prune, as early as
-    possible.  Where the Bregman bound on the factor count is at most n^2,
+    Vertex x's head is untouched, open (some but not all of its candidate
+    tails placed) or closed, and its tail is placed or not.  It weighs
+    W(x) = 3 while its head is open, 1 while its head is closed and it is
+    unplaced (a sure path end) or it is placed and its head untouched (a
+    sure path start), and 0 otherwise.  Each next tail is the one whose
+    placing leaves the least sum of W, ties by vertex index; the cost is
+    that sum added over the steps.
+    """
+    n = len(rows)
+    into: list[list[int]] = [[] for _ in range(n)]  # each head's tails but itself
+    for v, row in enumerate(rows):
+        for w in row:
+            if w != v:
+                into[w].append(v)
+    loop = [v in row for v, row in enumerate(rows)]
+    indeg = [len(tails) + lp for tails, lp in zip(into, loop)]
+    placed = [0] * n  # of each head's candidate tails
+    done = [False] * n  # placed tails
+    # head[w]: the change of W(w) when one more tail of head w is placed;
+    # own[x]: the change of W(x) when tail x is placed, which along a loop
+    # also moves head x; score[u]: the change of the sum of W when tail u
+    # is placed, kept up to date as the gains it adds change
+    head = [1 if k == 1 else 3 for k in indeg]
+    own = [(0 if k == 1 else 3) if lp else (1 if k else -1) for k, lp in zip(indeg, loop)]
+    score = own[:]
+    for w in range(n):
+        for u in into[w]:
+            score[u] += head[w]
+    total = indeg.count(0)  # closed heads of unplaced tails
+    cost = 0
+    left = list(range(n))
+    order = []
+    while left:
+        v = min(left, key=score.__getitem__)
+        total += score[v]
+        cost += total
+        left.remove(v)
+        order.append(v)
+        done[v] = True
+        for w in rows[v]:
+            k = placed[w] = placed[w] + 1
+            if k == indeg[w]:
+                gain, mine = 0, -1
+            elif k + 1 == indeg[w]:
+                gain, mine = -2 - done[w], -3 if loop[w] else 0
+            else:
+                gain = mine = 0
+            if gain != head[w]:
+                delta = gain - head[w]
+                head[w] = gain
+                for u in into[w]:
+                    score[u] += delta
+            if not done[w]:
+                score[w] += mine - own[w]
+                own[w] = mine
+        k = placed[v]
+        if not loop[v] and k < indeg[v]:
+            # head v's gain, now that tail v is placed
+            gain = (0 if k + 1 == indeg[v] else 3) - (1 if k == 0 else 3)
+            for u in into[v]:
+                score[u] += gain - head[v]
+            head[v] = gain
+    return order, cost
+
+
+def _leaf_order(rows: Sequence[Sequence[int]], log2_bound: float | None = None) -> list[int]:
+    """The order in which the engines assign the tails of rows.
+
+    _width_order's greedy order, which keeps the frontier narrow: each
+    next tail leaves the least weight of open heads and of paths with one
+    sure end.  Where every vertex has a loop only open heads weigh, and it
+    is the fail-first order, which also brings the leaf engine's deadlines
+    early.  Where the Bregman bound on the factor count is at most n^2,
     the search is smaller than the O(n^2) cost of ordering, and the order
     is the identity.  log2_bound is _log2_bregman(rows), computed here
     when the caller has not.
@@ -168,43 +244,61 @@ def _leaf_order(rows: Sequence[Sequence[int]], log2_bound: float | None = None) 
         log2_bound = _log2_bregman(rows)
     if n < 2 or log2_bound <= 2 * log2(n):
         return list(range(n))
-    indeg = [0] * n
-    for row in rows:
+    return _width_order(rows)[0]
+
+
+def _orient(
+    rows: Sequence[Sequence[int]], log2_bound: float
+) -> tuple[Sequence[Sequence[int]], list[int], float, bool]:
+    """The direction the engines search, its tail order and its bound.
+
+    sigma -> sigma^-1 maps the cycle-factors of g one to one onto those of
+    its transpose and keeps their cycle counts, so either direction gives
+    the same table.  Where the Bregman bound exceeds n^4 and the rows are
+    not symmetric, both directions are ordered and the one of lower
+    summed _width_order cost runs; below that the second order costs more
+    than it saves.  log2_bound is _log2_bregman(rows).  Returns the rows
+    run, their order, their log2 Bregman bound and whether they are the
+    transpose.
+    """
+    n = len(rows)
+    if n < 2 or log2_bound <= 4 * log2(n):
+        return rows, _leaf_order(rows, log2_bound), log2_bound, False
+    cols: list[list[int]] = [[] for _ in range(n)]
+    for v, row in enumerate(rows):
         for w in row:
-            indeg[w] += 1
-    placed = [0] * n
-    # gain[w]: 1 if placing one more tail of head w opens it, -1 if that
-    # closes it, else 0; only the heads of a placed tail change
-    gain = [int(k > 1) for k in indeg]
-    left = list(range(n))
-    order = []
-    while left:
-        v = min(left, key=lambda u: sum(map(gain.__getitem__, rows[u])))
-        left.remove(v)
-        order.append(v)
-        for w in rows[v]:
-            k = placed[w] = placed[w] + 1
-            gain[w] = -(indeg[w] == k + 1)
-    return order
+            cols[w].append(v)
+    order, cost = _width_order(rows)
+    if all(sorted(row) == col for row, col in zip(rows, cols)):
+        return rows, order, log2_bound, False
+    col_order, col_cost = _width_order(cols)
+    if col_cost < cost:
+        return cols, col_order, _log2_bregman(cols), True
+    return rows, order, log2_bound, False
 
 
 def _leaf_search(
-    rows: Sequence[Sequence[int]], weights: dict[Arc, int], scale: int, log2_bound: float
-) -> tuple[list[list[tuple]], list[int], dict[int, tuple]] | None:
+    rows: Sequence[Sequence[int]], weights: dict[Arc, int], stride: int, packed: bool
+) -> tuple[list[list[tuple]], list[int], dict[int, tuple], int] | None:
     """The search space the leaf and frontier engines share, or None if empty.
 
-    log2_bound is _log2_bregman(rows), which the caller has computed.
-    Tails are assigned in _leaf_order, and vertices are relabeled by their
-    position in it, so the search runs over positions 0..n-1.  Returns
-    cand, due and forced.  cand[i] lists tail i's choices as (head, head
-    bit, weight * scale, original arc).  due[i] masks the heads whose last
-    candidate tail is position i: at position i, a head of due[i] still
-    unused must be taken now, so two such heads prune the node and one
-    forces the choice forced[head bit].  None means some tail or head has
-    no candidate, so no factor exists.
+    The search runs in the direction and tail order of _orient, and
+    vertices are relabeled by their position in that order, so it runs
+    over positions 0..n-1.  Returns cand, due, forced and slot.  cand[i]
+    lists tail i's choices as (head, head bit, weight * stride * slot,
+    original arc); in the transpose, choice v -> w is g's arc (w, v), so
+    weights and usage stay keyed by g's arcs.  due[i] masks the heads
+    whose last candidate tail is position i: at position i, a head of
+    due[i] still unused must be taken now, so two such heads prune the
+    node and one forces the choice forced[head bit].  slot is 1 unless
+    packed, and then two bits more than log2 of the Bregman bound of the
+    rows run.  None means some tail or head has no candidate, so no factor
+    exists.
     """
     n = len(rows)
-    order = _leaf_order(rows, log2_bound)
+    rows, order, log2_bound, transposed = _orient(rows, _log2_bregman(rows))
+    slot = int(max(log2_bound, 0)) + 2 if packed else 1  # -inf with an empty row
+    scale = stride * slot
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
@@ -218,7 +312,7 @@ def _leaf_search(
         for w in rows[v]:
             h = pos[w]
             bit = 1 << h
-            arc = (v, w)
+            arc = (w, v) if transposed else (v, w)
             c = (h, bit, weights.get(arc, 0) * scale, arc)
             row.append(c)
             forced[bit] = (c,)
@@ -229,7 +323,7 @@ def _leaf_search(
     due = [0] * n
     for h, i in enumerate(last):
         due[i] |= 1 << h
-    return cand, due, forced
+    return cand, due, forced, slot
 
 
 def _factor_table(
@@ -255,10 +349,10 @@ def _factor_table(
 
     # key and cycle count share one flat index key * stride + cycles, so
     # each arc carries its weight pre-scaled and a closed cycle adds 1
-    search = _leaf_search(rows, weights, stride, _log2_bregman(rows))
+    search = _leaf_search(rows, weights, stride, packed=False)
     if search is None:
         return table(), usage
-    cand, due, forced = search
+    cand, due, forced, _ = search
     start = list(range(n))
     end = list(range(n))
 
@@ -316,19 +410,18 @@ def _frontier_table(rows: Sequence[Sequence[int]], weights: dict[Arc, int]) -> l
 
     The partial factors reaching a level-i frontier are perfect matchings
     of tails 0..i-1 onto the heads it has used, so Bregman's bound on
-    those rows, and with it the bound on all rows, caps their count; the
-    slots, two bits wider than its log2 to absorb rounding, never
-    overflow, even for frontiers with no completion.
+    those rows, and with it the bound on all the rows searched (g's or its
+    transpose's), caps their count; the slots, two bits wider than its
+    log2 to absorb rounding, never overflow, even for frontiers with no
+    completion.
     """
     n = len(rows)
     stride = n + 1
     nkeys = 1 + sum(weights.values())
-    log2_bound = _log2_bregman(rows)
-    slot = int(max(log2_bound, 0)) + 2  # -inf with an empty row
-    search = _leaf_search(rows, weights, stride * slot, log2_bound)
+    search = _leaf_search(rows, weights, stride, packed=True)
     if search is None:
         return [[0] * stride for _ in range(nkeys)]
-    cand, due, forced = search
+    cand, due, forced, slot = search
     # every caller keeps n <= MAX_FAST_VERTICES, so positions fit in a byte
     byte = [bytes((v,)) for v in range(n)]
     level = {bytes(range(n)): [0, 1]}

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial
 from typing import Iterator, Sequence
@@ -67,6 +68,13 @@ class SuiteReport:
         return not self.failures
 
 
+@cache
+def _benchmark(n: int, d: int) -> Fraction:
+    # (n/d)*H_d, one Fraction per (n, d): the certificates of one search
+    # share it instead of each holding its own
+    return Fraction(n, d) * harmonic(d)
+
+
 def certify(g: DiGraph, d: int, provenance: str = "") -> Certificate:
     """Certify the graph's exact excess over the benchmark (n/d)*H_d.
 
@@ -81,7 +89,7 @@ def certify(g: DiGraph, d: int, provenance: str = "") -> Certificate:
         raise IndivisibleOrderError(f"benchmark needs d | n, got n={g.n}, d={d}")
     stats = cycle_factor_stats(g)
     expectation = stats.mean()
-    benchmark = Fraction(g.n, d) * harmonic(d)
+    benchmark = _benchmark(g.n, d)
     excess = expectation - benchmark
     if excess > 0:
         verdict = "beats_benchmark"

@@ -2,12 +2,13 @@
 
 Every test times its operative work with time.perf_counter and fails when
 the stated budget is exceeded, so a pass here certifies both the values
-and the performance envelope.  The degree-7 and degree-8 cross-validation
-legs, the 7- and 8-vertex legs of the 2-regular suite and the 8-vertex
-degree-4 search carry the slow marker.  The search is the one expensive
-leg: the degree legs build the gadget's factor table on the frontier
-engine, in about 3 ms and 7 ms, where the leaf engine took about 40 s at
-degree 7 and cannot finish degree 8, and the 2-regular suite covers the
+and the performance envelope.  The degree-7, degree-8 and degree-12
+cross-validation legs, the 7- and 8-vertex legs of the 2-regular suite and
+the 8-vertex degree-4 search carry the slow marker.  The search is the one
+expensive leg: the degree legs build the gadget's factor table on the
+frontier engine, in about 3 ms and 7 ms, where the leaf engine took about
+40 s at degree 7 and cannot finish degree 8, and the degree-12 leg checks
+every degree through 12 in about 1.5 s; the 2-regular suite covers the
 190,711,867 labeled graphs with n <= 8 through their 5,936 isomorphism
 classes in about 3 s.
 """
@@ -105,6 +106,14 @@ def test_c02_degree_eight_leg():
         report = gadget_cross_validation(8)
         assert report.ok, report.failures
         assert report.checked == 6
+
+
+@pytest.mark.slow
+def test_c02_degree_twelve_leg():
+    with Budget("criterion 2 (d=12)", 20.0):
+        report = gadget_cross_validation(12)
+        assert report.ok, report.failures
+        assert report.checked == 10
 
 
 def test_c03_excess_positivity_and_scaled_limit():

@@ -14,6 +14,7 @@ import jsonschema
 import pytest
 
 from cyclefactor import cli
+from cyclefactor.enumeration import MAX_GADGET_DEGREE
 
 
 def schema(name):
@@ -224,10 +225,14 @@ def test_suite_gadget_cross_reaches_degree_eight(capsys):
 
 
 def test_report_at_the_largest_gadget_degree(capsys):
-    doc = run_json(capsys, "report", "--max-d", "8", schema_name="report")
-    assert doc["ok"] is True and doc["max_d"] == 8
+    top = MAX_GADGET_DEGREE
+    doc = run_json(capsys, "report", "--max-d", str(top), schema_name="report")
+    assert doc["ok"] is True and doc["max_d"] == top
     names = [c["name"] for c in doc["checks"]]
-    assert "gadget excess positive at degree 8" in names
+    assert f"gadget excess positive at degree {top}" in names
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--max-d", str(top + 1)])
+    assert exc.value.code == 2
 
 
 def test_report_small(capsys):

@@ -121,6 +121,9 @@ def test_search_records_are_sound():
         again = certify(g, 3)
         assert again.excess == r.certificate.excess
         assert again.count == r.certificate.count
+        assert again == r.certificate
+    # every certificate of one search holds the same benchmark Fraction
+    assert len({id(r.certificate.benchmark) for r in records}) == 1
 
 
 def test_degree_two_search_never_beats_benchmark():

@@ -14,6 +14,7 @@ from cyclefactor.exact import benchmark_excess, gadget_closed_form, harmonic
 from cyclefactor.families import (
     complete_looped,
     crossing_gadget,
+    looped_bidirected_cycle,
     padded_gadget,
 )
 from cyclefactor.graphs import (
@@ -60,6 +61,14 @@ def test_clique_unions_tie_the_benchmark():
     cert = certify(two, 3)
     assert cert.verdict == "ties"
     assert cert.expectation == 2 * harmonic(3)
+
+
+def test_certificates_of_one_order_share_one_benchmark():
+    a = certify(looped_bidirected_cycle(6), 3)
+    b = certify(disjoint_union([complete_looped(3)] * 2), 3)
+    assert a.benchmark is b.benchmark
+    assert a.benchmark == Fraction(6, 3) * harmonic(3)
+    assert certify(complete_looped(6), 6).benchmark == harmonic(6)
 
 
 def test_below_verdict():
