@@ -323,7 +323,7 @@ def gadget_cross_validation(d_max: int = 6) -> SuiteReport:
     count and cycle sum.  Every degree runs on the frontier engine, the
     leaf search run forward with partial factors merged by their open
     paths, which does not visit each factor; that is what makes degree 8
-    (about 10^9 factors) reachable.
+    (about 10^9 factors) and degree 12 (about 1.7 * 10^17) reachable.
     The leaf engine, which does, stays its oracle in the tests.  Compares
     count, total cycle sum, mean, and each aggregated row; reports the
     first differing quantity per degree.
