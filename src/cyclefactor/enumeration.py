@@ -11,42 +11,37 @@ Every directed statistic comes from one table: the number of cycle-factors
 by (key, cycle count), where a factor's key sums integer arc weights along
 it.  cycle_factor_stats weights no arc, so its table has the one key 0;
 classify_crossing_patterns weights each crossing arc by its pattern bit,
-so the key is the crossing pattern.  Two exact engines build that table:
+so the key is the crossing pattern.  One exact engine, _frontier_table,
+builds that table.  It assigns successors tail by tail under a
+used-heads bitmask, forward over its frontiers (Knuth's SIMPATH): before
+tail i is assigned, the rest of the search depends only on where the
+open paths ending at tails i..n-1 start, so each level keeps one packed
+table of the partial factors per tuple of starts, and partial factors
+with equal starts merge.  Forward checking cuts dead frontiers: due[i]
+masks the heads whose last candidate tail is the i-th, so one mask test
+drops a frontier where two of them are still unused and forces the tail
+where one is.  Per-arc usage, when wanted, comes from a backward pass
+over the levels the forward pass kept: an arc's usage sums, over its
+transitions, the partial factors reaching the source times the
+completions of the target.
 
-- _factor_table, the leaf engine, visits every factor once.  It assigns
-  successors tail by tail under a used-heads bitmask; each open path
-  keeps its two endpoints spliced together in a start/end table, so
-  closing a path into a cycle is an O(1) test instead of a decomposition
-  pass at every leaf.  Forward checking cuts its dead branches: due[i]
-  masks the heads whose last candidate tail is the i-th, so one mask test
-  per node drops the branch when two of them are still unused and forces
-  the tail when one is.  It alone yields per-arc usage, so it runs when
-  usage is wanted, and it is the oracle the frontier engine is tested
-  against.
-- _frontier_table, the frontier engine, runs the same search forward,
-  one tail at a time, over its frontiers (Knuth's SIMPATH): before tail
-  i is assigned, the rest of the search depends only on where the open
-  paths ending at tails i..n-1 start, so each level keeps one packed
-  table of the partial factors per tuple of starts, and partial factors
-  with equal starts merge.  It builds every table without usage.
+Its cost is set by how many frontiers a level holds, which the tail
+order of _search_space decides.  _tail_order places next the tail that
+leaves the least width: open heads, and paths with a sure end or a sure
+start (_width_order), ties by vertex index.  Where every vertex has a
+loop, only open heads count, and this is the fail-first order, which
+also brings the deadlines early.  Where the Bregman bound on the factor
+count is at most n^2 the order costs more than it saves and the identity
+is used.  sigma -> sigma^-1 maps the factors of g one to one onto those
+of its transpose, with equal cycle counts, so above a bound of n^4 a
+non-symmetric input runs in the direction whose order has the lower
+summed width (_orient).
 
-Both engines run the search _leaf_search sets up, and its cost is set by
-how many frontiers a level holds, which the tail order decides.
-_leaf_order places next the tail that leaves the least width: open heads,
-and paths with a sure end or a sure start (_width_order), ties by vertex
-index.  Where every vertex has a loop, only open heads count, and this is
-the fail-first order that also brings the leaf engine's deadlines early.
-Where the Bregman bound on the factor count is at most n^2 the order
-costs more than it saves and the identity is used.  sigma -> sigma^-1
-maps the factors of g one to one onto those of its transpose, with equal
-cycle counts, so above a bound of n^4 a non-symmetric input runs in the
-direction whose order has the lower summed width (_orient).
-
-The frontier engine's tables are polynomials in the flat index
-key * (n + 1) + cycles, packed into one int (Kronecker substitution), so
-adding an arc weight or closing a cycle is a shift and merging two
-frontiers an addition.  iter_cycle_factors stays a separate plain
-recursion, as an oracle.
+The tables are polynomials in the flat index key * (n + 1) + cycles,
+packed into one int (Kronecker substitution), so adding an arc weight or
+closing a cycle is a shift and merging two frontiers an addition.
+iter_cycle_factors stays a separate plain walk over every factor, as an
+oracle.
 
 The undirected side covers vertex sets by cycles instead.  _cycle_sets
 counts the directed cycles on each vertex set, packed by cycle count,
@@ -160,7 +155,7 @@ def _log2_bregman(rows: Sequence[Sequence[int]]) -> float:
 
 
 def _width_order(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
-    """The greedy tail order of _leaf_order, and its summed cost.
+    """The greedy tail order of _tail_order, and its summed cost.
 
     Vertex x's head is untouched, open (some but not all of its candidate
     tails placed) or closed, and its tail is placed or not.  It weighs
@@ -227,16 +222,16 @@ def _width_order(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     return order, cost
 
 
-def _leaf_order(rows: Sequence[Sequence[int]], log2_bound: float | None = None) -> list[int]:
-    """The order in which the engines assign the tails of rows.
+def _tail_order(rows: Sequence[Sequence[int]], log2_bound: float | None = None) -> list[int]:
+    """The order in which the engine assigns the tails of rows.
 
     _width_order's greedy order, which keeps the frontier narrow: each
     next tail leaves the least weight of open heads and of paths with one
     sure end.  Where every vertex has a loop only open heads weigh, and it
-    is the fail-first order, which also brings the leaf engine's deadlines
-    early.  Where the Bregman bound on the factor count is at most n^2,
-    the search is smaller than the O(n^2) cost of ordering, and the order
-    is the identity.  log2_bound is _log2_bregman(rows), computed here
+    is the fail-first order, which also brings the deadlines early.  Where
+    the Bregman bound on the factor count is at most n^2, the search is
+    smaller than the O(n^2) cost of ordering, and the order is the
+    identity.  log2_bound is _log2_bregman(rows), computed here
     when the caller has not.
     """
     n = len(rows)
@@ -250,7 +245,7 @@ def _leaf_order(rows: Sequence[Sequence[int]], log2_bound: float | None = None) 
 def _orient(
     rows: Sequence[Sequence[int]], log2_bound: float
 ) -> tuple[Sequence[Sequence[int]], list[int], float, bool]:
-    """The direction the engines search, its tail order and its bound.
+    """The direction the engine searches, its tail order and its bound.
 
     sigma -> sigma^-1 maps the cycle-factors of g one to one onto those of
     its transpose and keeps their cycle counts, so either direction gives
@@ -263,7 +258,7 @@ def _orient(
     """
     n = len(rows)
     if n < 2 or log2_bound <= 4 * log2(n):
-        return rows, _leaf_order(rows, log2_bound), log2_bound, False
+        return rows, _tail_order(rows, log2_bound), log2_bound, False
     cols: list[list[int]] = [[] for _ in range(n)]
     for v, row in enumerate(rows):
         for w in row:
@@ -277,10 +272,10 @@ def _orient(
     return rows, order, log2_bound, False
 
 
-def _leaf_search(
-    rows: Sequence[Sequence[int]], weights: dict[Arc, int], stride: int, packed: bool
+def _search_space(
+    rows: Sequence[Sequence[int]], weights: dict[Arc, int], stride: int
 ) -> tuple[list[list[tuple]], list[int], dict[int, tuple], int] | None:
-    """The search space the leaf and frontier engines share, or None if empty.
+    """The search the frontier engine runs, or None if it is empty.
 
     The search runs in the direction and tail order of _orient, and
     vertices are relabeled by their position in that order, so it runs
@@ -290,14 +285,14 @@ def _leaf_search(
     weights and usage stay keyed by g's arcs.  due[i] masks the heads
     whose last candidate tail is position i: at position i, a head of
     due[i] still unused must be taken now, so two such heads prune the
-    node and one forces the choice forced[head bit].  slot is 1 unless
-    packed, and then two bits more than log2 of the Bregman bound of the
-    rows run.  None means some tail or head has no candidate, so no factor
-    exists.
+    frontier and one forces the choice forced[head bit].  slot, the bits
+    of one packed coefficient, is two more than log2 of the Bregman bound
+    of the rows run.  None means some tail or head has no candidate, so
+    no factor exists.
     """
     n = len(rows)
     rows, order, log2_bound, transposed = _orient(rows, _log2_bregman(rows))
-    slot = int(max(log2_bound, 0)) + 2 if packed else 1  # -inf with an empty row
+    slot = int(max(log2_bound, 0)) + 2  # -inf with an empty row
     scale = stride * slot
     pos = [0] * n
     for i, v in enumerate(order):
@@ -305,7 +300,7 @@ def _leaf_search(
     cand = []
     last = [-1] * n  # position of each head's last candidate tail
     # a head is forced only at its deadline, by its last candidate tail, so
-    # one choice per head bit covers every forced node
+    # one choice per head bit covers every forced frontier
     forced = {}
     for i, v in enumerate(order):
         row = []
@@ -326,79 +321,19 @@ def _leaf_search(
     return cand, due, forced, slot
 
 
-def _factor_table(
-    rows: Sequence[Sequence[int]], weights: dict[Arc, int]
-) -> tuple[list[list[int]], dict[Arc, int]]:
+def _frontier_table(
+    rows: Sequence[Sequence[int]], weights: dict[Arc, int], usage: dict[Arc, int] | None = None
+) -> list[list[int]]:
     """Tabulate every cycle-factor whose arcs come from the candidate rows.
 
     Each arc weighs weights.get(arc, 0) >= 0, and a factor's key is the sum
     of its arc weights, so no key exceeds sum(weights.values()).  Returns
     table with table[key][cycles] the number of factors of that key and
-    cycle count, and the number of factors through each arc (arcs in no
-    factor omitted).  It visits every factor, in the search of _leaf_search;
-    usage and weights stay keyed by the original arcs.
-    """
-    n = len(rows)
-    stride = n + 1
-    nkeys = 1 + sum(weights.values())
-    flat = [0] * (nkeys * stride)
-    usage: dict[Arc, int] = {}
+    cycle count.  usage, when given, receives the number of factors
+    through each arc, keyed by the original arcs (arcs in no factor
+    omitted).
 
-    def table():
-        return [flat[k * stride : (k + 1) * stride] for k in range(nkeys)]
-
-    # key and cycle count share one flat index key * stride + cycles, so
-    # each arc carries its weight pre-scaled and a closed cycle adds 1
-    search = _leaf_search(rows, weights, stride, packed=False)
-    if search is None:
-        return table(), usage
-    cand, due, forced, _ = search
-    start = list(range(n))
-    end = list(range(n))
-
-    def rec(i, used, index):
-        # returns the number of factors below this node
-        if i == n:
-            flat[index] += 1
-            return 1
-        miss = due[i] & ~used
-        if miss:
-            if miss & (miss - 1):
-                return 0
-            choices = forced[miss]
-        else:
-            choices = cand[i]
-        nxt = i + 1
-        s = start[i]
-        below = 0
-        for h, bit, wt, arc in choices:
-            if used & bit:
-                continue
-            if h == s:
-                found = rec(nxt, used | bit, index + wt + 1)
-            else:
-                e = end[h]
-                start[e] = s
-                end[s] = e
-                found = rec(nxt, used | bit, index + wt)
-                start[e] = h
-                end[s] = i
-            if found:
-                below += found
-                usage[arc] = usage.get(arc, 0) + found
-        return below
-
-    rec(0, 0, 0)
-    # rec refers to itself through its closure, so without this its tables
-    # would live until the cycle collector ran
-    del rec
-    return table(), usage
-
-
-def _frontier_table(rows: Sequence[Sequence[int]], weights: dict[Arc, int]) -> list[list[int]]:
-    """The table of _factor_table(rows, weights), built level by level.
-
-    The search of _leaf_search, run forward over its frontiers (Knuth's
+    The search of _search_space, run forward over its frontiers (Knuth's
     SIMPATH).  Before tail i is assigned, the open paths end at tails
     i..n-1, and the unused heads are exactly their starts, so the starts
     fix the rest of the search.  Level i maps those starts, as bytes
@@ -414,21 +349,44 @@ def _frontier_table(rows: Sequence[Sequence[int]], weights: dict[Arc, int]) -> l
     transpose's), caps their count; the slots, two bits wider than its
     log2 to absorb rounding, never overflow, even for frontiers with no
     completion.
+
+    With usage wanted, each level also keeps its transitions, as the
+    entries of their source and target frontiers and the original arc.
+    Once a frontier is expanded its entry holds F, the number of partial
+    factors reaching it, and B, its completions, 0 until the backward
+    pass.  Every shift is a multiple of slot and 2^slot = 1 modulo
+    2^slot - 1, so the packed table modulo 2^slot - 1 is its coefficient
+    sum, and the bound above keeps that sum below the modulus, so F is
+    exact.  The backward pass starts from the empty frontier with B = 1
+    and walks the levels back; each transition adds F(source) * B(target)
+    to its arc's usage and B(target) to B(source).  The kept entries hold
+    two small ints each, not tables, and the transitions sit three items
+    apiece in one flat list per level: on a random 8-regular digraph with
+    n = 16 the call peaks at 226 MiB, against 111 MiB for the table alone.
     """
     n = len(rows)
     stride = n + 1
     nkeys = 1 + sum(weights.values())
-    search = _leaf_search(rows, weights, stride, packed=True)
+    search = _search_space(rows, weights, stride)
     if search is None:
         return [[0] * stride for _ in range(nkeys)]
     cand, due, forced, slot = search
+    full = (1 << slot) - 1
     # every caller keeps n <= MAX_FAST_VERTICES, so positions fit in a byte
     byte = [bytes((v,)) for v in range(n)]
+    levels: list[list] = []  # each level's transitions, when usage is wanted
+    moves = None
     level = {bytes(range(n)): [0, 1]}
     for i in range(n):
         nxt: dict[bytes, list[int]] = {}
+        if usage is not None:
+            moves = []
+            levels.append(moves)
         while level:
-            starts, (used, table) = level.popitem()
+            starts, entry = level.popitem()
+            used, table = entry
+            if moves is not None:
+                entry[0], entry[1] = table % full, 0  # F and B, as above
             miss = due[i] & ~used
             if miss:
                 if miss & (miss - 1):
@@ -438,7 +396,7 @@ def _frontier_table(rows: Sequence[Sequence[int]], weights: dict[Arc, int]) -> l
                 choices = cand[i]
             s = starts[0]
             rest = starts[1:]
-            for h, bit, shift, _ in choices:
+            for h, bit, shift, arc in choices:
                 if used & bit:
                     continue
                 if h == s:
@@ -449,12 +407,23 @@ def _frontier_table(rows: Sequence[Sequence[int]], weights: dict[Arc, int]) -> l
                     part = table << shift
                 state = nxt.get(key)
                 if state is None:
-                    nxt[key] = [used | bit, part]
+                    state = nxt[key] = [used | bit, part]
                 else:
                     state[1] += part
+                if moves is not None:
+                    moves += entry, state, arc
         level = nxt
     packed = level[b""][1] if level else 0
     flat = _unpack(packed, slot, nkeys * stride)
+    if usage is not None and packed:
+        level[b""][1] = 1  # the empty frontier completes once
+        for moves in reversed(levels):
+            it = iter(moves)
+            for source, target, arc in zip(it, it, it):
+                completions = target[1]
+                if completions:
+                    usage[arc] = usage.get(arc, 0) + source[0] * completions
+                    source[1] += completions
     return [flat[k * stride : (k + 1) * stride] for k in range(nkeys)]
 
 
@@ -527,19 +496,17 @@ def cycle_factor_stats(
     A cycle-factor is a permutation sigma of the vertices with v -> sigma(v)
     an arc for every v.  One factor table with no arc weighted, so it is a
     single row by cycle count; count, cycle sum and histogram are all read
-    off it.  The leaf engine builds it when edge usage is wanted, and the
-    frontier engine otherwise.
+    off it.  With want_edge_usage the frontier engine also runs its
+    backward pass, which keeps every level of the forward pass until the
+    call returns; without it no level outlives the next.
     """
     n = g.n
     if n > MAX_FAST_VERTICES:
         raise ValueError(
             f"graph order {n} exceeds the fast-path limit {MAX_FAST_VERTICES}"
         )
-    rows = _candidate_rows(g, constraints)
-    if want_edge_usage:
-        (by_cycles,), usage = _factor_table(rows, {})
-    else:
-        (by_cycles,), usage = _frontier_table(rows, {}), None
+    usage: dict[Arc, int] | None = {} if want_edge_usage else None
+    (by_cycles,) = _frontier_table(_candidate_rows(g, constraints), {}, usage)
     hist = {c: h for c, h in enumerate(by_cycles) if h}
     cycle_sum = sum(map(mul, range(n + 1), by_cycles))
     return FactorStats(sum(by_cycles), cycle_sum, hist, usage)

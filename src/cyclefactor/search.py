@@ -211,15 +211,21 @@ def _leaders(records: Iterable[SearchRecord], size: int) -> list[SearchRecord]:
 
 
 class _Lineage:
-    __slots__ = ("graph", "rng", "origin", "best", "stale")
+    """One population member: its graph with the record evaluate gave it
+    and that record's _rank_key, its own random stream, its lineage tag,
+    its best excess so far and the iterations since that best."""
+
+    __slots__ = ("graph", "rec", "rank", "rng", "origin", "best", "stale")
 
     def __init__(
-        self, graph: DiGraph | None, rng: random.Random, origin: str, best: Fraction | None
+        self, graph: DiGraph | None, rec: SearchRecord | None, rng: random.Random, origin: str
     ):
         self.graph = graph
+        self.rec = rec
+        self.rank = None if rec is None else _rank_key(rec)
         self.rng = rng
         self.origin = origin
-        self.best = best
+        self.best = None if rec is None else rec.certificate.excess
         self.stale = 0
 
 
@@ -275,13 +281,13 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
         try:
             g = random_regular_digraph(config.n, config.d, rng)
         except GenerationError:
-            return _Lineage(None, rng, "random", None)  # dropped next iteration
-        return _Lineage(g, rng, "random", evaluate(g, it, "random").certificate.excess)
+            return _Lineage(None, None, rng, "random")  # dropped next iteration
+        return _Lineage(g, evaluate(g, it, "random"), rng, "random")
 
     pop = [fresh(0) for _ in range(config.population)]
     for it in range(1, config.iterations + 1):
         # rank parents and mutated children together
-        ranked: list[tuple[tuple[float, Fraction, int], DiGraph, _Lineage, str]] = []
+        ranked: list[tuple[tuple[float, Fraction, int], DiGraph, SearchRecord, _Lineage, str]] = []
         seen: set[int] = set()  # the classes ranked, by their record's id
         for member in pop:
             if member.graph is None:
@@ -289,28 +295,27 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
             child = member.graph
             for _ in range(MOVES_PER_STEP):
                 child = swap_move(child, member.rng)
-            # a cache hit: every member was evaluated when it was drawn or bred
-            parent = evaluate(member.graph, it, member.origin)
+            parent = member.rec
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                ranked.append((member.rank, member.graph, parent, member, member.origin))
             parent_tag = f"{parent.fingerprint:016x}"
-            for g, origin, rec in (
-                (member.graph, member.origin, parent),
-                (child, parent_tag, evaluate(child, it, parent_tag)),
-            ):
-                if id(rec) not in seen:
-                    seen.add(id(rec))
-                    ranked.append((_rank_key(rec), g, member, origin))
+            rec = evaluate(child, it, parent_tag)
+            if id(rec) not in seen:
+                seen.add(id(rec))
+                ranked.append((_rank_key(rec), child, rec, member, parent_tag))
         ranked.sort(key=itemgetter(0))
         survivors: list[_Lineage] = []
         used_members: set[int] = set()
-        for (_, neg_excess, _), g, member, origin in ranked[: config.population]:
+        for rank, g, rec, member, origin in ranked[: config.population]:
             if id(member) in used_members:
                 # parent and child both survive: the child forks its own stream
-                survivors.append(_Lineage(g, stream.next_rng(), origin, -neg_excess))
+                survivors.append(_Lineage(g, rec, stream.next_rng(), origin))
                 continue
             used_members.add(id(member))
-            member.graph, member.origin = g, origin
-            if -neg_excess > member.best:
-                member.best, member.stale = -neg_excess, 0
+            member.graph, member.rec, member.rank, member.origin = g, rec, rank, origin
+            if rec.certificate.excess > member.best:
+                member.best, member.stale = rec.certificate.excess, 0
             else:
                 member.stale += 1
             survivors.append(member)

@@ -288,14 +288,19 @@ def two_regular_suite(n_max: int = 6) -> SuiteReport:
                 continue
             seen.add(rows)
             covered += factorial(n) // aut
-            g = DiGraph(n, rows)
+            # canonical rows are sorted, in range and free of duplicates
+            g = DiGraph._of_rows(rows)
             st = cycle_factor_stats(g, want_edge_usage=True)
             loops = g.loop_count
             usage = st.edge_usage or {}
             problems = []
-            if any(2 * usage.get(a, 0) != st.count for a in g.arcs()):
+            # usage omits the arcs in no factor, so each of the 2n arcs
+            # lies in half the factors exactly when usage has 2n entries,
+            # each half the count
+            if len(usage) != 2 * n or any(2 * c != st.count for c in usage.values()):
                 problems.append("some arc marginal differs from 1/2")
-            if 2 * sum(usage.get((v, v), 0) for v in range(n)) != loops * st.count:
+            fixed = sum(c for (v, w), c in usage.items() if v == w)
+            if 2 * fixed != loops * st.count:
                 problems.append("mean fixed points differ from loops/2")
             if 4 * st.cycle_sum > (2 * n + loops) * st.count:
                 problems.append("mean cycles exceed n/2 + loops/4")
@@ -320,11 +325,10 @@ def gadget_cross_validation(d_max: int = 6) -> SuiteReport:
 
     One factor table per degree: the crossing-pattern rows partition the
     factors (any other pattern raises), so their totals give the factor
-    count and cycle sum.  Every degree runs on the frontier engine, the
-    leaf search run forward with partial factors merged by their open
-    paths, which does not visit each factor; that is what makes degree 8
-    (about 10^9 factors) and degree 12 (about 1.7 * 10^17) reachable.
-    The leaf engine, which does, stays its oracle in the tests.  Compares
+    count and cycle sum.  The frontier engine merges partial factors by
+    their open paths and does not visit each factor; that is what makes
+    degree 8 (about 10^9 factors) and degree 12 (about 1.7 * 10^17)
+    reachable.  Compares
     count, total cycle sum, mean, and each aggregated row; reports the
     first differing quantity per degree.
     """

@@ -6,13 +6,16 @@ and the performance envelope.  The degree-7, degree-8 and degree-12
 cross-validation legs, the 7- and 8-vertex legs of the 2-regular suite and
 the 8-vertex degree-4 search carry the slow marker.  The search is the one
 expensive leg: the degree legs build the gadget's factor table on the
-frontier engine, in about 3 ms and 7 ms, where the leaf engine took about
-40 s at degree 7 and cannot finish degree 8, and the degree-12 leg checks
+frontier engine, in about 3 ms and 7 ms, where a walk over every factor
+took about 40 s at degree 7, and the degree-12 leg checks
 every degree through 12 in about 1.5 s; the 2-regular suite covers the
 190,711,867 labeled graphs with n <= 8 through their 5,936 isomorphism
-classes in about 3 s.
+classes in about 3 s, and `expect --edge-usage` gives the per-arc usage
+of the degree-8 gadget in about 10 ms, by the frontier engine's backward
+pass, where a walk over its 1,047,168,000 factors took about 20 min.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -21,6 +24,7 @@ from itertools import combinations, permutations
 import pytest
 
 from closed_cycles import closed_cycles_in
+from cyclefactor.cli import main
 from cyclefactor.enumeration import (
     ArcConstraints,
     cycle_factor_stats,
@@ -39,12 +43,13 @@ from cyclefactor.families import (
     complete_graph,
     complete_looped,
     complete_tripartite_222,
+    crossing_gadget,
     cycle_graph,
     looped_bidirected_cycle,
     padded_gadget,
     undirected_family,
 )
-from cyclefactor.graphs import DiGraph, double_cover
+from cyclefactor.graphs import DiGraph, double_cover, to_text
 from cyclefactor.search import SearchConfig, run_search
 from cyclefactor.verify import (
     certify,
@@ -154,6 +159,26 @@ def test_c05_two_regular_order_eight_leg():
         report = two_regular_suite(8)
         assert report.ok, report.failures[:3]
         assert report.checked == 190711867
+
+
+def test_c05_edge_usage_of_the_degree_eight_gadget(tmp_path, capsys):
+    # per-arc usage from the frontier engine's backward pass, without a
+    # walk over the gadget's 1,047,168,000 factors: each tail's arcs, and
+    # each head's, split the factors between them
+    path = tmp_path / "gadget8.txt"
+    path.write_text(to_text(crossing_gadget(8)[0], 8))
+    with Budget("expect --edge-usage (gadget d=8)", 10.0):
+        assert main(["expect", "--graph", str(path), "--edge-usage"]) == 0
+        # read before the budget prints its own line
+        doc = json.loads(capsys.readouterr().out)
+    assert doc["count"] == 1047168000
+    by_tail, by_head = {}, {}
+    for arc, used in doc["edge_usage"].items():
+        tail, head = arc.split("->")
+        by_tail[tail] = by_tail.get(tail, 0) + used
+        by_head[head] = by_head.get(head, 0) + used
+    assert len(by_tail) == len(by_head) == 16
+    assert set(by_tail.values()) == set(by_head.values()) == {1047168000}
 
 
 def test_c06_looped_cycle_classification():

@@ -5,7 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial, lgamma, log, log2
+from math import factorial, lgamma, log, log2, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,11 +19,10 @@ from cyclefactor.enumeration import (
     _candidate_rows,
     _cover,
     _cycle_sets,
-    _factor_table,
     _frontier_table,
-    _leaf_order,
     _log2_bregman,
     _orient,
+    _tail_order,
     _width_order,
     classify_crossing_patterns,
     cycle_factor_stats,
@@ -253,6 +252,24 @@ def test_looped_cycle_at_the_order_cap_matches_its_matchings():
     assert stats.cycle_sum == 2 + sum(c * (n - k) for k, c in enumerate(m))
 
 
+def test_looped_cycle_usage_at_the_order_cap_is_fibonacci():
+    # a factor fixes v exactly when it is a matching of the path C_n - v,
+    # and uses arc v -> v+1 in one rotation and in each matching of the
+    # path C_n - {v, v+1} added to the swap of v and v+1, so every loop
+    # lies in F_n factors and every other arc in 1 + F_(n-1)
+    n = MAX_FAST_VERTICES
+    fib = [0, 1]
+    while len(fib) <= n:
+        fib.append(fib[-1] + fib[-2])
+    stats = cycle_factor_stats(looped_bidirected_cycle(n), want_edge_usage=True)
+    assert stats.count == 23725150497409
+    assert stats.edge_usage == {
+        (v, w): fib[n] if v == w else 1 + fib[n - 1]
+        for v in range(n)
+        for w in (v, (v + 1) % n, (v - 1) % n)
+    }
+
+
 def test_order_cap_is_enforced():
     loops = DiGraph(MAX_FAST_VERTICES + 1, [[v] for v in range(MAX_FAST_VERTICES + 1)])
     with pytest.raises(ValueError):
@@ -331,25 +348,37 @@ def test_constraint_validation():
 
 
 # ---------------------------------------------------------------------------
-# the leaf engine's tail order and deadlines
+# the tail order and deadlines, against the iteration oracle
 # ---------------------------------------------------------------------------
 
 
 def factor_table_by_iteration(g, constraints, weights):
-    """Nonzero (key, cycles) counts and arc usage from iter_cycle_factors."""
-    required = constraints.required if constraints else frozenset()
+    """Nonzero (key, cycles) counts and arc usage from iter_cycle_factors.
+
+    The walk runs on g's arcs less the forbidden ones, and at a tail with
+    a required arc on that arc alone, so it visits only the factors that
+    meet the constraints.
+    """
+    required = dict(constraints.required) if constraints else {}
     forbidden = constraints.forbidden if constraints else frozenset()
+    rows = [
+        [w for w in g.out[v] if (v, w) not in forbidden and required.get(v, w) == w]
+        for v in range(g.n)
+    ]
     table = {}
     usage = {}
-    for sigma in iter_cycle_factors(g):
-        arcs = set(enumerate(sigma))
-        if not required <= arcs or arcs & forbidden:
-            continue
-        key = sum(weights.get(arc, 0) for arc in arcs)
+    for sigma in iter_cycle_factors(DiGraph(g.n, rows)):
+        key = sum(weights.get(arc, 0) for arc in enumerate(sigma))
         cell = (key, permutation_cycles(sigma))
         table[cell] = table.get(cell, 0) + 1
-        for arc in arcs:
+        for arc in enumerate(sigma):
             usage[arc] = usage.get(arc, 0) + 1
+    return table, usage
+
+
+def table_and_usage(rows, weights):
+    usage = {}
+    table = _frontier_table(rows, weights, usage)
     return table, usage
 
 
@@ -380,16 +409,17 @@ def transpose(rows):
     return [[v for v, row in enumerate(rows) if w in row] for w in range(len(rows))]
 
 
-def test_leaf_engine_matches_iteration_on_reordered_regular_digraphs(monkeypatch):
-    # each case runs in the direction the engines choose, and then forced
-    # into the transpose, below the choice's gate and under constraints too;
-    # n stops at 14 because the iteration oracle doubles in cost per vertex
+def test_frontier_engine_matches_iteration_on_reordered_regular_digraphs(monkeypatch):
+    # table and usage; each case runs in the direction the engine chooses,
+    # and then forced into the transpose, below the choice's gate and under
+    # constraints too; n stops at 16 because the iteration oracle doubles in
+    # cost per vertex, about 0.7 s for a free (16, 4) graph
     def run_transposed(rows, log2_bound):
         cols = transpose(rows)
-        return cols, _leaf_order(cols), _log2_bregman(cols), True
+        return cols, _tail_order(cols), _log2_bregman(cols), True
 
     reordered = transposed = 0
-    for n, d, seed in product(range(9, 15), (3, 4), range(2)):
+    for n, d, seed in product(range(9, 17), (3, 4), range(2)):
         rng = random.Random(f"{n} {d} {seed}")
         g = seeded_regular_digraph(n, d, rng)
         assert g.out != g.in_adj  # not symmetric, so either direction may run
@@ -397,12 +427,12 @@ def test_leaf_engine_matches_iteration_on_reordered_regular_digraphs(monkeypatch
         weights = {arc: rng.randrange(1, 3) for arc in rng.sample(arcs, 4)}
         for constraints in (None, random_constraints(g, rng)):
             rows = _candidate_rows(g, constraints)
-            reordered += _leaf_order(rows) != list(range(n))
+            reordered += _tail_order(rows) != list(range(n))
             transposed += _orient(rows, _log2_bregman(rows))[3]
             expected = factor_table_by_iteration(g, constraints, weights)
             for orient in (_orient, run_transposed):
                 monkeypatch.setattr(enumeration, "_orient", orient)
-                table, usage = _factor_table(rows, weights)
+                table, usage = table_and_usage(rows, weights)
                 assert (nonzero_cells(table), usage) == expected
                 assert _frontier_table(rows, weights) == table
     assert reordered  # the relabeled search, not only the identity order
@@ -433,7 +463,7 @@ def test_symmetric_rows_are_never_transposed(monkeypatch):
         assert rows == g.in_adj
         log2_bound = _log2_bregman(rows)
         considered += log2_bound > 4 * log2(g.n)
-        expected = (rows, _leaf_order(rows), log2_bound, False)
+        expected = (rows, _tail_order(rows), log2_bound, False)
         ordered.clear()
         assert _orient(rows, log2_bound) == expected
         assert len(ordered) <= 1
@@ -443,17 +473,17 @@ def test_symmetric_rows_are_never_transposed(monkeypatch):
 def test_leaf_order_is_a_permutation_and_the_identity_below_the_gate():
     for n in (8, 12, 16):
         rows = random_regular_digraph(n, 4, random.Random(n)).out
-        order = _leaf_order(rows)
+        order = _tail_order(rows)
         assert sorted(order) == list(range(n))
         assert order != list(range(n))
     # every 2-regular digraph has a Bregman bound 2^(n/2), at most n^2
     for n in range(2, 6):
         for g in iter_two_regular_digraphs(n):
-            assert _leaf_order(g.out) == list(range(n))
-    assert _leaf_order(()) == []
+            assert _tail_order(g.out) == list(range(n))
+    assert _tail_order(()) == []
 
 
-def reference_leaf_order(rows):
+def reference_tail_order(rows):
     # the greedy order and its summed cost, rescoring every tail left at
     # each step by the sum of W over all vertices after placing it
     n = len(rows)
@@ -510,9 +540,9 @@ def test_leaf_order_matches_the_reference_order():
     cases += [crossing_gadget(d)[0].out for d in range(3, 9)]
     reordered = 0
     for rows in cases:
-        expected, cost = reference_leaf_order(rows)
-        assert _leaf_order(rows) == expected
-        assert _leaf_order(rows, _log2_bregman(rows)) == expected
+        expected, cost = reference_tail_order(rows)
+        assert _tail_order(rows) == expected
+        assert _tail_order(rows, _log2_bregman(rows)) == expected
         if expected != list(range(len(rows))):
             reordered += 1
             assert _width_order(rows) == (expected, cost)
@@ -535,11 +565,11 @@ def test_bregman_bound_is_computed_once_per_direction_considered(monkeypatch):
     cases.append(_candidate_rows(g, random_constraints(g, rng)))
     both = 0
     for rows in cases:
-        for engine in (_frontier_table, _factor_table):
+        for usage in (None, {}):
             calls.clear()
-            engine(rows, {})
-            assert calls[0] is rows, engine.__name__
-            assert calls[1:] in ([], [transpose(rows)]), engine.__name__
+            _frontier_table(rows, {}, usage)
+            assert calls[0] is rows
+            assert calls[1:] in ([], [transpose(rows)])
             both += len(calls) == 2
     assert both
 
@@ -558,25 +588,25 @@ def test_unreachable_head_gives_no_factor():
     stats = cycle_factor_stats(g, dead, want_edge_usage=True)
     assert (stats.count, stats.edge_usage) == (0, {})
     rows = _candidate_rows(g, dead)
-    assert _factor_table(rows, {}) == ([[0] * 6], {})
+    assert table_and_usage(rows, {}) == ([[0] * 6], {})
     assert _frontier_table(rows, {}) == [[0] * 6]
 
 
 def test_two_heads_due_at_one_tail_prune_to_zero():
     # heads 0 and 1 both have tail 2 as their only candidate
     rows = [[2, 3], [2, 3], [0, 1], [2, 3]]
-    assert _factor_table(rows, {}) == ([[0] * 5], {})
+    assert table_and_usage(rows, {}) == ([[0] * 5], {})
     assert _frontier_table(rows, {}) == [[0] * 5]
     # with head 1 also reachable from tail 3, tail 2 is forced to head 0
     rows = [[2, 3], [2, 3], [0, 1], [1, 2, 3]]
-    table, usage = _factor_table(rows, {})
+    table, usage = table_and_usage(rows, {})
     brute = factor_table_by_iteration(DiGraph(4, rows), None, {})
     assert (nonzero_cells(table), usage) == brute
     assert _frontier_table(rows, {}) == table
 
 
 # ---------------------------------------------------------------------------
-# the frontier engine against the leaf engine, table for table
+# the frontier engine against independent oracles
 # ---------------------------------------------------------------------------
 
 
@@ -588,114 +618,89 @@ def gadget_rows_and_weights(d):
     return g.out, weights
 
 
-def loop_weights(rows):
-    return {(v, v): 1 for v, row in enumerate(rows) if v in row}
+def cover_table(rows):
+    """Factors of rows by cycle count, from the undirected side's subset cover.
 
-
-def assert_engines_agree(rows, weights):
-    assert _frontier_table(rows, weights) == _factor_table(rows, weights)[0]
+    _cycle_sets counts the directed cycles on each vertex set and _cover
+    tiles the vertex set by them; it shares no code with the frontier
+    engine.  No coefficient exceeds the factor count, at most prod |row|.
+    """
+    n = len(rows)
+    slot = prod(len(row) for row in rows).bit_length()
+    packed = _cover((1 << n) - 1, _cycle_sets(rows, slot), {0: 1})
+    return [packed >> (c * slot) & ((1 << slot) - 1) for c in range(n + 1)]
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_digraphs(), st.data())
 def test_frontier_engine_matches_leaf_engine(data, picks):
+    # weighted tables and usage under constraints, against the iteration oracle
     n, rows = data
     g = DiGraph(n, [sorted(r) for r in rows])
-    cand = _candidate_rows(g, draw_constraints(picks, n))
+    constraints = draw_constraints(picks, n)
     pairs = [(u, w) for u in range(n) for w in range(n)]
     weights = picks.draw(
         st.dictionaries(st.sampled_from(pairs), st.integers(0, 3), max_size=6)
     )
-    assert_engines_agree(cand, weights)
+    table, usage = table_and_usage(_candidate_rows(g, constraints), weights)
+    assert (nonzero_cells(table), usage) == factor_table_by_iteration(g, constraints, weights)
 
 
-# (n, d) with n <= 20 and 2 <= d <= 7 whose Bregman bound (d!)^(n/d) keeps
-# the leaf-engine oracle under 2e5 factors per example
-REGULAR_PAIRS = [
-    (n, d)
-    for n in range(2, 21)
-    for d in range(2, min(n, 7) + 1)
-    if factorial(d) ** (n / d) <= 2e5
-]
+# random 3- and 4-regular digraphs up to (18, 4), whose subset cover takes
+# about 0.7 s
+REGULAR_PAIRS = [(n, d) for n in range(3, 19) for d in (3, 4) if d <= n]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(st.sampled_from(REGULAR_PAIRS), st.integers(0, 2**32 - 1))
 def test_frontier_engine_matches_leaf_engine_on_regular_digraphs(pair, seed):
+    # unweighted tables against the subset cover
     n, d = pair
     try:
         g = random_regular_digraph(n, d, random.Random(seed))
     except GenerationError:
         assume(False)
-    assert_engines_agree(g.out, loop_weights(g.out))
+    assert _frontier_table(g.out, {}) == [cover_table(g.out)]
 
 
-@pytest.mark.parametrize("d", range(3, 7))
+@pytest.mark.parametrize("d", range(3, 8))
 def test_frontier_engine_matches_leaf_engine_on_gadget_patterns(d):
-    assert_engines_agree(*gadget_rows_and_weights(d))
+    # the pattern table, summed over its keys, against the subset cover
+    rows, weights = gadget_rows_and_weights(d)
+    by_cycles = cover_table(rows)
+    assert [list(map(sum, zip(*_frontier_table(rows, weights))))] == [by_cycles]
+    assert _frontier_table(rows, {}) == [by_cycles]
 
 
 def test_subset_engine_on_the_empty_graph():
     # the subset cover of the undirected side: one empty cover, no cycles
     assert _cover(0, _cycle_sets([], 1), {0: 1}) == 1
+    assert cover_table([]) == [1]
     assert _frontier_table(DiGraph(0, []).out, {}) == [[1]]
-    assert _factor_table(DiGraph(0, []).out, {}) == ([[1]], {})
-
-
-def test_engine_choice_follows_the_usage_flag(monkeypatch):
-    # each engine records its name, so each entry point shows which one ran
-    ran = []
-
-    def spy(name, engine):
-        def recorded(rows, weights):
-            ran.append(name)
-            return engine(rows, weights)
-
-        monkeypatch.setattr(enumeration, name, recorded)
-
-    spy("_frontier_table", _frontier_table)
-    # the leaf engine never finishes the d = 8 gadget; an empty table stands in
-    spy("_factor_table", lambda rows, weights: ([[0]], {}))
-    graphs = [random_regular_digraph(n, 4, random.Random(n)) for n in (8, 16)]
-    graphs += [random_regular_digraph(14, 2, random.Random(14))]
-    graphs += list(iter_two_regular_digraphs(4))
-    # and dense inputs, whose Bregman bound exceeds 2^(n + 3); the choice
-    # does not depend on the degree, so the gadget stops at d = 8, where
-    # the leaf engine can no longer finish, and the classifier is watched
-    # at the same degrees
-    graphs += [crossing_gadget(d)[0] for d in range(5, 9)]
-    graphs += [complete_looped(8), random_regular_digraph(12, 6, random.Random(12))]
-    for g in graphs:
-        ran.clear()
-        cycle_factor_stats(g)
-        # edge usage needs the leaf engine
-        cycle_factor_stats(g, want_edge_usage=True)
-        assert ran == ["_frontier_table", "_factor_table"]
-    ran.clear()
-    for d in range(3, 9):
-        classify_crossing_patterns(d)
-    assert ran == ["_frontier_table"] * 6
+    assert table_and_usage(DiGraph(0, []).out, {}) == ([[1]], {})
 
 
 def test_frontier_memo_is_freed_when_the_call_returns():
-    # with the cycle collector off, a memo kept alive by the recursion's
-    # closure would stay allocated after every call
+    # with the cycle collector off, a level or memo kept alive by a closure
+    # or a reference cycle would stay allocated after every call; the usage
+    # path keeps every level until its backward pass is done
     g = random_regular_digraph(16, 4, random.Random(16))
-    gc.disable()
-    tracemalloc.start()
-    try:
-        cycle_factor_stats(g)
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        cycle_factor_stats(g)
-        memo = tracemalloc.get_traced_memory()[1] - base
-        for _ in range(4):
-            cycle_factor_stats(g)
-        grown = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-    assert grown < memo
+    for want in (False, True):
+        gc.disable()
+        tracemalloc.start()
+        try:
+            cycle_factor_stats(g, want_edge_usage=want)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cycle_factor_stats(g, want_edge_usage=want)
+            memo = tracemalloc.get_traced_memory()[1] - base
+            for _ in range(4):
+                cycle_factor_stats(g, want_edge_usage=want)
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert grown < memo, want
 
 
 def test_engines_and_canonical_form_leave_no_reference_cycles():
@@ -704,6 +709,7 @@ def test_engines_and_canonical_form_leave_no_reference_cycles():
     # whatever leaked
     graphs = list(iter_two_regular_digraphs(5))[:100]
     gadget = crossing_gadget(6)[0]
+    wide = [gadget, random_regular_digraph(16, 4, random.Random(16))]
     gc.collect()
     gc.disable()
     try:
@@ -712,6 +718,8 @@ def test_engines_and_canonical_form_leave_no_reference_cycles():
             cycle_factor_stats(g)
             canonical_form(g)
             list(iter_cycle_factors(g))
+        for g in wide:
+            cycle_factor_stats(g, want_edge_usage=True)
         canonical_form(gadget)
         for n in range(2, 6):
             list(iter_two_regular_digraphs(n))
