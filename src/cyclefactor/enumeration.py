@@ -360,7 +360,7 @@ def _frontier_table(
     exact.  The backward pass starts from the empty frontier with B = 1
     and walks the levels back; each transition adds F(source) * B(target)
     to its arc's usage and B(target) to B(source).  The kept entries hold
-    two small ints each, not tables, and the transitions sit three items
+    two counts each, not tables, and the transitions sit three items
     apiece in one flat list per level: on a random 8-regular digraph with
     n = 16 the call peaks at 226 MiB, against 111 MiB for the table alone.
     """
