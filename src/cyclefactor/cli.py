@@ -78,9 +78,10 @@ def _exact(name: str, x) -> dict:
     return {name: f"{f.numerator}/{f.denominator}", f"{name}_float": float(f)}
 
 
-def _emit(doc, stream=None) -> None:
-    json.dump(doc, stream or sys.stdout, indent=2, sort_keys=True)
-    (stream or sys.stdout).write("\n")
+def _emit(doc) -> None:
+    # the text is built whole before any of it is written, so a value
+    # that cannot be converted leaves stdout empty
+    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _read_graph(path: str) -> tuple[DiGraph, int]:
@@ -226,16 +227,13 @@ def cmd_search(args) -> int:
     with _output(args.out) as out:
 
         def sink(rec):
-            json.dump(
-                {
-                    "iteration": rec.iteration,
-                    "fingerprint": f"{rec.fingerprint:016x}",
-                    "lineage": rec.lineage,
-                    "certificate": _certificate_doc(rec.certificate),
-                },
-                out,
-            )
-            out.write("\n")
+            doc = {
+                "iteration": rec.iteration,
+                "fingerprint": f"{rec.fingerprint:016x}",
+                "lineage": rec.lineage,
+                "certificate": _certificate_doc(rec.certificate),
+            }
+            out.write(json.dumps(doc) + "\n")
             out.flush()
 
         run_search(config, sink=sink)

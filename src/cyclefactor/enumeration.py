@@ -45,11 +45,11 @@ oracle.
 
 The undirected side covers vertex sets by cycles instead.  _cycle_sets
 counts the directed cycles on each vertex set, packed by cycle count,
-and _cover covers a vertex set by them, one cycle through the smallest
-uncovered vertex at a time (Held-Karp / Bjorklund style).
-two_factor_stats reads each component as a symmetric digraph, halves its
+and _cover_all covers a vertex set by them, one cycle through the
+smallest uncovered vertex at a time (Held-Karp / Bjorklund style).
+two_factor_stats reads the graph as a symmetric digraph, halves its
 cycle counts (each undirected cycle is found in both directions), keeps
-the 2-cycles only as matched edges, and covers the component by them.
+the 2-cycles only as matched edges, and covers the graph by them.
 """
 
 from __future__ import annotations
@@ -433,8 +433,8 @@ def _cycle_sets(rows: Sequence[Sequence[int]], slot: int) -> dict[int, int]:
     A path DP starts each path at its minimum vertex s, extends it through
     larger vertices only, and closes it back to s, so each directed cycle
     is found once.  Counts are packed by cycle count with slot bits each,
-    so closing a path into a cycle shifts its count by slot, and _cover
-    joins cycles by multiplication.
+    so closing a path into a cycle shifts its count by slot, and
+    _cover_all joins cycles by multiplication.
     """
     n = len(rows)
     cycles: dict[int, int] = {}
@@ -462,28 +462,36 @@ def _unpack(packed: int, slot: int, size: int) -> list[int]:
     return [packed >> (i * slot) & full for i in range(size)]
 
 
-def _cover(rest: int, cycles: dict[int, int], covers: dict[int, int]) -> int:
-    # packed table of the covers of rest by disjoint cycle sets, with
-    # cycles[T] the packed table of the parts allowed on exactly T: the
-    # sum, over the sets T through min(rest) inside rest, of cycles[T]
-    # times the cover of rest - T.  A module function, not a closure:
-    # a recursive closure refers to itself, and only the cycle collector,
-    # long after the call, would free the memo it holds.
-    if rest in covers:
-        return covers[rest]
-    low = rest & -rest
-    others = rest ^ low
-    total = 0
-    part = others
-    while True:
-        cyc = cycles.get(part | low)
-        if cyc:
-            total += cyc * _cover(others ^ part, cycles, covers)
-        if not part:
-            break
-        part = (part - 1) & others
-    covers[rest] = total
-    return total
+def _cover_all(n: int, cycles: dict[int, int]) -> int:
+    """Packed table of the covers of vertices 0..n-1 by disjoint cycle sets.
+
+    cycles[T] packs the parts allowed on exactly T.  Each step covers the
+    least uncovered vertex by a set inside its reach, the union of the
+    sets whose least vertex it is, so it never looks past its component.
+    The steps run forward, with the partial covers grouped by how many
+    vertices they leave, so a graph of many parts takes no deep stack.
+    """
+    reach = dict.fromkeys((1 << v for v in range(n)), 0)
+    for vset in cycles:
+        reach[vset & -vset] |= vset
+    groups: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    groups[n][(1 << n) - 1] = 1
+    for group in groups[:0:-1]:
+        while group:
+            rest, table = group.popitem()
+            low = rest & -rest
+            others = (rest ^ low) & reach[low]
+            part = others
+            while True:
+                cyc = cycles.get(part | low)
+                if cyc:
+                    left = rest ^ low ^ part
+                    after = groups[left.bit_count()]
+                    after[left] = after.get(left, 0) + table * cyc
+                if not part:
+                    break
+                part = (part - 1) & others
+    return groups[0].get(0, 0)
 
 
 def cycle_factor_stats(
@@ -663,65 +671,30 @@ def cycle_matching_counts(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _components(g: UGraph) -> list[list[int]]:
-    seen = [False] * g.n
-    comps = []
-    for v0 in range(g.n):
-        if seen[v0]:
-            continue
-        stack = [v0]
-        seen[v0] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            out[k] = out.get(k, 0) + va * vb
-    return out
-
-
 def two_factor_stats(g: UGraph, allow_edge_as_2cycle: bool = False) -> FactorStats:
     """Statistics of spanning partitions of g into cycles, scored by part count.
 
     With allow_edge_as_2cycle False the parts are cycles of length >= 3
     only, i.e. exactly the 2-factors of g.  With it True a part may also be
-    a single matched edge, which counts as one cycle.  Each component is
-    read as a symmetric digraph: _cycle_sets finds every undirected cycle
-    once in each direction, so its count is halved, and a matched edge is
-    the 2-cycle on its two ends.  _cover then tabulates the partitions by
-    part count, and the components combine by histogram convolution.
+    a single matched edge, which counts as one cycle.  g is read as a
+    symmetric digraph: _cycle_sets finds every undirected cycle once in
+    each direction, so its count is halved, and a matched edge is the
+    2-cycle on its two ends.  _cover_all then tabulates the partitions by
+    part count; no part spans two components, so none needs a split.
     """
-    total = {0: 1}
-    for comp in _components(g):
-        pos = {v: i for i, v in enumerate(comp)}
-        rows = [[pos[w] for w in g.adj[v]] for v in comp]
-        # a partition orients into at least one directed factor, so no
-        # count here exceeds prod_v |row_v| either
-        slot = prod(max(1, len(row)) for row in rows).bit_length()
-        parts: dict[int, int] = {}  # vertex set -> packed count of its parts
-        for vset, packed in _cycle_sets(rows, slot).items():
-            if vset.bit_count() > 2:
-                parts[vset] = packed // 2
-            elif allow_edge_as_2cycle:
-                parts[vset] = packed
-        full = (1 << len(comp)) - 1
-        hist = _unpack(_cover(full, parts, {0: 1}), slot, len(comp) + 1)
-        total = _convolve(total, {k: c for k, c in enumerate(hist) if c})
-    count = sum(total.values())
-    cycle_sum = sum(k * v for k, v in total.items())
-    return FactorStats(count, cycle_sum, dict(sorted(total.items())))
+    n = g.n
+    # a partition orients into at least one directed factor, so no count
+    # here exceeds prod_v |row_v| either
+    slot = prod(max(1, len(row)) for row in g.adj).bit_length()
+    parts: dict[int, int] = {}  # vertex set -> packed count of its parts
+    for vset, packed in _cycle_sets(g.adj, slot).items():
+        if vset.bit_count() > 2:
+            parts[vset] = packed // 2
+        elif allow_edge_as_2cycle:
+            parts[vset] = packed
+    hist = _unpack(_cover_all(n, parts), slot, n + 1)
+    cycle_sum = sum(map(mul, range(n + 1), hist))
+    return FactorStats(sum(hist), cycle_sum, {k: c for k, c in enumerate(hist) if c})
 
 
 def ryser_permanent(matrix: Sequence[Sequence[int]]) -> int:

@@ -24,8 +24,6 @@ from .verify import Certificate, certify
 _MASK64 = (1 << 64) - 1
 
 DEFAULT_SEED = 2026
-# swap moves from a parent to its child in one iteration
-MOVES_PER_STEP = 1
 # iterations without a new lineage best before the lineage restarts
 RESTART_AFTER = 25
 # shuffles per permutation layer before random_regular_digraph gives up
@@ -292,9 +290,7 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
         for member in pop:
             if member.graph is None:
                 continue
-            child = member.graph
-            for _ in range(MOVES_PER_STEP):
-                child = swap_move(child, member.rng)
+            child = swap_move(member.graph, member.rng)
             parent = member.rec
             if id(parent) not in seen:
                 seen.add(id(parent))

@@ -151,6 +151,15 @@ def test_formula_values(capsys):
     assert doc["benchmark"] == "11/3"
 
 
+@pytest.mark.parametrize("command", ["formula", "table1"])
+def test_unprintable_value_leaves_stdout_empty(capsys, command):
+    # at d = 900 a count has more digits than int-to-str converts, so the
+    # document fails while it is built, before any of it is written
+    code, out, err = run_cli(capsys, command, "--d", "900")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_table_rows(capsys):
     doc = run_json(capsys, "table1", "--d", "4", schema_name="table")
     assert [r["count"] for r in doc["rows"]] == [196, 72, 4, 32]

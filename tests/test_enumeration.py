@@ -2,10 +2,11 @@
 
 import gc
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import factorial, lgamma, log, log2, prod
+from math import comb, factorial, lgamma, log, log2, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +18,7 @@ from cyclefactor.enumeration import (
     MAX_GADGET_DEGREE,
     ArcConstraints,
     _candidate_rows,
-    _cover,
+    _cover_all,
     _cycle_sets,
     _frontier_table,
     _log2_bregman,
@@ -52,7 +53,14 @@ from cyclefactor.families import (
     looped_bidirected_cycle,
     padded_gadget,
 )
-from cyclefactor.graphs import DiGraph, UGraph, canonical_form, disjoint_union, double_cover
+from cyclefactor.graphs import (
+    DiGraph,
+    UGraph,
+    canonical_form,
+    disjoint_union,
+    double_cover,
+    u_disjoint_union,
+)
 from cyclefactor.search import random_regular_digraph
 from cyclefactor.verify import iter_two_regular_digraphs, two_regular_candidates
 
@@ -621,13 +629,14 @@ def gadget_rows_and_weights(d):
 def cover_table(rows):
     """Factors of rows by cycle count, from the undirected side's subset cover.
 
-    _cycle_sets counts the directed cycles on each vertex set and _cover
-    tiles the vertex set by them; it shares no code with the frontier
-    engine.  No coefficient exceeds the factor count, at most prod |row|.
+    _cycle_sets counts the directed cycles on each vertex set and
+    _cover_all tiles the vertex set by them; it shares no code with the
+    frontier engine.  No coefficient exceeds the factor count, at most
+    prod |row|.
     """
     n = len(rows)
     slot = prod(len(row) for row in rows).bit_length()
-    packed = _cover((1 << n) - 1, _cycle_sets(rows, slot), {0: 1})
+    packed = _cover_all(n, _cycle_sets(rows, slot))
     return [packed >> (c * slot) & ((1 << slot) - 1) for c in range(n + 1)]
 
 
@@ -674,7 +683,7 @@ def test_frontier_engine_matches_leaf_engine_on_gadget_patterns(d):
 
 def test_subset_engine_on_the_empty_graph():
     # the subset cover of the undirected side: one empty cover, no cycles
-    assert _cover(0, _cycle_sets([], 1), {0: 1}) == 1
+    assert _cover_all(0, _cycle_sets([], 1)) == 1
     assert cover_table([]) == [1]
     assert _frontier_table(DiGraph(0, []).out, {}) == [[1]]
     assert table_and_usage(DiGraph(0, []).out, {}) == ([[1]], {})
@@ -897,14 +906,83 @@ def test_three_block_splice_measured_values():
     }
 
 
-def test_partition_convolution_over_components():
-    from cyclefactor.graphs import u_disjoint_union
-
+def test_partition_stats_multiply_over_components():
     one = two_factor_stats(complete_tripartite_222())
     five = two_factor_stats(u_disjoint_union([complete_tripartite_222()] * 5))
     assert five.count == one.count**5
     assert five.mean() == 5 * one.mean()
     assert five.mean() == Fraction(6)
+
+
+@pytest.mark.parametrize("allow", (False, True), ids=["strict", "permissive"])
+def test_partition_stats_of_twenty_disjoint_five_cliques(allow):
+    # K_5 splits into one of its 12 Hamiltonian cycles or, with matched
+    # edges, into one of its 10 triangles and the edge left over
+    stats = two_factor_stats(u_disjoint_union([complete_graph(5)] * 20), allow)
+    if allow:
+        hist = {20 + j: comb(20, j) * 12 ** (20 - j) * 10**j for j in range(21)}
+    else:
+        hist = {20: 12**20}
+    assert stats.histogram == hist
+    assert stats.count == sum(hist.values())
+    assert stats.cycle_sum == sum(k * c for k, c in hist.items())
+
+
+def convolved_partition_stats(components, allow):
+    """Count, cycle sum and histogram of the union, from each component's stats."""
+    hist = {0: 1}
+    for g in components:
+        part = two_factor_stats(g, allow).histogram
+        out: dict[int, int] = {}
+        for i, a in hist.items():
+            for j, b in part.items():
+                out[i + j] = out.get(i + j, 0) + a * b
+        hist = out
+    hist = dict(sorted(hist.items()))
+    return sum(hist.values()), sum(k * c for k, c in hist.items()), hist
+
+
+MIXED_COMPONENTS = [
+    complete_graph(5),
+    complete_tripartite_222(),
+    cycle_graph(6),
+    UGraph(2, [(0, 1)]),
+]
+
+
+@pytest.mark.parametrize("shuffled", (False, True), ids=["blocks", "interleaved"])
+@pytest.mark.parametrize("allow", (False, True), ids=["strict", "permissive"])
+def test_partition_stats_of_a_mixed_disconnected_graph(allow, shuffled):
+    # with and without the isolated edge, which only matched edges cover;
+    # interleaved, the components' labels alternate instead of forming blocks
+    for components in (MIXED_COMPONENTS, MIXED_COMPONENTS[:3]):
+        g = u_disjoint_union(components)
+        if shuffled:
+            label = list(range(g.n))
+            random.Random(g.n).shuffle(label)
+            g = UGraph(g.n, [(label[u], label[v]) for u, v in g.edges()])
+        stats = two_factor_stats(g, allow)
+        got = (stats.count, stats.cycle_sum, list(stats.histogram.items()))
+        count, cycle_sum, hist = convolved_partition_stats(components, allow)
+        assert got == (count, cycle_sum, list(hist.items()))
+
+
+def test_partition_cover_takes_no_stack_frame_per_part():
+    # 300 disjoint matched edges make 300 parts; the cover takes one step
+    # per part without recursing, so a stack 50 frames deep suffices
+    g = UGraph(600, [(2 * i, 2 * i + 1) for i in range(300)])
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        stats = two_factor_stats(g, allow_edge_as_2cycle=True)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (stats.count, stats.cycle_sum, stats.histogram) == (1, 300, {300: 1})
 
 
 def test_partition_empty_cases():
