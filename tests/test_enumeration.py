@@ -954,7 +954,7 @@ MIXED_COMPONENTS = [
 @pytest.mark.parametrize("allow", (False, True), ids=["strict", "permissive"])
 def test_partition_stats_of_a_mixed_disconnected_graph(allow, shuffled):
     # with and without the isolated edge, which only matched edges cover;
-    # interleaved, the components' labels alternate instead of forming blocks
+    # interleaved, the components' labels are shuffled together, not in blocks
     for components in (MIXED_COMPONENTS, MIXED_COMPONENTS[:3]):
         g = u_disjoint_union(components)
         if shuffled:
