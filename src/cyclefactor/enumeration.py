@@ -12,18 +12,19 @@ by (key, cycle count), where a factor's key sums integer arc weights along
 it.  cycle_factor_stats weights no arc, so its table has the one key 0;
 classify_crossing_patterns weights each crossing arc by its pattern bit,
 so the key is the crossing pattern.  One exact engine, _frontier_table,
-builds that table.  It assigns successors tail by tail under a
-used-heads bitmask, forward over its frontiers (Knuth's SIMPATH): before
-tail i is assigned, the rest of the search depends only on where the
-open paths ending at tails i..n-1 start, so each level keeps one packed
-table of the partial factors per tuple of starts, and partial factors
-with equal starts merge.  Forward checking cuts dead frontiers: due[i]
-masks the heads whose last candidate tail is the i-th, so one mask test
-drops a frontier where two of them are still unused and forces the tail
-where one is.  Per-arc usage, when wanted, comes from a backward pass
-over the levels the forward pass kept: an arc's usage sums, over its
-transitions, the partial factors reaching the source times the
-completions of the target.
+builds that table.  It assigns successors tail by tail, forward over its
+frontiers (Knuth's SIMPATH): before tail i is assigned, the rest of the
+search depends only on where the open paths ending at tails i..n-1
+start, and those starts are exactly the heads still free.  So each level
+is one dict from a tuple of starts, as bytes, to the packed table of the
+partial factors reaching it, and partial factors with equal starts
+merge.  Forward checking cuts dead frontiers: due[i] lists the heads
+whose last candidate tail is the i-th, and a frontier where two of them
+are still starts is dropped, where one is the tail is forced onto it.
+Per-arc usage, when wanted, comes from a backward pass over the levels
+the forward pass kept: it regenerates each frontier's moves, and an
+arc's usage sums, over its moves, the partial factors reaching the
+frontier times the completions of the target.
 
 Its cost is set by how many frontiers a level holds, which the tail
 order of _search_space decides.  _tail_order places next the tail that
@@ -274,21 +275,21 @@ def _orient(
 
 def _search_space(
     rows: Sequence[Sequence[int]], weights: dict[Arc, int], stride: int
-) -> tuple[list[list[tuple]], list[int], dict[int, tuple], int] | None:
+) -> tuple[list[list[tuple]], list[list[tuple]], int] | None:
     """The search the frontier engine runs, or None if it is empty.
 
     The search runs in the direction and tail order of _orient, and
     vertices are relabeled by their position in that order, so it runs
-    over positions 0..n-1.  Returns cand, due, forced and slot.  cand[i]
-    lists tail i's choices as (head, head bit, weight * stride * slot,
-    original arc); in the transpose, choice v -> w is g's arc (w, v), so
-    weights and usage stay keyed by g's arcs.  due[i] masks the heads
-    whose last candidate tail is position i: at position i, a head of
-    due[i] still unused must be taken now, so two such heads prune the
-    frontier and one forces the choice forced[head bit].  slot, the bits
-    of one packed coefficient, is two more than log2 of the Bregman bound
-    of the rows run.  None means some tail or head has no candidate, so
-    no factor exists.
+    over positions 0..n-1.  Returns cand, due and slot.  cand[i] lists
+    tail i's choices as (head, shift, shift + slot, original arc): shift,
+    weight * stride * slot, moves a table along a join, and shift + slot
+    along a closing.  In the transpose, choice v -> w is g's arc (w, v),
+    so weights and usage stay keyed by g's arcs.  due[i] lists the heads
+    whose last candidate tail is position i, each with tail i's one
+    choice of it as a 1-tuple: at position i a head of due[i] still free
+    must be taken now.  slot, the bits of one packed coefficient, is two
+    more than log2 of the Bregman bound of the rows run.  None means some
+    tail or head has no candidate, so no factor exists.
     """
     n = len(rows)
     rows, order, log2_bound, transposed = _orient(rows, _log2_bregman(rows))
@@ -299,26 +300,24 @@ def _search_space(
         pos[v] = i
     cand = []
     last = [-1] * n  # position of each head's last candidate tail
-    # a head is forced only at its deadline, by its last candidate tail, so
-    # one choice per head bit covers every forced frontier
-    forced = {}
+    forced: list[tuple] = [()] * n  # that tail's choice of the head
     for i, v in enumerate(order):
         row = []
         for w in rows[v]:
             h = pos[w]
-            bit = 1 << h
             arc = (w, v) if transposed else (v, w)
-            c = (h, bit, weights.get(arc, 0) * scale, arc)
-            row.append(c)
-            forced[bit] = (c,)
+            shift = weights.get(arc, 0) * scale
+            choice = (h, shift, shift + slot, arc)
+            row.append(choice)
             last[h] = i
+            forced[h] = choice
         cand.append(row)
     if not all(cand) or -1 in last:
         return None
-    due = [0] * n
+    due: list[list[tuple]] = [[] for _ in range(n)]
     for h, i in enumerate(last):
-        due[i] |= 1 << h
-    return cand, due, forced, slot
+        due[i].append((h, (forced[h],)))
+    return cand, due, slot
 
 
 def _frontier_table(
@@ -335,13 +334,16 @@ def _frontier_table(
 
     The search of _search_space, run forward over its frontiers (Knuth's
     SIMPATH).  Before tail i is assigned, the open paths end at tails
-    i..n-1, and the unused heads are exactly their starts, so the starts
-    fix the rest of the search.  Level i maps those starts, as bytes
-    indexed by tail - i, to the used heads and the packed table of the
-    partial factors reaching them; equal starts merge by addition.
-    Closing a cycle drops the first start and joining tail i to the path
-    that starts at h replaces h by tail i's start, so level n holds one
-    entry, the empty frontier, whose table is the answer.
+    i..n-1, and the free heads are exactly their starts, so the starts
+    fix the rest of the search.  Level i is a dict from those starts, as
+    bytes indexed by tail - i, to the packed table of the partial factors
+    reaching them; equal starts merge by addition.  Tail i's path starts
+    at s, the first start: its choice of head s closes a cycle and drops
+    s, its choice of another free head h, one of the rest, joins the path
+    that starts at h and replaces h by s, and any other head is used.  A
+    head due at tail i that is still a start is pending: two prune the
+    frontier and one forces its choice.  Level n holds one entry, the
+    empty frontier, whose table is the answer.
 
     The partial factors reaching a level-i frontier are perfect matchings
     of tails 0..i-1 onto the heads it has used, so Bregman's bound on
@@ -350,19 +352,20 @@ def _frontier_table(
     log2 to absorb rounding, never overflow, even for frontiers with no
     completion.
 
-    With usage wanted, each level also keeps its transitions, as the
-    entries of their source and target frontiers and the original arc.
-    Once a frontier is expanded its entry holds F, the number of partial
-    factors reaching it, and B, its completions, 0 until the backward
-    pass.  Every shift is a multiple of slot and 2^slot = 1 modulo
-    2^slot - 1, so the packed table modulo 2^slot - 1 is its coefficient
-    sum, and the bound above keeps that sum below the modulus, so F is
-    exact.  The backward pass starts from the empty frontier with B = 1
-    and walks the levels back; each transition adds F(source) * B(target)
-    to its arc's usage and B(target) to B(source).  The kept entries hold
-    two counts each, not tables, and the transitions sit three items
-    apiece in one flat list per level: on a random 8-regular digraph with
-    n = 16 the call peaks at 226 MiB, against 111 MiB for the table alone.
+    With usage wanted, the forward pass keeps every level, and a backward
+    pass walks them back from the empty frontier, which completes once.
+    It regenerates each frontier's moves from cand[i] by the rule above,
+    without the deadlines, and looks up B, the completions of the target,
+    in the level after, which it has already turned into completions.  A
+    move the forward pass pruned or forced away leaves a due head free
+    that no later tail can take, so its target is in no level and adds 0.
+    F, the number of partial factors reaching a frontier, is its table
+    modulo 2^slot - 1: every shift is a multiple of slot and 2^slot = 1
+    modulo 2^slot - 1, so that is the coefficient sum, which the bound
+    above keeps below the modulus.  Each move adds F * B to its arc's
+    usage, and the frontier's B is the sum of its moves' B.  Each level's
+    tables turn into completions as the pass goes, and a level is dropped
+    once the one before it is done.
     """
     n = len(rows)
     stride = n + 1
@@ -370,60 +373,62 @@ def _frontier_table(
     search = _search_space(rows, weights, stride)
     if search is None:
         return [[0] * stride for _ in range(nkeys)]
-    cand, due, forced, slot = search
-    full = (1 << slot) - 1
+    cand, due, slot = search
     # every caller keeps n <= MAX_FAST_VERTICES, so positions fit in a byte
     byte = [bytes((v,)) for v in range(n)]
-    levels: list[list] = []  # each level's transitions, when usage is wanted
-    moves = None
-    level = {bytes(range(n)): [0, 1]}
-    for i in range(n):
-        nxt: dict[bytes, list[int]] = {}
+    levels: list[dict[bytes, int]] = []  # every level, when usage is wanted
+    level = {bytes(range(n)): 1}
+    for choices, pending in zip(cand, due):
         if usage is not None:
-            moves = []
-            levels.append(moves)
-        while level:
-            starts, entry = level.popitem()
-            used, table = entry
-            if moves is not None:
-                entry[0], entry[1] = table % full, 0  # F and B, as above
-            miss = due[i] & ~used
-            if miss:
-                if miss & (miss - 1):
-                    continue
-                choices = forced[miss]
+            levels.append(level)
+        nxt: dict[bytes, int] = {}
+        for starts, table in level.items():
+            moves = choices
+            for h, forced in pending:
+                if h in starts:
+                    if moves is not choices:
+                        break
+                    moves = forced
             else:
-                choices = cand[i]
-            s = starts[0]
-            rest = starts[1:]
-            for h, bit, shift, arc in choices:
-                if used & bit:
-                    continue
-                if h == s:
-                    key = rest
-                    part = table << (shift + slot)
-                else:
-                    key = rest.replace(byte[h], byte[s])
-                    part = table << shift
-                state = nxt.get(key)
-                if state is None:
-                    state = nxt[key] = [used | bit, part]
-                else:
-                    state[1] += part
-                if moves is not None:
-                    moves += entry, state, arc
+                s = starts[0]
+                rest = starts[1:]
+                for h, shift, closing, _ in moves:
+                    if h == s:
+                        key = rest
+                        part = table << closing
+                    elif h in rest:
+                        key = rest.replace(byte[h], byte[s])
+                        # most joins weigh 0, and a shift by 0 still costs a call
+                        part = table << shift if shift else table
+                    else:
+                        continue
+                    old = nxt.get(key)
+                    nxt[key] = part if old is None else old + part
         level = nxt
-    packed = level[b""][1] if level else 0
+    packed = level.get(b"", 0)
     flat = _unpack(packed, slot, nkeys * stride)
     if usage is not None and packed:
-        level[b""][1] = 1  # the empty frontier completes once
-        for moves in reversed(levels):
-            it = iter(moves)
-            for source, target, arc in zip(it, it, it):
-                completions = target[1]
-                if completions:
-                    usage[arc] = usage.get(arc, 0) + source[0] * completions
-                    source[1] += completions
+        full = (1 << slot) - 1
+        after = {b"": 1}  # the empty frontier completes once
+        for choices in reversed(cand):
+            level = levels.pop()
+            for starts, table in level.items():
+                reaching = table % full  # F, as above
+                s = starts[0]
+                rest = starts[1:]
+                total = 0
+                for h, _, _, arc in choices:
+                    if h == s:
+                        completions = after.get(rest)
+                    elif h in rest:
+                        completions = after.get(rest.replace(byte[h], byte[s]))
+                    else:
+                        continue
+                    if completions:
+                        usage[arc] = usage.get(arc, 0) + reaching * completions
+                        total += completions
+                level[starts] = total
+            after = level
     return [flat[k * stride : (k + 1) * stride] for k in range(nkeys)]
 
 
@@ -437,10 +442,14 @@ def _cycle_sets(rows: Sequence[Sequence[int]], slot: int) -> dict[int, int]:
     _cover_all joins cycles by multiplication.
     """
     n = len(rows)
+    step = [[(w, 1 << w) for w in row] for row in rows]
+    into: list[list[int]] = [[] for _ in range(n)]  # each vertex's tails
+    for v, row in enumerate(rows):
+        for w in row:
+            into[w].append(v)
     cycles: dict[int, int] = {}
     for s in range(n):
-        close = {v for v in range(s, n) if s in rows[v]}
-        step = [[(w, 1 << w) for w in row if w > s] for row in rows]
+        close = {v for v in into[s] if v >= s}
         # paths from s through larger vertices, by (vertex set, last vertex)
         paths = {(1 << s, s): 1}
         while paths:
@@ -449,7 +458,7 @@ def _cycle_sets(rows: Sequence[Sequence[int]], slot: int) -> dict[int, int]:
                 if v in close:
                     cycles[mask] = cycles.get(mask, 0) + (count << slot)
                 for w, bit in step[v]:
-                    if not mask & bit:
+                    if w > s and not mask & bit:
                         key = (mask | bit, w)
                         longer[key] = longer.get(key, 0) + count
             paths = longer

@@ -447,6 +447,54 @@ def test_frontier_engine_matches_iteration_on_reordered_regular_digraphs(monkeyp
     assert transposed  # the choice, too, runs some in the transpose
 
 
+def required_arc_counts(g, constraints):
+    """Each arc's factor count under constraints, one constrained count apiece.
+
+    An arc sharing its tail or its head with another required arc, or
+    forbidden, lies in no factor; arcs in no factor are left out.
+    """
+    required = constraints.required if constraints else frozenset()
+    forbidden = constraints.forbidden if constraints else frozenset()
+    counts = {}
+    for arc in g.arcs():
+        tail, head = arc
+        if arc in forbidden or any((t == tail) != (h == head) for t, h in required):
+            continue
+        count = cycle_factor_stats(g, ArcConstraints(required | {arc}, forbidden)).count
+        if count:
+            counts[arc] = count
+    return counts
+
+
+def test_usage_matches_required_arc_counts_beyond_the_iteration_oracle(monkeypatch):
+    # the backward pass on graphs with thousands of factors or more, where
+    # walking them is too slow: each arc's usage against the table count
+    # of the factors that require it, with the random graph run in each
+    # direction
+    def run_as(transposed):
+        def orient(rows, log2_bound):
+            if transposed:
+                rows = transpose(rows)
+            return rows, _tail_order(rows), _log2_bregman(rows), transposed
+
+        return orient
+
+    rng = random.Random("usage beyond the oracle")
+    g = seeded_regular_digraph(16, 4, rng)
+    dense = seeded_regular_digraph(12, 6, rng)
+    constraints = random_constraints(dense, rng)
+    cases = [(g, None, run_as(False)), (g, None, run_as(True))]
+    cases += [(crossing_gadget(6)[0], None, _orient), (dense, constraints, _orient)]
+    for graph, constraints, orient in cases:
+        expected = required_arc_counts(graph, constraints)
+        monkeypatch.setattr(enumeration, "_orient", orient)
+        stats = cycle_factor_stats(graph, constraints, want_edge_usage=True)
+        monkeypatch.undo()
+        assert stats.edge_usage == expected
+        assert stats.count > 1000
+    assert len(expected) < len(list(dense.arcs()))  # some arcs lie in no factor
+
+
 def test_symmetric_rows_are_never_transposed(monkeypatch):
     # nor ordered twice: a symmetric input is its own transpose
     ordered = []
@@ -478,7 +526,7 @@ def test_symmetric_rows_are_never_transposed(monkeypatch):
     assert considered > len(graphs) // 2  # above the gate of the choice
 
 
-def test_leaf_order_is_a_permutation_and_the_identity_below_the_gate():
+def test_tail_order_is_a_permutation_and_the_identity_below_the_gate():
     for n in (8, 12, 16):
         rows = random_regular_digraph(n, 4, random.Random(n)).out
         order = _tail_order(rows)
@@ -535,7 +583,7 @@ def reference_tail_order(rows):
     return order, cost
 
 
-def test_leaf_order_matches_the_reference_order():
+def test_tail_order_matches_the_reference_order():
     cases = []
     for n in range(2, 21):
         for d in range(2, min(n, 5) + 1):
@@ -642,7 +690,7 @@ def cover_table(rows):
 
 @settings(max_examples=80, deadline=None)
 @given(small_digraphs(), st.data())
-def test_frontier_engine_matches_leaf_engine(data, picks):
+def test_frontier_engine_matches_iteration_oracle(data, picks):
     # weighted tables and usage under constraints, against the iteration oracle
     n, rows = data
     g = DiGraph(n, [sorted(r) for r in rows])
@@ -662,7 +710,7 @@ REGULAR_PAIRS = [(n, d) for n in range(3, 19) for d in (3, 4) if d <= n]
 
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from(REGULAR_PAIRS), st.integers(0, 2**32 - 1))
-def test_frontier_engine_matches_leaf_engine_on_regular_digraphs(pair, seed):
+def test_frontier_engine_matches_subset_cover_on_regular_digraphs(pair, seed):
     # unweighted tables against the subset cover
     n, d = pair
     try:
@@ -673,7 +721,7 @@ def test_frontier_engine_matches_leaf_engine_on_regular_digraphs(pair, seed):
 
 
 @pytest.mark.parametrize("d", range(3, 8))
-def test_frontier_engine_matches_leaf_engine_on_gadget_patterns(d):
+def test_frontier_engine_matches_subset_cover_on_gadget_patterns(d):
     # the pattern table, summed over its keys, against the subset cover
     rows, weights = gadget_rows_and_weights(d)
     by_cycles = cover_table(rows)
@@ -965,6 +1013,28 @@ def test_partition_stats_of_a_mixed_disconnected_graph(allow, shuffled):
         got = (stats.count, stats.cycle_sum, list(stats.histogram.items()))
         count, cycle_sum, hist = convolved_partition_stats(components, allow)
         assert got == (count, cycle_sum, list(hist.items()))
+
+
+@pytest.mark.parametrize("allow", (False, True), ids=["strict", "permissive"])
+def test_partition_stats_of_a_thousand_disjoint_triangles(allow):
+    # a triangle splits only into itself, with matched edges or without;
+    # the cycle sets are found per component, not by a scan of all 3000 rows
+    # for every start
+    stats = two_factor_stats(u_disjoint_union([cycle_graph(3)] * 1000), allow)
+    assert (stats.count, stats.cycle_sum, stats.histogram) == (1, 1000, {1000: 1})
+
+
+@pytest.mark.parametrize("allow", (False, True), ids=["strict", "permissive"])
+def test_partition_stats_of_twenty_disjoint_four_cliques(allow):
+    # K_4 splits into one of its 3 Hamiltonian cycles or, with matched
+    # edges, into one of its 3 perfect matchings; the union's histogram is
+    # the 20th power of that, as a polynomial in the part count
+    one = two_factor_stats(complete_graph(4), allow).histogram
+    assert one == ({1: 3, 2: 3} if allow else {1: 3})
+    stats = two_factor_stats(u_disjoint_union([complete_graph(4)] * 20), allow)
+    got = (stats.count, stats.cycle_sum, list(stats.histogram.items()))
+    count, cycle_sum, hist = convolved_partition_stats([complete_graph(4)] * 20, allow)
+    assert got == (count, cycle_sum, list(hist.items()))
 
 
 def test_partition_cover_takes_no_stack_frame_per_part():
