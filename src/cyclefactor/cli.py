@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import families
 from .enumeration import MAX_GADGET_DEGREE, cycle_factor_stats, two_factor_stats
 from .errors import GenerationError, InternalCheckError
-from .exact import gadget_closed_form, harmonic, scaled_excess
+from .exact import excess_positive_for_every_degree, gadget_closed_form, harmonic, scaled_excess
 from .graphs import DiGraph, UGraph, from_text, to_text, ugraph_to_digraph
 from .search import DEFAULT_SEED, SearchConfig, run_search
 from .verify import (
@@ -257,6 +257,7 @@ def _report_checks(max_d: int) -> list[dict]:
     add("gadget enumeration matches closed forms", (), cross.failures)
     for d in range(3, max_d + 1):
         add(f"gadget excess positive at degree {d}", True, gadget_closed_form(d).excess > 0)
+    add("gadget excess positive for every d >= 3", True, excess_positive_for_every_degree())
 
     pad = certify(families.padded_gadget(3, 3), 3)
     add("padding keeps the degree-3 excess", Fraction(1, 3), pad.excess)

@@ -562,20 +562,6 @@ def iter_cycle_factors(g: DiGraph) -> Iterator[tuple[int, ...]]:
             stack.append(iter(g.out[v + 1]))
 
 
-def permutation_cycles(sigma: Sequence[int]) -> int:
-    """Number of cycles of a permutation given as a successor table."""
-    seen = [False] * len(sigma)
-    cycles = 0
-    for v in range(len(sigma)):
-        if not seen[v]:
-            cycles += 1
-            w = v
-            while not seen[w]:
-                seen[w] = True
-                w = sigma[w]
-    return cycles
-
-
 def expected_cycles(g: DiGraph) -> Fraction:
     """Mean cycle count over all cycle-factors, exact."""
     return cycle_factor_stats(g).mean()

@@ -1,8 +1,8 @@
 """Closed forms for cycle-factor statistics, evaluated exactly.
 
-Covers harmonic numbers, completion counts of partial permutations on
-complete looped digraphs, the per-crossing-pattern table of the six-class
-gadget, and the gadget's excess over the looped-clique benchmark 2*H_d.
+Covers harmonic numbers, the per-crossing-pattern table of the six-class
+gadget, the gadget's excess over the looped-clique benchmark 2*H_d, and a
+proof that this excess is positive for every d >= 3.
 Everything is int or Fraction; floats appear only in report rendering.
 """
 
@@ -70,33 +70,6 @@ def harmonic(m: int) -> Fraction:
     return Fraction(sum(common // j for j in range(1, m + 1)), common)
 
 
-def partial_perm_count(n: int, r: int) -> int:
-    """Permutations of n points extending a fixed partial permutation of r arcs.
-
-    On the complete looped digraph every extension is admissible, so the
-    value is (n-r)! regardless of the shape of the prescribed arcs.
-    """
-    if not 0 <= r <= n:
-        raise ValueError("need 0 <= r <= n")
-    return factorial(n - r)
-
-
-def partial_perm_cycle_sum(n: int, r: int, q: int) -> int:
-    """Total cycle count over all extensions of a partial permutation.
-
-    r is the number of prescribed arcs, q the number of cycles they already
-    close; the sum is (n-r)!*(H_{n-r} + q), always an integer.
-    """
-    if not 0 <= r <= n:
-        raise ValueError("need 0 <= r <= n")
-    if not 0 <= q <= r:
-        raise ValueError("a prescribed cycle consumes at least one arc: 0 <= q <= r")
-    total = factorial(n - r) * (harmonic(n - r) + q)
-    if total.denominator != 1:
-        raise InternalCheckError("cycle sum came out non-integral")
-    return total.numerator
-
-
 def no_crossing_block_counts(d: int) -> tuple[int, int]:
     """Count and cycle sum for one gadget half with both crossing arcs unused.
 
@@ -145,10 +118,6 @@ def _excess_cubic(d: int) -> int:
     return 3 * d**3 - 14 * d**2 + 25 * d - 10
 
 
-def _excess_cubic_derivative(d: int) -> int:
-    return 9 * d**2 - 28 * d + 25
-
-
 def _gadget_quartic(d: int) -> int:
     return d**4 - 6 * d**3 + 19 * d**2 - 30 * d + 20
 
@@ -182,17 +151,28 @@ def gadget_closed_form(d: int) -> GadgetClosedForm:
     return GadgetClosedForm(d, count, cycle_sum.numerator, expectation, excess, tuple(rows))
 
 
-def excess_numerator_positive(d_max: int) -> bool:
-    """True iff the excess cubic and its derivative are positive on 3..d_max.
+def excess_positive_for_every_degree() -> bool:
+    """Check the proof that benchmark_excess(d) > 0 for every integer d >= 3.
 
-    Positivity of the derivative makes the cubic increasing, so spot checks
-    plus this scan certify the excess sign for every listed degree.
+    The excess is 2(d-2)*cubic(d) / (d(d-1)*quartic(d)), and 2(d-2) and
+    d(d-1) are positive for d >= 3.  The quartic
+    d^4 - 6d^3 + 19d^2 - 30d + 20 is (d^2 - 3d)^2 + 10(d-1)(d-2), positive
+    for d >= 3.  The cubic 3d^3 - 14d^2 + 25d - 10 has the derivative
+    9d^2 - 28d + 25, whose discriminant 784 - 900 = -116 is negative, so
+    the cubic increases, and it is 20 at d = 3.  Polynomials of degree k
+    that agree at k + 1 points are equal, so comparing these forms with
+    _excess_cubic at 4 points and _gadget_quartic at 5 makes the proof
+    about the polynomials benchmark_excess evaluates.
     """
-    if d_max < 3:
-        raise ValueError("need d_max >= 3")
-    return all(
-        _excess_cubic(d) > 0 and _excess_cubic_derivative(d) > 0
-        for d in range(3, d_max + 1)
+    a, b, c, e = 3, -14, 25, -10  # the cubic a*d^3 + b*d^2 + c*d + e
+    return (
+        (2 * b) ** 2 - 4 * (3 * a) * c < 0 < 3 * a  # so the derivative is positive
+        and 27 * a + 9 * b + 3 * c + e > 0  # the cubic at d = 3
+        and all(_excess_cubic(d) == a * d**3 + b * d**2 + c * d + e for d in range(4))
+        and all(
+            _gadget_quartic(d) == (d * d - 3 * d) ** 2 + 10 * (d - 1) * (d - 2)
+            for d in range(5)
+        )
     )
 
 

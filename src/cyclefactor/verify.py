@@ -33,7 +33,6 @@ from .exact import gadget_closed_form, harmonic
 from .families import crossing_gadget  # noqa: F401
 from .graphs import DiGraph, canonical_form, is_d_regular, to_text
 
-VERDICTS = ("beats_benchmark", "ties", "below")
 # largest order the two-regular suite walks: n_max = 8 covers 190,711,867
 # labeled graphs through 5,936 classes in about 2.9 s, against about 0.2 s
 # at n_max = 7 (2-core Xeon, CPython 3.11.7); n = 9 would walk and hold

@@ -1,0 +1,146 @@
+"""Brute-force oracles shared by the tests, each written once.
+
+Only the standard library is imported, so no oracle shares code with the
+cyclefactor engine it checks.  A digraph is given by its successor rows
+out; a cycle-factor is a permutation p with p[v] in out[v] for every v.
+The closed forms only the tests use live here too.
+"""
+
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import factorial, prod
+
+
+def factors(out, required=(), forbidden=()):
+    """Each cycle-factor of out using every required and no forbidden arc.
+
+    Filters all n! permutations, visiting each factor the engine counts.
+    """
+    n = len(out)
+    req = dict(required)
+    bad = set(forbidden)
+    for p in permutations(range(n)):
+        if all(w in out[v] and req.get(v, w) == w and (v, w) not in bad for v, w in enumerate(p)):
+            yield p
+
+
+def relabeled(out):
+    """The rows of out relabeled by each of the n! permutations p.
+
+    Vertex v becomes p[v], so row p[v] holds the sorted p[w] for w in
+    out[v]; each result is a tuple of tuples, comparable with DiGraph.out.
+    """
+    n = len(out)
+    for p in permutations(range(n)):
+        rows = [()] * n
+        for image, row in zip(p, out):
+            rows[image] = tuple(sorted(p[w] for w in row))
+        yield tuple(rows)
+
+
+def closed_cycles_in(succ):
+    """Cycles closed inside a partial injective map.
+
+    succ is a dict {tail: head}, or a permutation given as its sequence of
+    successors, all of whose cycles are closed.
+    """
+    seen = set()
+    cycles = 0
+    # a dict yields its tails; a permutation's values are all its points
+    for start in succ:
+        if start in seen:
+            continue
+        v = start
+        try:
+            while v not in seen:
+                seen.add(v)
+                v = succ[v]
+        except KeyError:  # an open path, ending at a head that is no tail
+            continue
+        cycles += v == start
+    return cycles
+
+
+def brute_permanent(rows):
+    n = len(rows)
+    return sum(prod(rows[i][p[i]] for i in range(n)) for p in permutations(range(n)))
+
+
+def brute_partition_stats(g, allow_edges):
+    """Vertex partitions into cycles (>=3) and, optionally, matched edges.
+
+    Every component contributes one unit to the cycle count, a matched
+    edge included.  Enumerates edge subsets with all degrees in {1, 2};
+    such a subset has between n/2 and n edges, so no other size is tried.
+    Its components are cycles and paths, and a path longer than one edge
+    has an edge from an end (degree 1) to a vertex of degree 2.
+    """
+    hist = Counter()
+    for k in range((g.n + 1) // 2, g.n + 1):
+        for sub in combinations(g.edges(), k):
+            deg = [0] * g.n
+            for u, v in sub:
+                deg[u] += 1
+                deg[v] += 1
+            if any(x == 0 or x > 2 for x in deg):
+                continue
+            if any(deg[u] + deg[v] == 3 for u, v in sub) or (1 in deg and not allow_edges):
+                continue
+            # n rounds label every vertex by the least vertex of its component
+            comp = list(range(g.n))
+            for _ in range(g.n):
+                for u, v in sub:
+                    comp[u] = comp[v] = min(comp[u], comp[v])
+            hist[len(set(comp))] += 1
+    return sum(hist.values()), sum(k * c for k, c in hist.items()), dict(hist)
+
+
+def brute_cycle_matchings(n):
+    """Matchings of the plain n-cycle graph, bucketed by size."""
+    edges = [(v, (v + 1) % n) for v in range(n)]
+    sizes = Counter(
+        k for k in range(n + 1) for sub in combinations(edges, k)
+        if len({v for e in sub for v in e}) == 2 * k
+    )
+    return [sizes[k] for k in range(max(sizes) + 1)]
+
+
+def partial_perm_count(n, r):
+    """Permutations of n points extending a fixed partial permutation of r arcs.
+
+    On the complete looped digraph every extension is admissible, so the
+    value is (n-r)! regardless of the shape of the prescribed arcs.
+    """
+    if not 0 <= r <= n:
+        raise ValueError("need 0 <= r <= n")
+    return factorial(n - r)
+
+
+def partial_perm_cycle_sum(n, r, q):
+    """Total cycle count over all extensions of a partial permutation.
+
+    r is the number of prescribed arcs, q the number of cycles they already
+    close; the sum is (n-r)!*(H_{n-r} + q), always an integer.
+    """
+    if not 0 <= r <= n:
+        raise ValueError("need 0 <= r <= n")
+    if not 0 <= q <= r:
+        raise ValueError("a prescribed cycle consumes at least one arc: 0 <= q <= r")
+    total = factorial(n - r) * (sum(Fraction(1, j) for j in range(1, n - r + 1)) + q)
+    assert total.denominator == 1, "cycle sum came out non-integral"
+    return total.numerator
+
+
+def excess_numerator_positive(d_max):
+    """True iff the gadget's excess cubic and its derivative are positive on 3..d_max.
+
+    The cubic 3d^3 - 14d^2 + 25d - 10 is the excess numerator's one factor
+    that is not plainly positive; its derivative is 9d^2 - 28d + 25.
+    """
+    if d_max < 3:
+        raise ValueError("need d_max >= 3")
+    return all(
+        3 * d**3 - 14 * d**2 + 25 * d - 10 > 0 and 9 * d**2 - 28 * d + 25 > 0
+        for d in range(3, d_max + 1)
+    )

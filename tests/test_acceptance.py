@@ -23,7 +23,12 @@ from itertools import combinations, permutations
 
 import pytest
 
-from closed_cycles import closed_cycles_in
+from brute_force import (
+    closed_cycles_in,
+    excess_numerator_positive,
+    partial_perm_count,
+    partial_perm_cycle_sum,
+)
 from cyclefactor.cli import main
 from cyclefactor.enumeration import (
     ArcConstraints,
@@ -31,14 +36,7 @@ from cyclefactor.enumeration import (
     ryser_permanent,
     two_factor_stats,
 )
-from cyclefactor.exact import (
-    benchmark_excess,
-    excess_numerator_positive,
-    harmonic,
-    partial_perm_count,
-    partial_perm_cycle_sum,
-    scaled_excess,
-)
+from cyclefactor.exact import benchmark_excess, harmonic, scaled_excess
 from cyclefactor.families import (
     complete_graph,
     complete_looped,

@@ -249,7 +249,7 @@ def test_report_small(capsys):
     assert doc["ok"] is True
     assert all(c["pass"] for c in doc["checks"])
     names = [c["name"] for c in doc["checks"]]
-    assert "looped 6-cycle mean cycles" in names
+    assert {"looped 6-cycle mean cycles", "gadget excess positive for every d >= 3"} <= set(names)
 
 
 def test_missing_file_is_exit_two(capsys, tmp_path):

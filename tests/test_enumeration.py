@@ -4,14 +4,22 @@ import gc
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import comb, factorial, lgamma, log, log2, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from brute_force import (
+    brute_cycle_matchings,
+    brute_partition_stats,
+    brute_permanent,
+    closed_cycles_in,
+    factors,
+)
 from cyclefactor import enumeration
 from cyclefactor.enumeration import (
     MAX_FAST_VERTICES,
@@ -31,7 +39,6 @@ from cyclefactor.enumeration import (
     expected_cycles,
     gn_classification_check,
     iter_cycle_factors,
-    permutation_cycles,
     ryser_permanent,
     two_factor_stats,
 )
@@ -65,103 +72,6 @@ from cyclefactor.search import random_regular_digraph
 from cyclefactor.verify import iter_two_regular_digraphs, two_regular_candidates
 
 
-# ---------------------------------------------------------------------------
-# brute-force oracles
-# ---------------------------------------------------------------------------
-
-
-def brute_stats(g, required=(), forbidden=()):
-    """Filtered itertools.permutations oracle for every FactorStats field."""
-    req = dict(required)
-    bad = set(forbidden)
-    count = 0
-    cycle_sum = 0
-    fix_sum = 0
-    hist = {}
-    usage = {}
-    for p in permutations(range(g.n)):
-        if not all(g.has_arc(v, p[v]) for v in range(g.n)):
-            continue
-        if any(p[t] != h for t, h in req.items()):
-            continue
-        if any((v, p[v]) in bad for v in range(g.n)):
-            continue
-        c = permutation_cycles(p)
-        count += 1
-        cycle_sum += c
-        fix_sum += sum(p[v] == v for v in range(g.n))
-        hist[c] = hist.get(c, 0) + 1
-        for v in range(g.n):
-            usage[v, p[v]] = usage.get((v, p[v]), 0) + 1
-    return count, cycle_sum, fix_sum, hist, usage
-
-
-def brute_permanent(rows):
-    n = len(rows)
-    total = 0
-    for p in permutations(range(n)):
-        prod = 1
-        for i in range(n):
-            prod *= rows[i][p[i]]
-        total += prod
-    return total
-
-
-def brute_partition_stats(g, allow_edges):
-    """Vertex partitions into cycles (>=3) and, optionally, matched edges.
-
-    Every component contributes one unit to the cycle count, a matched
-    edge included.  Enumerates edge subsets with all degrees in {1, 2};
-    such a subset has between n/2 and n edges, so no other size is tried.
-    """
-    edges = g.edges()
-    count = 0
-    cycle_sum = 0
-    hist = {}
-    for k in range((g.n + 1) // 2, g.n + 1):
-        for sub in combinations(edges, k):
-            deg = [0] * g.n
-            for u, v in sub:
-                deg[u] += 1
-                deg[v] += 1
-            if any(x == 0 or x > 2 for x in deg):
-                continue
-            # components of the chosen subgraph
-            adj = [[] for _ in range(g.n)]
-            for u, v in sub:
-                adj[u].append(v)
-                adj[v].append(u)
-            seen = [False] * g.n
-            units = 0
-            ok = True
-            for v0 in range(g.n):
-                if seen[v0]:
-                    continue
-                stack = [v0]
-                seen[v0] = True
-                verts = []
-                while stack:
-                    x = stack.pop()
-                    verts.append(x)
-                    for y in adj[x]:
-                        if not seen[y]:
-                            seen[y] = True
-                            stack.append(y)
-                nedges = sum(deg[x] for x in verts) // 2
-                if nedges == len(verts) and len(verts) >= 3:
-                    units += 1  # a cycle
-                elif allow_edges and len(verts) == 2 and nedges == 1:
-                    units += 1  # a matched edge
-                else:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-                cycle_sum += units
-                hist[units] = hist.get(units, 0) + 1
-    return count, cycle_sum, hist
-
-
 @st.composite
 def drawn_ugraphs(draw):
     """Undirected graphs on at most 7 vertices, in two blocks with no edge
@@ -187,16 +97,20 @@ def small_digraphs():
 
 
 def check_against_brute(g, constraints=None):
+    """Every FactorStats field against the filtered-permutation oracle."""
     req = constraints.required if constraints else ()
     bad = constraints.forbidden if constraints else ()
-    count, cycle_sum, fix_sum, hist, usage = brute_stats(g, req, bad)
+    found = list(factors(g.out, req, bad))
+    hist = Counter(map(closed_cycles_in, found))
     stats = cycle_factor_stats(g, constraints, want_edge_usage=True)
-    assert stats.count == count
-    assert stats.cycle_sum == cycle_sum
+    usage = stats.edge_usage or {}
+    assert stats.count == len(found)
+    assert stats.cycle_sum == sum(c * h for c, h in hist.items())
     # a factor's fixed points are the loops it uses
-    assert sum((stats.edge_usage or {}).get((v, v), 0) for v in range(g.n)) == fix_sum
+    fix_sum = sum(p[v] == v for p in found for v in range(g.n))
+    assert sum(usage.get((v, v), 0) for v in range(g.n)) == fix_sum
     assert stats.histogram == hist
-    assert (stats.edge_usage or {}) == usage
+    assert usage == Counter(arc for p in found for arc in enumerate(p))
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +249,7 @@ def test_iterate_agrees_with_stats(data):
     assert len(set(sigmas)) == len(sigmas)
     stats = cycle_factor_stats(g)
     assert len(sigmas) == stats.count
-    assert sum(permutation_cycles(s) for s in sigmas) == stats.cycle_sum
+    assert sum(closed_cycles_in(s) for s in sigmas) == stats.cycle_sum
     for s in sigmas:
         assert sorted(s) == list(range(n))
         assert all(g.has_arc(v, s[v]) for v in range(n))
@@ -373,14 +287,12 @@ def factor_table_by_iteration(g, constraints, weights):
         [w for w in g.out[v] if (v, w) not in forbidden and required.get(v, w) == w]
         for v in range(g.n)
     ]
-    table = {}
-    usage = {}
+    table = Counter()
+    usage = Counter()
     for sigma in iter_cycle_factors(DiGraph(g.n, rows)):
-        key = sum(weights.get(arc, 0) for arc in enumerate(sigma))
-        cell = (key, permutation_cycles(sigma))
-        table[cell] = table.get(cell, 0) + 1
-        for arc in enumerate(sigma):
-            usage[arc] = usage.get(arc, 0) + 1
+        arcs = list(enumerate(sigma))
+        table[sum(weights.get(arc, 0) for arc in arcs), closed_cycles_in(sigma)] += 1
+        usage.update(arcs)
     return table, usage
 
 
@@ -816,12 +728,10 @@ def test_classifier_matches_permutation_oracle(d):
     # bucket every permutation factor by the crossing arcs it uses
     g, labeling = crossing_gadget(d)
     buckets = {}
-    for p in permutations(range(g.n)):
-        if not all(g.has_arc(v, p[v]) for v in range(g.n)):
-            continue
+    for p in factors(g.out):
         used = {name for name, (t, h) in labeling.crossing_arcs.items() if p[t] == h}
         count, total = buckets.get(pattern_name(used), (0, 0))
-        buckets[pattern_name(used)] = (count + 1, total + permutation_cycles(p))
+        buckets[pattern_name(used)] = (count + 1, total + closed_cycles_in(p))
     assert set(buckets) <= ALLOWED_PATTERNS
     want = []
     for group in ROW_GROUPS:
@@ -855,18 +765,6 @@ def test_inventory_guard():
         gn_classification_check(3)
     with pytest.raises(ValueError):
         gn_classification_check(17)
-
-
-def brute_cycle_matchings(n):
-    """Matchings of the plain n-cycle graph, bucketed by size."""
-    edges = [(v, (v + 1) % n) for v in range(n)]
-    out = {}
-    for k in range(n + 1):
-        for sub in combinations(edges, k):
-            used = [v for e in sub for v in e]
-            if len(set(used)) == len(used):
-                out[k] = out.get(k, 0) + 1
-    return [out.get(k, 0) for k in range(max(out) + 1)]
 
 
 @pytest.mark.parametrize("n", range(3, 11))

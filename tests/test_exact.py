@@ -1,26 +1,31 @@
 """Closed-form arithmetic against brute-force itertools oracles."""
 
+import ast
+import sys
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from closed_cycles import closed_cycles_in
-from cyclefactor.enumeration import permutation_cycles
+from brute_force import (
+    closed_cycles_in,
+    excess_numerator_positive,
+    factors,
+    partial_perm_count,
+    partial_perm_cycle_sum,
+)
+from cyclefactor import exact
 from cyclefactor.exact import (
     ALLOWED_PATTERNS,
     CROSSING_ARC_ORDER,
     benchmark_excess,
     crossing_pattern_table,
-    excess_numerator_positive,
     gadget_closed_form,
     harmonic,
     no_crossing_block_counts,
-    partial_perm_count,
-    partial_perm_cycle_sum,
     pattern_name,
     scaled_excess,
 )
@@ -50,15 +55,7 @@ def partial_injections(draw):
     n = draw(st.integers(1, 6))
     tails = draw(st.sets(st.integers(0, n - 1), max_size=n))
     heads = draw(st.permutations(list(range(n))))
-    pick = {}
-    used = set()
-    for t in sorted(tails):
-        for h in heads:
-            if h not in used:
-                pick[t] = h
-                used.add(h)
-                break
-    return n, pick
+    return n, dict(zip(sorted(tails), heads))
 
 
 @settings(max_examples=120)
@@ -66,12 +63,10 @@ def partial_injections(draw):
 def test_partial_perm_formulas_match_exhaustion(case):
     n, pinned = case
     r = len(pinned)
-    hits = [
-        p for p in permutations(range(n)) if all(p[t] == h for t, h in pinned.items())
-    ]
+    hits = list(factors([range(n)] * n, pinned.items()))
     assert len(hits) == partial_perm_count(n, r)
     q = closed_cycles_in(pinned)
-    assert sum(permutation_cycles(p) for p in hits) == partial_perm_cycle_sum(n, r, q)
+    assert sum(closed_cycles_in(p) for p in hits) == partial_perm_cycle_sum(n, r, q)
 
 
 def test_partial_perm_validation():
@@ -92,9 +87,9 @@ def test_block_counts_match_filtered_permutations(d):
     # the block is the looped d-clique minus both arcs between two vertices;
     # vertices 0,1 stand in for the missing pair by symmetry
     n0, s0 = no_crossing_block_counts(d)
-    kept = [p for p in permutations(range(d)) if p[0] != 1 and p[1] != 0]
+    kept = list(factors([range(d)] * d, forbidden={(0, 1), (1, 0)}))
     assert len(kept) == n0
-    assert sum(permutation_cycles(p) for p in kept) == s0
+    assert sum(closed_cycles_in(p) for p in kept) == s0
 
 
 def test_block_count_identity():
@@ -166,6 +161,26 @@ def test_excess_sign_certificate():
     assert excess_numerator_positive(3)
     with pytest.raises(ValueError):
         excess_numerator_positive(2)
+
+
+def test_excess_positivity_proof_checks_the_evaluated_cubic(monkeypatch):
+    assert exact.excess_positive_for_every_degree()
+    # 20 at d = 3 like the true cubic, but with a root near d = 4.26
+    monkeypatch.setattr(exact, "_excess_cubic", lambda d: 20 - 10 * (d - 3) ** 3)
+    assert not exact.excess_positive_for_every_degree()
+
+
+def test_brute_force_oracles_import_only_the_standard_library():
+    # the oracles must share no code with the engine they check
+    tree = ast.parse(Path(__file__).with_name("brute_force.py").read_text(encoding="utf-8"))
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):  # "" stands for a relative import
+            roots.add("" if node.level else node.module.partition(".")[0])
+    assert roots and "cyclefactor" not in roots
+    assert roots <= sys.stdlib_module_names
 
 
 def test_scaled_excess_brackets():

@@ -2,7 +2,9 @@
 
 perfbench/workloads.py wraps functions at the binding each caller uses
 (install_trace_points) and hooks a speed sampler into long workloads
-(speed_hooks).  A refactor that drops or renames one of those bindings
+(speed_hooks).  perfbench/oracles.py checks each workload's output with
+package functions such as ryser_permanent, double_cover and
+DiGraph.relabel.  A refactor that drops or renames one of those names
 would break the benchmark without failing any other test.
 """
 
@@ -16,10 +18,14 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture
-def workloads(monkeypatch):
+def perfbench_path(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    for name in ("workloads", "oracles", "speed", "tracer"):
+    for name in ("workloads", "oracles", "speed", "tracer", "check_oracles"):
         monkeypatch.delitem(sys.modules, name, raising=False)
+
+
+@pytest.fixture
+def workloads(perfbench_path):
     import workloads
 
     return workloads
@@ -70,3 +76,13 @@ def test_speed_hooks_resolve_and_are_restored(workloads):
             stack.enter_context(workloads.patched(module, attr, sampler.hooked(original)))
             assert getattr(module, attr) is not original
     _assert_restored(originals)
+
+
+def test_every_workload_oracle_fires_exactly_on_tampered_output(perfbench_path):
+    import check_oracles
+
+    outcomes = list(check_oracles.cases())
+    # untouched outputs that must pass and tampered ones that must fire
+    assert {should_fire for _, _, should_fire in outcomes} == {False, True}
+    assert [label for label, problems, should_fire in outcomes
+            if bool(problems) != should_fire] == []
