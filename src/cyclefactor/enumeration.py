@@ -41,8 +41,9 @@ summed width (_orient).
 The tables are polynomials in the flat index key * (n + 1) + cycles,
 packed into one int (Kronecker substitution), so adding an arc weight or
 closing a cycle is a shift and merging two frontiers an addition.
-iter_cycle_factors stays a separate plain walk over every factor, as an
-oracle.
+gn_classification_check reads the looped bidirected cycles' factor set
+off this table too: their histogram against a count of the factors they
+are known to contain.
 
 The undirected side covers vertex sets by cycles instead.  _cycle_sets
 counts the directed cycles on each vertex set, packed by cycle count,
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lgamma, log, log2, prod
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InternalCheckError, NoCycleFactorError
 from .exact import (
@@ -75,8 +76,6 @@ from .graphs import Arc, DiGraph, UGraph
 MAX_FAST_VERTICES = 64
 # largest crossing-gadget degree the pattern classifier enumerates
 MAX_GADGET_DEGREE = 12
-# largest looped bidirected cycle whose factor set is classified
-MAX_LOOPED_CYCLE = 16
 
 
 @dataclass(frozen=True)
@@ -532,36 +531,6 @@ def cycle_factor_stats(
     return FactorStats(sum(by_cycles), cycle_sum, hist, usage)
 
 
-def iter_cycle_factors(g: DiGraph) -> Iterator[tuple[int, ...]]:
-    """Yield each cycle-factor as a successor tuple sigma."""
-    n = g.n
-    if n == 0:
-        yield ()
-        return
-    sigma = [-1] * n
-    used = 0
-    # depth-first on an explicit stack: one iterator over out[v] per level,
-    # each level undoing its previous choice before taking the next
-    stack = [iter(g.out[0])]
-    while stack:
-        v = len(stack) - 1
-        if sigma[v] >= 0:
-            used ^= 1 << sigma[v]
-            sigma[v] = -1
-        for w in stack[v]:
-            if not used >> w & 1:
-                break
-        else:
-            stack.pop()
-            continue
-        sigma[v] = w
-        used |= 1 << w
-        if v + 1 == n:
-            yield tuple(sigma)
-        else:
-            stack.append(iter(g.out[v + 1]))
-
-
 def expected_cycles(g: DiGraph) -> Fraction:
     """Mean cycle count over all cycle-factors, exact."""
     return cycle_factor_stats(g).mean()
@@ -614,43 +583,25 @@ def classify_crossing_patterns(d: int) -> list[TableRow]:
 # ---------------------------------------------------------------------------
 
 
-def _cycle_matchings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    # matchings of the undirected n-cycle with edges (i, i+1 mod n), depth
-    # first on an explicit stack, each edge first left out, then taken
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    stack = [(0, 0, ())]
-    while stack:
-        i, used, cur = stack.pop()
-        if i == len(edges):
-            yield cur
-            continue
-        u, v = edges[i]
-        if not used >> u & 1 and not used >> v & 1:
-            stack.append((i + 1, used | 1 << u | 1 << v, cur + ((u, v),)))
-        stack.append((i + 1, used, cur))
-
-
 def gn_classification_check(n: int) -> bool:
     """Factors of the looped bidirected n-cycle = 2 rotations + matchings.
 
-    Compares the enumerated factor set against the set built from the two
-    full rotations plus one swap-factor per matching of the n-cycle (matched
-    pairs transposed, everything else fixed by its loop).
+    Every vertex has its loop and both arcs to v +- 1, so the two full
+    rotations (one cycle each) and one swap-factor per matching of the
+    n-cycle (matched pairs transposed, everything else fixed by its loop;
+    k pairs leave n - k cycles) are 2 + sum_k m_k distinct cycle-factors.
+    If the factor histogram equals {1: 2} plus {n - k: m_k}, the factor
+    count is that sum, so the factor set is exactly that set; no factor
+    is visited.
     """
-    if not 4 <= n <= MAX_LOOPED_CYCLE:
-        raise ValueError(f"need 4 <= n <= {MAX_LOOPED_CYCLE}")
+    if not 4 <= n <= MAX_FAST_VERTICES:
+        raise ValueError(f"need 4 <= n <= {MAX_FAST_VERTICES}")
     g = looped_bidirected_cycle(n)
-    found = set(iter_cycle_factors(g))
-    expected = {
-        tuple((v + 1) % n for v in range(n)),
-        tuple((v - 1) % n for v in range(n)),
-    }
-    for matching in _cycle_matchings(n):
-        sigma = list(range(n))
-        for u, v in matching:
-            sigma[u], sigma[v] = v, u
-        expected.add(tuple(sigma))
-    return found == expected
+    if not all(g.has_arc(v, (v + s) % n) for v in range(n) for s in (0, 1, -1)):
+        return False
+    # n - k >= n/2 >= 2, so no swap-factor shares a cycle count with a rotation
+    expected = {1: 2} | {n - k: m for k, m in enumerate(cycle_matching_counts(n))}
+    return cycle_factor_stats(g).histogram == expected
 
 
 def cycle_matching_counts(n: int) -> list[int]:

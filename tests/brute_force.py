@@ -25,6 +25,41 @@ def factors(out, required=(), forbidden=()):
             yield p
 
 
+def walk_factors(out):
+    """Each cycle-factor of out, by a depth-first walk over its rows.
+
+    Assigns heads tail by tail, each head at most once, so it visits only
+    partial maps that extend and reaches orders where filtering the n!
+    permutations, as factors does, would not finish.
+    """
+    n = len(out)
+    if n == 0:
+        yield ()
+        return
+    succ = [-1] * n
+    used = 0
+    # an explicit stack: one iterator over out[v] per level, each level
+    # undoing its previous choice before taking the next
+    stack = [iter(out[0])]
+    while stack:
+        v = len(stack) - 1
+        if succ[v] >= 0:
+            used ^= 1 << succ[v]
+            succ[v] = -1
+        for w in stack[v]:
+            if not used >> w & 1:
+                break
+        else:
+            stack.pop()
+            continue
+        succ[v] = w
+        used |= 1 << w
+        if v + 1 == n:
+            yield tuple(succ)
+        else:
+            stack.append(iter(out[v + 1]))
+
+
 def relabeled(out):
     """The rows of out relabeled by each of the n! permutations p.
 
@@ -96,13 +131,18 @@ def brute_partition_stats(g, allow_edges):
     return sum(hist.values()), sum(k * c for k, c in hist.items()), dict(hist)
 
 
+def cycle_matchings(n):
+    """Each matching of the plain n-cycle graph, as a tuple of edges (v, v+1 mod n)."""
+    edges = [(v, (v + 1) % n) for v in range(n)]
+    for k in range(n + 1):
+        for sub in combinations(edges, k):
+            if len({v for e in sub for v in e}) == 2 * k:
+                yield sub
+
+
 def brute_cycle_matchings(n):
     """Matchings of the plain n-cycle graph, bucketed by size."""
-    edges = [(v, (v + 1) % n) for v in range(n)]
-    sizes = Counter(
-        k for k in range(n + 1) for sub in combinations(edges, k)
-        if len({v for e in sub for v in e}) == 2 * k
-    )
+    sizes = Counter(map(len, cycle_matchings(n)))
     return [sizes[k] for k in range(max(sizes) + 1)]
 
 

@@ -173,6 +173,10 @@ def test_suite_command(capsys):
     )
     assert doc["ok"] is True and doc["checked"] == 5 and doc["failures"] == []
     doc = run_json(
+        capsys, "suite", "--name", "looped-cycle", "--n-max", "64", schema_name="suite"
+    )
+    assert doc["ok"] is True and doc["checked"] == 61
+    doc = run_json(
         capsys, "suite", "--name", "two-regular", "--n-max", "4", schema_name="suite"
     )
     assert doc["ok"] is True and doc["checked"] == 97
@@ -195,6 +199,7 @@ def test_suite_failure_exits_three(capsys, monkeypatch):
         ("two-regular", "--n-max", "9"),  # above MAX_TWO_REGULAR_N
         ("gadget-cross", "--d-max", "0"),  # below the library's d_max >= 3
         ("looped-cycle", "--d-max", "9"),  # looped-cycle takes no degree bound
+        ("looped-cycle", "--n-max", "65"),  # above MAX_FAST_VERTICES
         ("gadget-cross", "--n-max", "5"),  # gadget-cross takes no order bound
     ],
 )

@@ -18,7 +18,9 @@ from brute_force import (
     brute_partition_stats,
     brute_permanent,
     closed_cycles_in,
+    cycle_matchings,
     factors,
+    walk_factors,
 )
 from cyclefactor import enumeration
 from cyclefactor.enumeration import (
@@ -38,7 +40,6 @@ from cyclefactor.enumeration import (
     cycle_matching_counts,
     expected_cycles,
     gn_classification_check,
-    iter_cycle_factors,
     ryser_permanent,
     two_factor_stats,
 )
@@ -160,8 +161,8 @@ def test_empty_and_tiny_graphs():
         bare.mean()
     with pytest.raises(NoCycleFactorError):
         expected_cycles(DiGraph(2, [[0], [0]]))
-    assert list(iter_cycle_factors(DiGraph(0, []))) == [()]
-    assert list(iter_cycle_factors(DiGraph(1, [[]]))) == []
+    assert list(walk_factors([])) == [()]
+    assert list(walk_factors([[]])) == []
 
 
 def test_looped_cycle_at_the_order_cap_matches_its_matchings():
@@ -245,7 +246,7 @@ def test_count_equals_permanent_of_double_cover(data):
 def test_iterate_agrees_with_stats(data):
     n, rows = data
     g = DiGraph(n, [sorted(r) for r in rows])
-    sigmas = list(iter_cycle_factors(g))
+    sigmas = list(walk_factors(g.out))
     assert len(set(sigmas)) == len(sigmas)
     stats = cycle_factor_stats(g)
     assert len(sigmas) == stats.count
@@ -275,7 +276,7 @@ def test_constraint_validation():
 
 
 def factor_table_by_iteration(g, constraints, weights):
-    """Nonzero (key, cycles) counts and arc usage from iter_cycle_factors.
+    """Nonzero (key, cycles) counts and arc usage from walk_factors.
 
     The walk runs on g's arcs less the forbidden ones, and at a tail with
     a required arc on that arc alone, so it visits only the factors that
@@ -289,7 +290,7 @@ def factor_table_by_iteration(g, constraints, weights):
     ]
     table = Counter()
     usage = Counter()
-    for sigma in iter_cycle_factors(DiGraph(g.n, rows)):
+    for sigma in walk_factors(rows):
         arcs = list(enumerate(sigma))
         table[sum(weights.get(arc, 0) for arc in arcs), closed_cycles_in(sigma)] += 1
         usage.update(arcs)
@@ -686,7 +687,6 @@ def test_engines_and_canonical_form_leave_no_reference_cycles():
             cycle_factor_stats(g, want_edge_usage=True)
             cycle_factor_stats(g)
             canonical_form(g)
-            list(iter_cycle_factors(g))
         for g in wide:
             cycle_factor_stats(g, want_edge_usage=True)
         canonical_form(gadget)
@@ -760,11 +760,28 @@ def test_cycle_factor_inventory_of_looped_cycles(n):
     assert gn_classification_check(n)
 
 
+@pytest.mark.parametrize("n", range(4, 17))
+def test_looped_cycle_factor_set_is_rotations_plus_swaps(n):
+    # the set equality the histogram check proves by a count, walked out:
+    # the two rotations, and per matching its pairs transposed and every
+    # other vertex on its loop
+    expected = {
+        tuple((v + 1) % n for v in range(n)),
+        tuple((v - 1) % n for v in range(n)),
+    }
+    for matching in cycle_matchings(n):
+        sigma = list(range(n))
+        for u, v in matching:
+            sigma[u], sigma[v] = v, u
+        expected.add(tuple(sigma))
+    assert set(walk_factors(looped_bidirected_cycle(n).out)) == expected
+
+
 def test_inventory_guard():
     with pytest.raises(ValueError):
         gn_classification_check(3)
     with pytest.raises(ValueError):
-        gn_classification_check(17)
+        gn_classification_check(MAX_FAST_VERTICES + 1)
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -803,7 +820,9 @@ def test_partition_stats_match_brute(g, allow):
     assert (stats.count, stats.cycle_sum, stats.histogram) == (count, cycle_sum, hist)
 
 
-@settings(max_examples=80, deadline=None)
+# derandomized: a dense 7-vertex draw costs the edge-subset oracle about
+# 0.3 s per convention, so a fixed draw keeps the test's cost fixed
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(drawn_ugraphs(), st.booleans())
 def test_partition_stats_match_brute_on_drawn_graphs(g, allow):
     count, cycle_sum, hist = brute_partition_stats(g, allow)

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclefactor import verify
-from cyclefactor.enumeration import MAX_GADGET_DEGREE
+from cyclefactor import enumeration, verify
+from cyclefactor.enumeration import MAX_FAST_VERTICES, MAX_GADGET_DEGREE
 from cyclefactor.errors import IndivisibleOrderError, NotRegularError
 from cyclefactor.exact import benchmark_excess, gadget_closed_form, harmonic
 from cyclefactor.families import (
@@ -226,8 +226,41 @@ def test_looped_cycle_suite_small():
     with pytest.raises(ValueError):
         looped_cycle_suite(3)
     with pytest.raises(ValueError):
-        looped_cycle_suite(17)
+        looped_cycle_suite(MAX_FAST_VERTICES + 1)
 
+
+def one_more_matching(real):
+    # a matching of size 1 too many is one factor with n - 1 cycles that
+    # the graph does not have
+    def counts(n):
+        m = real(n)
+        m[1] += 1
+        return m
+
+    return counts
+
+
+def one_factor_short(real):
+    def stats(g):
+        s = real(g)
+        hist = dict(s.histogram)
+        hist[g.n] -= 1  # drop the identity, every vertex on its loop
+        return replace(s, count=s.count - 1, histogram=hist)
+
+    return stats
+
+
+@pytest.mark.parametrize(
+    "name,defect",
+    [("cycle_matching_counts", one_more_matching), ("cycle_factor_stats", one_factor_short)],
+)
+def test_looped_cycle_suite_fails_on_a_miscount(monkeypatch, name, defect):
+    monkeypatch.setattr(enumeration, name, defect(getattr(enumeration, name)))
+    report = looped_cycle_suite(8)
+    assert report.checked == 5
+    assert report.failures == tuple(
+        f"n={n}: factors are not two rotations plus matchings" for n in range(4, 9)
+    )
 
 def test_suite_report_flag():
     assert SuiteReport("x", 1, ()).ok
