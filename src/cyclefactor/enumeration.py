@@ -64,9 +64,9 @@ from typing import Sequence
 
 from .errors import InternalCheckError, NoCycleFactorError
 from .exact import (
-    ALLOWED_PATTERNS,
     CROSSING_ARC_ORDER,
     ROW_GROUPS,
+    ROW_OF_MASK,
     TableRow,
     pattern_name,
 )
@@ -545,33 +545,29 @@ def classify_crossing_patterns(d: int) -> list[TableRow]:
     merges the partial factors whose open paths start alike, so it never
     visits each factor, which is what makes d = 8 (about 10^9 factors)
     reachable.  Degree balance between the two gadget halves permits only
-    six patterns; observing any other raises InternalCheckError.  Buckets
-    are aggregated into the four fixed row groups so the result is
-    comparable to crossing_pattern_table.
+    six patterns.  One pass adds each nonzero bucket to the row that
+    ROW_OF_MASK gives its pattern, so the result is comparable to
+    crossing_pattern_table; a pattern with no row raises InternalCheckError.
     """
     if d < 3:
         raise ValueError("need d >= 3")
     if d > MAX_GADGET_DEGREE:
         raise ValueError(f"degree {d} above the enumeration limit {MAX_GADGET_DEGREE}")
     g, labeling = crossing_gadget(d)
-    bit_of = {name: 1 << i for i, name in enumerate(CROSSING_ARC_ORDER)}
-    weights = {arc: bit_of[name] for name, arc in labeling.crossing_arcs.items()}
-    table = _frontier_table(g.out, weights)
-    bucket_count = [sum(by_cycles) for by_cycles in table]
-    bucket_sum = [sum(c * h for c, h in enumerate(by_cycles)) for by_cycles in table]
-    name_of = [
-        pattern_name({nm for nm in CROSSING_ARC_ORDER if bit_of[nm] & mask})
-        for mask in range(16)
-    ]
-    for mask in range(16):
-        if bucket_count[mask] and name_of[mask] not in ALLOWED_PATTERNS:
-            raise InternalCheckError(
-                f"impossible crossing pattern {name_of[mask]} observed"
-            )
+    weights = {labeling.crossing_arcs[nm]: 1 << i for i, nm in enumerate(CROSSING_ARC_ORDER)}
+    counts, sums = [0] * len(ROW_GROUPS), [0] * len(ROW_GROUPS)
+    for mask, by_cycles in enumerate(_frontier_table(g.out, weights)):
+        count = sum(by_cycles)
+        if not count:
+            continue
+        if mask not in ROW_OF_MASK:
+            used = {arc for i, arc in enumerate(CROSSING_ARC_ORDER) if mask >> i & 1}
+            raise InternalCheckError(f"impossible crossing pattern {pattern_name(used)} observed")
+        row = ROW_OF_MASK[mask]
+        counts[row] += count
+        sums[row] += sum(map(mul, range(g.n + 1), by_cycles))
     rows = []
-    for group in ROW_GROUPS:
-        cnt = sum(bucket_count[m] for m in range(16) if name_of[m] in group)
-        tot = sum(bucket_sum[m] for m in range(16) if name_of[m] in group)
+    for group, cnt, tot in zip(ROW_GROUPS, counts, sums):
         if cnt == 0:
             raise InternalCheckError(f"crossing pattern row {group} is empty")
         rows.append(TableRow(group, cnt, Fraction(tot, cnt)))

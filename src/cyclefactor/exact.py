@@ -16,15 +16,19 @@ from .errors import InternalCheckError
 
 CROSSING_ARC_ORDER = ("u1", "v1", "u2", "v2")
 
+# Row grouping of the pattern table: patterns in one row share count & mean.
 # Counting in/out arcs across the two gadget halves forces the number of
 # used arcs among {u1, v1} to equal the number among {u2, v2}, which kills
-# 10 of the 16 conceivable patterns.
-ALLOWED_PATTERNS = frozenset(
-    {"none", "u1u2", "v1v2", "u1v2", "v1u2", "u1v1u2v2"}
-)
-
-# Row grouping of the pattern table: patterns in one row share count & mean.
+# 10 of the 16 conceivable patterns; the rows hold the other six.
 ROW_GROUPS = (("none",), ("u1v2", "v1u2"), ("u1v1u2v2",), ("u1u2", "v1v2"))
+ALLOWED_PATTERNS = frozenset().union(*ROW_GROUPS)
+
+# Row index of each allowed pattern by its mask, bit i = CROSSING_ARC_ORDER[i].
+# A label is a letter then a digit, so it occurs in a name only as itself.
+ROW_OF_MASK = {
+    sum(1 << i for i, arc in enumerate(CROSSING_ARC_ORDER) if arc in name): row
+    for row, group in enumerate(ROW_GROUPS) for name in group
+}
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,12 @@ from cyclefactor.enumeration import (
     ryser_permanent,
     two_factor_stats,
 )
-from cyclefactor.errors import GenerationError, NoCycleFactorError
+from cyclefactor.errors import GenerationError, InternalCheckError, NoCycleFactorError
 from cyclefactor.exact import (
     ALLOWED_PATTERNS,
     CROSSING_ARC_ORDER,
     ROW_GROUPS,
+    ROW_OF_MASK,
     crossing_pattern_table,
     harmonic,
     pattern_name,
@@ -740,6 +741,23 @@ def test_classifier_matches_permutation_oracle(d):
         want.append((group, count, total))
     got = [(r.patterns, r.count, r.count * r.mean) for r in classify_crossing_patterns(d)]
     assert got == want
+
+
+def test_classifier_raises_on_an_impossible_pattern(monkeypatch):
+    # one factor, one cycle, using u1 alone
+    monkeypatch.setattr(enumeration, "_frontier_table", lambda *args: [[0, 0], [0, 1]])
+    with pytest.raises(InternalCheckError) as raised:
+        classify_crossing_patterns(3)
+    assert str(raised.value) == "impossible crossing pattern u1 observed"
+
+
+def test_classifier_raises_on_an_empty_row(monkeypatch):
+    # one factor under every allowed pattern but u1v1u2v2
+    table = [[0, int(m in ROW_OF_MASK and m != 0b1111)] for m in range(16)]
+    monkeypatch.setattr(enumeration, "_frontier_table", lambda *args: table)
+    with pytest.raises(InternalCheckError) as raised:
+        classify_crossing_patterns(3)
+    assert str(raised.value) == "crossing pattern row ('u1v1u2v2',) is empty"
 
 
 def test_classifier_row_totals_match_plain_enumeration():

@@ -182,6 +182,49 @@ def test_two_regular_suite_dedups_repeated_classes(monkeypatch):
     assert report.checked == 1 + 6 + 90 + 2040
 
 
+def one_arc_overused(st, g):
+    usage = dict(st.edge_usage)
+    arc = next(a for a in usage if a[0] != a[1])
+    usage[arc] += 1
+    return replace(st, edge_usage=usage)
+
+
+def one_loop_overused(st, g):
+    usage = dict(st.edge_usage)
+    loop = next((a for a in usage if a[0] == a[1]), None)
+    if loop is not None:
+        usage[loop] += 1
+    return replace(st, edge_usage=usage)
+
+
+def cycle_sum_raised(st, g):
+    # mean cycles up by n, past n/2 + loops/4 <= 3n/4
+    return replace(st, cycle_sum=st.cycle_sum + g.n * st.count)
+
+
+def cycle_sum_lowered(st, g):
+    # a looped pair union's mean falls below its 3n/4
+    return replace(st, cycle_sum=st.cycle_sum - 1)
+
+
+@pytest.mark.parametrize(
+    "defect,message",
+    [
+        (one_arc_overused, "some arc marginal differs from 1/2"),
+        (one_loop_overused, "mean fixed points differ from loops/2"),
+        (cycle_sum_raised, "mean cycles exceed n/2 + loops/4"),
+        (cycle_sum_lowered, "3n/4 equality does not match the pair-union shape"),
+    ],
+)
+def test_two_regular_suite_fails_each_per_class_claim(monkeypatch, defect, message):
+    real = verify.cycle_factor_stats
+    monkeypatch.setattr(verify, "cycle_factor_stats", lambda g, **kw: defect(real(g, **kw), g))
+    report = two_regular_suite(4)
+    assert report.ok is False
+    assert report.checked == 1 + 6 + 90
+    assert any(message in f.split("\n")[0].split("; ") for f in report.failures)
+
+
 def test_two_regular_suite_holds_below_six():
     report = two_regular_suite(5)
     assert report.ok
