@@ -27,16 +27,17 @@ arc's usage sums, over its moves, the partial factors reaching the
 frontier times the completions of the target.
 
 Its cost is set by how many frontiers a level holds, which the tail
-order of _search_space decides.  _tail_order places next the tail that
-leaves the least width: open heads, and paths with a sure end or a sure
-start (_width_order), ties by vertex index.  Where every vertex has a
-loop, only open heads count, and this is the fail-first order, which
-also brings the deadlines early.  Where the Bregman bound on the factor
-count is at most n^2 the order costs more than it saves and the identity
-is used.  sigma -> sigma^-1 maps the factors of g one to one onto those
-of its transpose, with equal cycle counts, so above a bound of n^4 a
-non-symmetric input runs in the direction whose order has the lower
-summed width (_orient).
+order decides.  _orient alone picks the order and the direction.  The
+order places next the tail that leaves the least width: open heads, and
+paths with a sure end or a sure start (_width_order), ties by vertex
+index.  Where every vertex has a loop, only open heads count, and this
+is the fail-first order, which also brings the deadlines early.  Where
+the Bregman bound on the factor count is at most n^2 the order costs
+more than it saves and the identity is used.  sigma -> sigma^-1 maps the
+factors of g one to one onto those of its transpose, with equal cycle
+counts, so above a bound of n^4 a non-symmetric input runs in the
+direction whose order has the lower summed width.  The engine enforces
+its own order limit, MAX_FAST_VERTICES, so positions fit in key bytes.
 
 The tables are polynomials in the flat index key * (n + 1) + cycles,
 packed into one int (Kronecker substitution), so adding an arc weight or
@@ -91,6 +92,13 @@ class FactorStats:
     cycle_sum: int
     histogram: dict[int, int]
     edge_usage: dict[Arc, int] | None = None
+
+    @classmethod
+    def of_row(cls, by_cycles: Sequence[int], usage: dict[Arc, int] | None = None) -> FactorStats:
+        """The statistics of the factors that by_cycles counts by cycle count."""
+        cycle_sum = sum(map(mul, range(len(by_cycles)), by_cycles))
+        hist = {c: h for c, h in enumerate(by_cycles) if h}
+        return cls(sum(by_cycles), cycle_sum, hist, usage)
 
     def mean(self) -> Fraction:
         if self.count == 0:
@@ -155,7 +163,7 @@ def _log2_bregman(rows: Sequence[Sequence[int]]) -> float:
 
 
 def _width_order(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
-    """The greedy tail order of _tail_order, and its summed cost.
+    """The greedy tail order of _orient, and its summed cost.
 
     Vertex x's head is untouched, open (some but not all of its candidate
     tails placed) or closed, and its tail is placed or not.  It weighs
@@ -222,48 +230,32 @@ def _width_order(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     return order, cost
 
 
-def _tail_order(rows: Sequence[Sequence[int]], log2_bound: float | None = None) -> list[int]:
-    """The order in which the engine assigns the tails of rows.
-
-    _width_order's greedy order, which keeps the frontier narrow: each
-    next tail leaves the least weight of open heads and of paths with one
-    sure end.  Where every vertex has a loop only open heads weigh, and it
-    is the fail-first order, which also brings the deadlines early.  Where
-    the Bregman bound on the factor count is at most n^2, the search is
-    smaller than the O(n^2) cost of ordering, and the order is the
-    identity.  log2_bound is _log2_bregman(rows), computed here
-    when the caller has not.
-    """
-    n = len(rows)
-    if log2_bound is None:
-        log2_bound = _log2_bregman(rows)
-    if n < 2 or log2_bound <= 2 * log2(n):
-        return list(range(n))
-    return _width_order(rows)[0]
-
-
 def _orient(
-    rows: Sequence[Sequence[int]], log2_bound: float
+    rows: Sequence[Sequence[int]],
 ) -> tuple[Sequence[Sequence[int]], list[int], float, bool]:
     """The direction the engine searches, its tail order and its bound.
 
-    sigma -> sigma^-1 maps the cycle-factors of g one to one onto those of
-    its transpose and keeps their cycle counts, so either direction gives
-    the same table.  Where the Bregman bound exceeds n^4 and the rows are
-    not symmetric, both directions are ordered and the one of lower
-    summed _width_order cost runs; below that the second order costs more
-    than it saves.  log2_bound is _log2_bregman(rows).  Returns the rows
-    run, their order, their log2 Bregman bound and whether they are the
-    transpose.
+    Where the Bregman bound on the factor count is at most n^2, the search
+    is smaller than the O(n^2) cost of ordering and the order is the
+    identity; above that it is _width_order's.  sigma -> sigma^-1 maps the
+    cycle-factors of g one to one onto those of its transpose with equal
+    cycle counts, so where the bound exceeds n^4 and the rows are not
+    symmetric, both directions are ordered and the one of lower summed
+    width cost runs; below n^4 a second order costs more than it saves.
+    Returns the rows run, their order, their log2 Bregman bound and
+    whether they are the transpose.
     """
     n = len(rows)
-    if n < 2 or log2_bound <= 4 * log2(n):
-        return rows, _tail_order(rows, log2_bound), log2_bound, False
+    log2_bound = _log2_bregman(rows)
+    if n < 2 or log2_bound <= 2 * log2(n):
+        return rows, list(range(n)), log2_bound, False
+    order, cost = _width_order(rows)
+    if log2_bound <= 4 * log2(n):
+        return rows, order, log2_bound, False
     cols: list[list[int]] = [[] for _ in range(n)]
     for v, row in enumerate(rows):
         for w in row:
             cols[w].append(v)
-    order, cost = _width_order(rows)
     if all(sorted(row) == col for row, col in zip(rows, cols)):
         return rows, order, log2_bound, False
     col_order, col_cost = _width_order(cols)
@@ -275,7 +267,7 @@ def _orient(
 def _search_space(
     rows: Sequence[Sequence[int]], weights: dict[Arc, int], stride: int
 ) -> tuple[list[list[tuple]], list[list[tuple]], int] | None:
-    """The search the frontier engine runs, or None if it is empty.
+    """The search the frontier engine runs, or None if a tail or head has no candidate.
 
     The search runs in the direction and tail order of _orient, and
     vertices are relabeled by their position in that order, so it runs
@@ -284,22 +276,23 @@ def _search_space(
     weight * stride * slot, moves a table along a join, and shift + slot
     along a closing.  In the transpose, choice v -> w is g's arc (w, v),
     so weights and usage stay keyed by g's arcs.  due[i] lists the heads
-    whose last candidate tail is position i, each with tail i's one
-    choice of it as a 1-tuple: at position i a head of due[i] still free
-    must be taken now.  slot, the bits of one packed coefficient, is two
-    more than log2 of the Bregman bound of the rows run.  None means some
-    tail or head has no candidate, so no factor exists.
+    whose last candidate tail is position i, each with tail i's one choice
+    of it as a 1-tuple: at position i a head of due[i] still free must be
+    taken now.  slot, the bits of one packed coefficient, is two more than
+    log2 of the Bregman bound of the rows run.  More than
+    MAX_FAST_VERTICES rows raise ValueError, so positions fit in bytes.
     """
     n = len(rows)
-    rows, order, log2_bound, transposed = _orient(rows, _log2_bregman(rows))
+    if n > MAX_FAST_VERTICES:
+        raise ValueError(f"graph order {n} exceeds the fast-path limit {MAX_FAST_VERTICES}")
+    rows, order, log2_bound, transposed = _orient(rows)
     slot = int(max(log2_bound, 0)) + 2  # -inf with an empty row
     scale = stride * slot
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
     cand = []
-    last = [-1] * n  # position of each head's last candidate tail
-    forced: list[tuple] = [()] * n  # that tail's choice of the head
+    last: list[tuple] = [()] * n  # each head's last candidate tail and its choice
     for i, v in enumerate(order):
         row = []
         for w in rows[v]:
@@ -308,14 +301,13 @@ def _search_space(
             shift = weights.get(arc, 0) * scale
             choice = (h, shift, shift + slot, arc)
             row.append(choice)
-            last[h] = i
-            forced[h] = choice
+            last[h] = (i, choice)
         cand.append(row)
-    if not all(cand) or -1 in last:
+    if not all(cand) or () in last:
         return None
     due: list[list[tuple]] = [[] for _ in range(n)]
-    for h, i in enumerate(last):
-        due[i].append((h, (forced[h],)))
+    for h, (i, choice) in enumerate(last):
+        due[i].append((h, (choice,)))
     return cand, due, slot
 
 
@@ -376,7 +368,6 @@ def _frontier_table(
     if search is None:
         return [[0] * stride for _ in range(nkeys)]
     cand, due, slot = search
-    # every caller keeps n <= MAX_FAST_VERTICES, so positions fit in a byte
     byte = [bytes((v,)) for v in range(n)]
     levels: list[dict[bytes, int]] = []  # every level, when usage is wanted
     level = {bytes(range(n)): 1}
@@ -519,16 +510,9 @@ def cycle_factor_stats(
     backward pass, which keeps every level of the forward pass until the
     call returns; without it no level outlives the next.
     """
-    n = g.n
-    if n > MAX_FAST_VERTICES:
-        raise ValueError(
-            f"graph order {n} exceeds the fast-path limit {MAX_FAST_VERTICES}"
-        )
     usage: dict[Arc, int] | None = {} if want_edge_usage else None
     (by_cycles,) = _frontier_table(_candidate_rows(g, constraints), {}, usage)
-    hist = {c: h for c, h in enumerate(by_cycles) if h}
-    cycle_sum = sum(map(mul, range(n + 1), by_cycles))
-    return FactorStats(sum(by_cycles), cycle_sum, hist, usage)
+    return FactorStats.of_row(by_cycles, usage)
 
 
 def expected_cycles(g: DiGraph) -> Fraction:
@@ -557,15 +541,15 @@ def classify_crossing_patterns(d: int) -> list[TableRow]:
     weights = {labeling.crossing_arcs[nm]: 1 << i for i, nm in enumerate(CROSSING_ARC_ORDER)}
     counts, sums = [0] * len(ROW_GROUPS), [0] * len(ROW_GROUPS)
     for mask, by_cycles in enumerate(_frontier_table(g.out, weights)):
-        count = sum(by_cycles)
-        if not count:
+        stats = FactorStats.of_row(by_cycles)
+        if not stats.count:
             continue
         if mask not in ROW_OF_MASK:
             used = {arc for i, arc in enumerate(CROSSING_ARC_ORDER) if mask >> i & 1}
             raise InternalCheckError(f"impossible crossing pattern {pattern_name(used)} observed")
         row = ROW_OF_MASK[mask]
-        counts[row] += count
-        sums[row] += sum(map(mul, range(g.n + 1), by_cycles))
+        counts[row] += stats.count
+        sums[row] += stats.cycle_sum
     rows = []
     for group, cnt, tot in zip(ROW_GROUPS, counts, sums):
         if cnt == 0:
@@ -637,9 +621,7 @@ def two_factor_stats(g: UGraph, allow_edge_as_2cycle: bool = False) -> FactorSta
             parts[vset] = packed // 2
         elif allow_edge_as_2cycle:
             parts[vset] = packed
-    hist = _unpack(_cover_all(n, parts), slot, n + 1)
-    cycle_sum = sum(map(mul, range(n + 1), hist))
-    return FactorStats(sum(hist), cycle_sum, {k: c for k, c in enumerate(hist) if c})
+    return FactorStats.of_row(_unpack(_cover_all(n, parts), slot, n + 1))
 
 
 def ryser_permanent(matrix: Sequence[Sequence[int]]) -> int:

@@ -21,7 +21,6 @@ CROSSING_ARC_ORDER = ("u1", "v1", "u2", "v2")
 # used arcs among {u1, v1} to equal the number among {u2, v2}, which kills
 # 10 of the 16 conceivable patterns; the rows hold the other six.
 ROW_GROUPS = (("none",), ("u1v2", "v1u2"), ("u1v1u2v2",), ("u1u2", "v1v2"))
-ALLOWED_PATTERNS = frozenset().union(*ROW_GROUPS)
 
 # Row index of each allowed pattern by its mask, bit i = CROSSING_ARC_ORDER[i].
 # A label is a letter then a digit, so it occurs in a name only as itself.

@@ -33,7 +33,6 @@ from cyclefactor.enumeration import (
     _frontier_table,
     _log2_bregman,
     _orient,
-    _tail_order,
     _width_order,
     classify_crossing_patterns,
     cycle_factor_stats,
@@ -45,7 +44,6 @@ from cyclefactor.enumeration import (
 )
 from cyclefactor.errors import GenerationError, InternalCheckError, NoCycleFactorError
 from cyclefactor.exact import (
-    ALLOWED_PATTERNS,
     CROSSING_ARC_ORDER,
     ROW_GROUPS,
     ROW_OF_MASK,
@@ -200,6 +198,17 @@ def test_order_cap_is_enforced():
         cycle_factor_stats(loops)
 
 
+def test_frontier_engine_enforces_its_own_order_limit():
+    # the engine itself refuses, not only cycle_factor_stats: 65 loops
+    # would otherwise count their one factor
+    loops = [[v] for v in range(MAX_FAST_VERTICES + 1)]
+    limit = f"graph order 65 exceeds the fast-path limit {MAX_FAST_VERTICES}"
+    for usage in (None, {}):
+        with pytest.raises(ValueError) as raised:
+            _frontier_table(loops, {}, usage)
+        assert str(raised.value) == limit
+
+
 # ---------------------------------------------------------------------------
 # randomized equivalence with the permutation oracle
 # ---------------------------------------------------------------------------
@@ -336,9 +345,9 @@ def test_frontier_engine_matches_iteration_on_reordered_regular_digraphs(monkeyp
     # and then forced into the transpose, below the choice's gate and under
     # constraints too; n stops at 16 because the iteration oracle doubles in
     # cost per vertex, about 0.7 s for a free (16, 4) graph
-    def run_transposed(rows, log2_bound):
+    def run_transposed(rows):
         cols = transpose(rows)
-        return cols, _tail_order(cols), _log2_bregman(cols), True
+        return cols, _width_order(cols)[0], _log2_bregman(cols), True
 
     reordered = transposed = 0
     for n, d, seed in product(range(9, 17), (3, 4), range(2)):
@@ -349,8 +358,9 @@ def test_frontier_engine_matches_iteration_on_reordered_regular_digraphs(monkeyp
         weights = {arc: rng.randrange(1, 3) for arc in rng.sample(arcs, 4)}
         for constraints in (None, random_constraints(g, rng)):
             rows = _candidate_rows(g, constraints)
-            reordered += _tail_order(rows) != list(range(n))
-            transposed += _orient(rows, _log2_bregman(rows))[3]
+            _, order, _, flipped = _orient(rows)
+            reordered += order != list(range(n))
+            transposed += flipped
             expected = factor_table_by_iteration(g, constraints, weights)
             for orient in (_orient, run_transposed):
                 monkeypatch.setattr(enumeration, "_orient", orient)
@@ -386,10 +396,10 @@ def test_usage_matches_required_arc_counts_beyond_the_iteration_oracle(monkeypat
     # of the factors that require it, with the random graph run in each
     # direction
     def run_as(transposed):
-        def orient(rows, log2_bound):
+        def orient(rows):
             if transposed:
                 rows = transpose(rows)
-            return rows, _tail_order(rows), _log2_bregman(rows), transposed
+            return rows, _width_order(rows)[0], _log2_bregman(rows), transposed
 
         return orient
 
@@ -433,24 +443,55 @@ def test_symmetric_rows_are_never_transposed(monkeypatch):
         assert rows == g.in_adj
         log2_bound = _log2_bregman(rows)
         considered += log2_bound > 4 * log2(g.n)
-        expected = (rows, _tail_order(rows), log2_bound, False)
+        wide = log2_bound > 2 * log2(g.n)
+        expected = (rows, _width_order(rows)[0] if wide else list(range(g.n)), log2_bound, False)
         ordered.clear()
-        assert _orient(rows, log2_bound) == expected
-        assert len(ordered) <= 1
+        assert _orient(rows) == expected
+        assert len(ordered) == wide
     assert considered > len(graphs) // 2  # above the gate of the choice
 
 
 def test_tail_order_is_a_permutation_and_the_identity_below_the_gate():
     for n in (8, 12, 16):
         rows = random_regular_digraph(n, 4, random.Random(n)).out
-        order = _tail_order(rows)
+        order = _orient(rows)[1]
         assert sorted(order) == list(range(n))
         assert order != list(range(n))
     # every 2-regular digraph has a Bregman bound 2^(n/2), at most n^2
     for n in range(2, 6):
         for g in iter_two_regular_digraphs(n):
-            assert _tail_order(g.out) == list(range(n))
-    assert _tail_order(()) == []
+            assert _orient(g.out)[1] == list(range(n))
+    assert _orient(()) == ((), [], 0.0, False)
+
+
+def test_orient_orders_once_between_the_gates_and_twice_above(monkeypatch):
+    # at most n^2 no order, up to n^4 one, and above n^4 one per direction
+    ordered = []
+
+    def counted(rows):
+        ordered.append(rows)
+        return _width_order(rows)
+
+    monkeypatch.setattr(enumeration, "_width_order", counted)
+    rng = random.Random(11)
+    cases = [(g, 0) for n in range(2, 7) for g in iter_two_regular_digraphs(n)]
+    cases += [(seeded_regular_digraph(8, 4, rng), 1) for _ in range(10)]
+    cases += [(seeded_regular_digraph(16, 4, rng), 2) for _ in range(10)]
+    transposed = 0
+    for g, orders in cases:
+        rows, n = g.out, g.n
+        # not symmetric, so above n^4 both directions are ordered
+        assert orders == 0 or rows != g.in_adj
+        ordered.clear()
+        run, order, _, flipped = _orient(rows)
+        assert len(ordered) == orders
+        assert ordered == [rows, transpose(rows)][:orders]
+        if orders < 2:
+            assert (run, flipped) == (rows, False)
+        if orders == 0:
+            assert order == list(range(n))
+        transposed += flipped
+    assert transposed  # the choice runs some above n^4 in the transpose
 
 
 def reference_tail_order(rows):
@@ -511,8 +552,15 @@ def test_tail_order_matches_the_reference_order():
     reordered = 0
     for rows in cases:
         expected, cost = reference_tail_order(rows)
-        assert _tail_order(rows) == expected
-        assert _tail_order(rows, _log2_bregman(rows)) == expected
+        # the order _orient runs is the reference order of the direction it runs
+        run, order, _, flipped = _orient(rows)
+        if flipped:
+            assert run == transpose(rows)
+            col_order, col_cost = reference_tail_order(run)
+            assert (order, col_cost < cost) == (col_order, True)
+            assert _width_order(rows) == (expected, cost)
+        else:
+            assert (run, order) == (rows, expected)
         if expected != list(range(len(rows))):
             reordered += 1
             assert _width_order(rows) == (expected, cost)
@@ -733,7 +781,7 @@ def test_classifier_matches_permutation_oracle(d):
         used = {name for name, (t, h) in labeling.crossing_arcs.items() if p[t] == h}
         count, total = buckets.get(pattern_name(used), (0, 0))
         buckets[pattern_name(used)] = (count + 1, total + closed_cycles_in(p))
-    assert set(buckets) <= ALLOWED_PATTERNS
+    assert set(buckets) <= frozenset().union(*ROW_GROUPS)
     want = []
     for group in ROW_GROUPS:
         count = sum(buckets.get(name, (0, 0))[0] for name in group)
