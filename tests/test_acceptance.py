@@ -145,7 +145,7 @@ def test_c05_two_regular_exhaustive_suite():
 
 @pytest.mark.slow
 def test_c05_two_regular_order_seven_leg():
-    with Budget("criterion 5 (n=7)", 30.0):
+    with Budget("criterion 5 (n=7)", 5.0):
         report = two_regular_suite(7)
         assert report.ok, report.failures[:3]
         assert report.checked == 1 + 6 + 90 + 2040 + 67950 + 3110940
@@ -153,7 +153,7 @@ def test_c05_two_regular_order_seven_leg():
 
 @pytest.mark.slow
 def test_c05_two_regular_order_eight_leg():
-    with Budget("criterion 5 (n=8)", 30.0):
+    with Budget("criterion 5 (n=8)", 10.0):
         report = two_regular_suite(8)
         assert report.ok, report.failures[:3]
         assert report.checked == 190711867

@@ -2,6 +2,10 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
+from hashlib import sha256
+from itertools import permutations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -128,20 +132,99 @@ def layout_graph(succ, pi):
     return DiGraph(len(pi), [(pi[t], pi[succ[t]]) for t in range(len(pi))])
 
 
-# every cycle type with n <= MAX_TWO_REGULAR_N, each with up to 11 generators
+def every_cycle_type():
+    return [shape for n in range(2, MAX_TWO_REGULAR_N + 1) for shape in cycle_types(n)]
+
+
+@cache
+def layout_group(shape):
+    return verify._layout_group(sum(shape), layout_symmetries(shape)[1])
+
+
+def act(element, pi):
+    # sigma o pi o rho^-1 by indexing, the reference for the byte translation
+    rho_inv, sigma = element
+    return tuple([sigma[pi[s]] for s in rho_inv])
+
+
+def test_layout_group_has_every_element_once():
+    # a rotation group of order m and a reflection per part, and the
+    # permutations of each run of equal parts: 12, 32, 72 and 384 for the
+    # types of n = 6, and 6,144 for (2, 2, 2, 2)
+    for shape in every_cycle_type():
+        group = layout_group(shape)
+        runs = [shape.count(m) for m in set(shape)]
+        order = prod(2 * m for m in shape) * prod(map(factorial, runs))
+        assert len(set(group)) == len(group) == order
+        assert group[0] == (bytes(range(sum(shape))), bytes(range(256)))
+
+
+# every cycle type with n <= MAX_TWO_REGULAR_N: each of up to 11
+# generators, then each of the 7,818 group elements
 @settings(max_examples=25, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_layout_symmetries_preserve_the_class(rnd):
-    for n in range(2, MAX_TWO_REGULAR_N + 1):
-        for shape in cycle_types(n):
-            succ, gens = layout_symmetries(shape)
-            pi = rnd.sample(range(n), n)
-            g = layout_graph(succ, pi)
-            form = canonical_form(g)
-            for sigma, rho_inv in gens:
-                image = layout_graph(succ, [sigma[pi[s]] for s in rho_inv])
-                assert image == g.relabel(sigma)
-                assert canonical_form(image) == form
+    for shape in every_cycle_type():
+        n = sum(shape)
+        succ, gens = layout_symmetries(shape)
+        pi = rnd.sample(range(n), n)
+        g = layout_graph(succ, pi)
+        form = canonical_form(g)
+        for sigma, rho_inv in gens:
+            image = layout_graph(succ, [sigma[pi[s]] for s in rho_inv])
+            assert image == g.relabel(sigma)
+            assert canonical_form(image) == form
+        # arc sets, cheaper than a DiGraph per element
+        tails = bytes(v for v, row in enumerate(g.out) for _ in row)
+        heads = bytes(w for row in g.out for w in row)
+        for element in layout_group(shape):
+            q, sigma = act(element, pi), element[1]
+            image = set(zip(range(n), q)) | set(zip(range(n), [q[s] for s in succ]))
+            assert image == set(zip(tails.translate(sigma), heads.translate(sigma)))
+
+
+# at n = 8 the orbit split below takes about 1.3 s, the pinned digest 0.3 s
+SLOW_AT_EIGHT = [pytest.param(n, marks=pytest.mark.slow) if n == 8 else n for n in range(2, 9)]
+
+
+@pytest.mark.parametrize("n", SLOW_AT_EIGHT)
+def test_candidates_are_the_first_placement_of_each_orbit(monkeypatch, n):
+    # per type, the group's orbits, taken by indexing, split S_n: their
+    # sizes sum to n!, and the graphs of their lexicographically first
+    # placements are the candidates of that type, in order
+    for shape in cycle_types(n):
+        succ = layout_symmetries(shape)[0]
+        group = layout_group(shape)
+        seen, firsts, covered = set(), [], 0
+        for pi in permutations(range(n)):
+            if pi not in seen:
+                orbit = {act(element, pi) for element in group}
+                covered += len(orbit)
+                seen |= orbit
+                firsts.append(layout_graph(succ, pi))
+        assert covered == len(seen) == factorial(n)
+        monkeypatch.setattr(verify, "cycle_types", lambda n, shape=shape: [shape])
+        assert list(two_regular_candidates(n)) == firsts
+
+
+# count and leading sha256 hex digits of repr([g.out for g in
+# two_regular_candidates(n)]), as the orbit flood through the generators
+# gave them before the group was enumerated
+CANDIDATE_DIGESTS = {
+    2: (1, "5b853cb4de4d5fa8"),
+    3: (3, "599788379df82772"),
+    4: (8, "0165d7b9a2b7daf8"),
+    5: (27, "d7e3c81bff81fc10"),
+    6: (131, "a2ba50c52326275d"),
+    7: (711, "e6b99e7b83d4b757"),
+    8: (5055, "781a6420a6110d07"),
+}
+
+
+@pytest.mark.parametrize("n", SLOW_AT_EIGHT)
+def test_two_regular_candidates_are_pinned(n):
+    rows = [g.out for g in two_regular_candidates(n)]
+    assert (len(rows), sha256(repr(rows).encode()).hexdigest()[:16]) == CANDIDATE_DIGESTS[n]
 
 
 def test_two_regular_suite_fails_on_a_missing_class(monkeypatch):
