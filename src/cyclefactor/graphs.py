@@ -222,7 +222,10 @@ def _refine(colour: list[int], out, inn) -> tuple[list[int], tuple]:
     an equitable ordered partition.  Returns it with its quotient: the
     signatures of the last round, one per cell, in increasing order.  The
     rule reads colours only, so both commute with relabeling; the quotient
-    of a discrete partition is the relabeled graph itself.
+    of a discrete partition is the relabeled graph itself.  A discrete
+    partition is already equitable (McKay and Piperno, 2014), so once the
+    partition is discrete one signature pass gives the quotient and no
+    confirming split is made.
     """
     n = len(colour)
     width = n.bit_length()
@@ -233,6 +236,8 @@ def _refine(colour: list[int], out, inn) -> tuple[list[int], tuple]:
             (colour[v], sum(map(digit, out[v])), sum(map(digit, inn[v])))
             for v in range(n)
         ]
+        if cells == n:  # the signatures are distinct already
+            return colour, tuple(sorted(signatures))
         refined = _cells(signatures)
         split = len(set(refined))
         if split == cells:

@@ -74,6 +74,28 @@ def relabeled(out):
         yield tuple(rows)
 
 
+def generated_group(n, gens):
+    """Every element of the group that gens generate, identity first.
+
+    Each generator is (sigma, rho^-1), permutations of range(n); an
+    element is (rho^-1, sigma) as verify._layout_group lists it: rho^-1
+    as n bytes and sigma as a 256-byte bytes.translate table.  The list
+    is closed under composition with each generator on the right, so it
+    is the whole group, found by walking the list while it grows.
+    """
+    pad = bytes(range(256))
+    steps = [(bytes(rho_inv) + pad[n:], bytes(sigma) + pad[n:]) for sigma, rho_inv in gens]
+    group = [(pad[:n], pad)]
+    seen = set(group)
+    for rho_inv, sigma in group:  # grows while it is walked
+        for r, s in steps:
+            element = (rho_inv.translate(r), s.translate(sigma))
+            if element not in seen:
+                seen.add(element)
+                group.append(element)
+    return group
+
+
 def closed_cycles_in(succ):
     """Cycles closed inside a partial injective map.
 

@@ -2,6 +2,7 @@
 
 import random
 import time
+from hashlib import sha256
 from math import factorial
 
 import pytest
@@ -241,6 +242,44 @@ def test_refinements_grow_with_n_not_with_the_group(monkeypatch):
     # where the paths part, several times that
     assert refinements(monkeypatch, complete_looped(16)) < 16**2
     assert refinements(monkeypatch, crossing_gadget(12)[0]) < 24**2
+
+
+def test_refine_stops_at_a_discrete_partition(monkeypatch):
+    # a discrete partition is equitable: one signature pass gives the
+    # quotient, and no cell is split to confirm that none splits
+    g = crossing_gadget(4)[0]
+    colour = random.Random(4).sample(range(g.n), g.n)
+    calls = []
+    real = graphs._cells
+    monkeypatch.setattr(graphs, "_cells", lambda sig: calls.append(1) or real(sig))
+    width = g.n.bit_length()
+    signatures = [
+        (colour[v],
+         sum(1 << width * colour[w] for w in g.out[v]),
+         sum(1 << width * colour[w] for w in g.in_adj[v]))
+        for v in range(g.n)
+    ]
+    assert graphs._refine(colour, g.out, g.in_adj) == (colour, tuple(sorted(signatures)))
+    assert calls == []
+
+
+def pinned_graphs():
+    # the 170 two-regular classes with n <= 6, 200 random (8, 4) digraphs
+    # and the crossing gadgets of degrees 3 to 8
+    yield from (g for n in range(2, 7) for g in two_regular_candidates(n))
+    yield from (random_regular_digraph(8, 4, random.Random(k)) for k in range(200))
+    yield from (crossing_gadget(d)[0] for d in range(3, 9))
+
+
+# count and leading sha256 hex digits of repr([canonical_form(g) for g in
+# pinned_graphs()]), recorded before refinement stopped at discrete
+# partitions: a change to the colour order or the leaf order fails here
+CANONICAL_PIN = (376, "f8f04ad4d742bde2")
+
+
+def test_canonical_forms_are_pinned():
+    forms = [canonical_form(g) for g in pinned_graphs()]
+    assert (len(forms), sha256(repr(forms).encode()).hexdigest()[:16]) == CANONICAL_PIN
 
 
 def grid_cayley(steps):

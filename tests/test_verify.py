@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import generated_group
 from cyclefactor import enumeration, verify
 from cyclefactor.enumeration import MAX_FAST_VERTICES, MAX_GADGET_DEGREE
 from cyclefactor.errors import IndivisibleOrderError, NotRegularError
@@ -138,7 +139,7 @@ def every_cycle_type():
 
 @cache
 def layout_group(shape):
-    return verify._layout_group(sum(shape), layout_symmetries(shape)[1])
+    return verify._layout_group(shape)
 
 
 def act(element, pi):
@@ -150,13 +151,15 @@ def act(element, pi):
 def test_layout_group_has_every_element_once():
     # a rotation group of order m and a reflection per part, and the
     # permutations of each run of equal parts: 12, 32, 72 and 384 for the
-    # types of n = 6, and 6,144 for (2, 2, 2, 2)
+    # types of n = 6, and 6,144 for (2, 2, 2, 2); as a set, the group
+    # layout_symmetries' generators generate, closed by brute force
     for shape in every_cycle_type():
         group = layout_group(shape)
         runs = [shape.count(m) for m in set(shape)]
         order = prod(2 * m for m in shape) * prod(map(factorial, runs))
         assert len(set(group)) == len(group) == order
         assert group[0] == (bytes(range(sum(shape))), bytes(range(256)))
+        assert set(group) == set(generated_group(sum(shape), layout_symmetries(shape)[1]))
 
 
 # every cycle type with n <= MAX_TWO_REGULAR_N: each of up to 11
