@@ -236,7 +236,11 @@ def cmd_search(args) -> int:
             out.write(json.dumps(doc) + "\n")
             out.flush()
 
-        run_search(config, sink=sink)
+        if not run_search(config, sink=sink):
+            raise GenerationError(
+                f"no {args.d}-regular digraph on {args.n} vertices could be generated"
+                f" with seed {args.seed}"
+            )
     return 0
 
 

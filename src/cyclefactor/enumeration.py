@@ -18,9 +18,8 @@ search depends only on where the open paths ending at tails i..n-1
 start, and those starts are exactly the heads still free.  So each level
 is one dict from a tuple of starts, as bytes, to the packed table of the
 partial factors reaching it, and partial factors with equal starts
-merge.  Forward checking cuts dead frontiers: due[i] lists the heads
-whose last candidate tail is the i-th, and a frontier where two of them
-are still starts is dropped, where one is the tail is forced onto it.
+merge.  The forward pass is a loop over one level step, _advance, which
+states the move rule and the forward check that cuts dead frontiers.
 Per-arc usage, when wanted, comes from a backward pass over the levels
 the forward pass kept: it regenerates each frontier's moves, and an
 arc's usage sums, over its moves, the partial factors reaching the
@@ -311,6 +310,51 @@ def _search_space(
     return cand, due, slot
 
 
+def _advance(
+    level: dict[bytes, int], choices: list[tuple], pending: list[tuple], byte: list[bytes]
+) -> dict[bytes, int]:
+    """One forward step of the frontier engine: level i to level i + 1.
+
+    level maps the starts of the open paths, as bytes indexed by tail - i,
+    to the packed table of the partial factors reaching them; choices and
+    pending are cand[i] and due[i] of _search_space, and byte[v] is
+    bytes((v,)).  Tail i's path starts at s, the first start: its choice
+    of head s closes a cycle, shifts the table by the closing shift and
+    drops s; its choice of another free head h, one of the rest, joins
+    the path that starts at h, shifts the table by the arc's shift and
+    replaces h by s; any other head is used.  A head due at tail i that
+    is still a start is pending: two prune the frontier, since no later
+    tail can take either, and one forces tail i's choice onto it.  Moves
+    reaching equal starts merge by addition.  Only the arguments are
+    read, so any level dict may be advanced, and the step is linear: the
+    level after a sum of levels is the sum of the levels after them.
+    """
+    nxt: dict[bytes, int] = {}
+    for starts, table in level.items():
+        moves = choices
+        for h, forced in pending:
+            if h in starts:
+                if moves is not choices:
+                    break
+                moves = forced
+        else:
+            s = starts[0]
+            rest = starts[1:]
+            for h, shift, closing, _ in moves:
+                if h == s:
+                    key = rest
+                    part = table << closing
+                elif h in rest:
+                    key = rest.replace(byte[h], byte[s])
+                    # most joins weigh 0, and a shift by 0 still costs a call
+                    part = table << shift if shift else table
+                else:
+                    continue
+                old = nxt.get(key)
+                nxt[key] = part if old is None else old + part
+    return nxt
+
+
 def _frontier_table(
     rows: Sequence[Sequence[int]], weights: dict[Arc, int], usage: dict[Arc, int] | None = None
 ) -> list[list[int]]:
@@ -324,17 +368,9 @@ def _frontier_table(
     omitted).
 
     The search of _search_space, run forward over its frontiers (Knuth's
-    SIMPATH).  Before tail i is assigned, the open paths end at tails
-    i..n-1, and the free heads are exactly their starts, so the starts
-    fix the rest of the search.  Level i is a dict from those starts, as
-    bytes indexed by tail - i, to the packed table of the partial factors
-    reaching them; equal starts merge by addition.  Tail i's path starts
-    at s, the first start: its choice of head s closes a cycle and drops
-    s, its choice of another free head h, one of the rest, joins the path
-    that starts at h and replaces h by s, and any other head is used.  A
-    head due at tail i that is still a start is pending: two prune the
-    frontier and one forces its choice.  Level n holds one entry, the
-    empty frontier, whose table is the answer.
+    SIMPATH): level 0 is the full frontier, and _advance maps each level
+    to the next.  Level n holds one entry, the empty frontier, whose
+    table is the answer.
 
     The partial factors reaching a level-i frontier are perfect matchings
     of tails 0..i-1 onto the heads it has used, so Bregman's bound on
@@ -345,7 +381,7 @@ def _frontier_table(
 
     With usage wanted, the forward pass keeps every level, and a backward
     pass walks them back from the empty frontier, which completes once.
-    It regenerates each frontier's moves from cand[i] by the rule above,
+    It regenerates each frontier's moves from cand[i] by _advance's rule,
     without the deadlines, and looks up B, the completions of the target,
     in the level after, which it has already turned into completions.  A
     move the forward pass pruned or forced away leaves a due head free
@@ -374,30 +410,7 @@ def _frontier_table(
     for choices, pending in zip(cand, due):
         if usage is not None:
             levels.append(level)
-        nxt: dict[bytes, int] = {}
-        for starts, table in level.items():
-            moves = choices
-            for h, forced in pending:
-                if h in starts:
-                    if moves is not choices:
-                        break
-                    moves = forced
-            else:
-                s = starts[0]
-                rest = starts[1:]
-                for h, shift, closing, _ in moves:
-                    if h == s:
-                        key = rest
-                        part = table << closing
-                    elif h in rest:
-                        key = rest.replace(byte[h], byte[s])
-                        # most joins weigh 0, and a shift by 0 still costs a call
-                        part = table << shift if shift else table
-                    else:
-                        continue
-                    old = nxt.get(key)
-                    nxt[key] = part if old is None else old + part
-        level = nxt
+        level = _advance(level, choices, pending, byte)
     packed = level.get(b"", 0)
     flat = _unpack(packed, slot, nkeys * stride)
     if usage is not None and packed:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import groupby, permutations
+from itertools import accumulate, groupby, permutations
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -186,43 +186,6 @@ def cycle_types(n: int) -> list[tuple[int, ...]]:
     return types
 
 
-Perm = tuple[int, ...]
-
-
-def layout_symmetries(shape: Sequence[int]) -> tuple[list[int], list[tuple[Perm, Perm]]]:
-    """The double-cover layout of a cycle type and its symmetry generators.
-
-    A part of size m at offset a has tails t_j = a+j over head slots
-    s_j = a+j, and t_j's arcs go to the heads in slots s_j and
-    s_(j+1 mod m); succ maps each slot to the next slot on its cycle.
-    Each generator is a pair (sigma, rho^-1): sigma relabels the tails
-    (the vertices), rho the slots, and sigma o pi o rho^-1 is a head
-    placement whose graph is pi's relabeled by sigma.  Per part a
-    rotation (sigma = rho = j -> j+1) and a reflection (sigma: t_j ->
-    t_(-j), rho: s_j -> s_(1-j)); per pair of consecutive equal parts a
-    swap (sigma = rho).
-    """
-    n = sum(shape)
-    ident = list(range(n))
-    succ: list[int] = []
-    gens = []
-    for k, m in enumerate(shape):
-        a = len(succ)
-        succ += [a + (j + 1) % m for j in range(m)]
-        turn, back, flip, mirror = ident[:], ident[:], ident[:], ident[:]
-        for j in range(m):
-            turn[a + j] = a + (j + 1) % m
-            back[a + j] = a + (j - 1) % m
-            flip[a + j] = a + -j % m
-            mirror[a + j] = a + (1 - j) % m  # its own inverse
-        gens += [(tuple(turn), tuple(back)), (tuple(flip), tuple(mirror))]
-        if k and shape[k - 1] == m:
-            swap = ident[:]
-            swap[a - m : a + m] = ident[a : a + m] + ident[a - m : a]
-            gens.append((tuple(swap), tuple(swap)))
-    return succ, gens
-
-
 def _layout_group(shape: Sequence[int]) -> list[tuple[bytes, bytes]]:
     """Every element of the layout symmetry group of a cycle type, identity first.
 
@@ -277,23 +240,27 @@ def _layout_group(shape: Sequence[int]) -> list[tuple[bytes, bytes]]:
 def two_regular_candidates(n: int) -> Iterator[DiGraph]:
     """One 2-regular digraph of each isomorphism class on n vertices.
 
-    For each cycle type, the graph of a head placement pi in S_n gives
-    tail t_j the arcs to pi(s_j) and pi(s_(j+1 mod m)) (layout_symmetries).
-    Walking each cycle of any 2-regular digraph's double cover and naming
-    its tails and slots this way gives one of these graphs.  The layout's
-    symmetry group acts on S_n by pi -> sigma o pi o rho^-1; any
-    isomorphism between two layout graphs maps double-cover cycles to
-    double-cover cycles, so its orbits are exactly the classes of the
-    type.  The group is listed once per type (_layout_group) and S_n is
-    walked in lexicographic order as bytes: the first unseen pi
-    represents its orbit, the whole orbit is marked seen with one pair of
-    bytes.translate calls per group element, and the representative's
-    graph is yielded.  Its rows are built sorted and unchecked: every part
-    has m >= 2, so s_j and s_(j+1) differ and no arc is doubled.
+    For each cycle type, the double-cover layout gives a part of size m at
+    offset a the tails t_j = a+j over the head slots s_j = a+j, and succ
+    maps each slot to the next on its cycle, s_j to s_(j+1 mod m).  The
+    graph of a head placement pi in S_n gives tail t_j the arcs to pi(s_j)
+    and pi(s_(j+1 mod m)).  Walking each cycle of any 2-regular digraph's
+    double cover and naming its tails and slots this way gives one of these
+    graphs.  The layout's symmetry group acts on S_n by
+    pi -> sigma o pi o rho^-1; any isomorphism between two layout graphs
+    maps double-cover cycles to double-cover cycles, so its orbits are
+    exactly the classes of the type.  The group is listed once per type
+    (_layout_group) and S_n is walked in lexicographic order as bytes: the
+    first unseen pi represents its orbit, the whole orbit is marked seen
+    with one pair of bytes.translate calls per group element, and the
+    representative's graph is yielded.  Its rows are built sorted and
+    unchecked: every part has m >= 2, so s_j and s_(j+1) differ and no arc
+    is doubled.
     """
     pad = bytes(range(256))
     for shape in cycle_types(n):
-        succ = bytes(layout_symmetries(shape)[0])
+        offsets = accumulate(shape, initial=0)
+        succ = bytes(a + (j + 1) % m for a, m in zip(offsets, shape) for j in range(m))
         group = _layout_group(shape)
         seen: set[bytes] = set()
         for pi in map(bytes, permutations(range(n))):

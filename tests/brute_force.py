@@ -74,14 +74,49 @@ def relabeled(out):
         yield tuple(rows)
 
 
+def layout_generators(shape):
+    """The double-cover layout of a cycle type and its symmetry generators.
+
+    A part of size m at offset a has tails t_j = a+j over head slots
+    s_j = a+j, and t_j's arcs go to the heads in slots s_j and
+    s_(j+1 mod m); succ maps each slot to the next slot on its cycle.
+    Each generator is a pair (sigma, rho^-1): sigma relabels the tails
+    (the vertices), rho the slots, and sigma o pi o rho^-1 is a head
+    placement whose graph is pi's relabeled by sigma.  Per part a
+    rotation (sigma = rho = j -> j+1) and a reflection (sigma: t_j ->
+    t_(-j), rho: s_j -> s_(1-j)); per pair of consecutive equal parts a
+    swap (sigma = rho).  Returns succ and the generators.
+    """
+    n = sum(shape)
+    ident = list(range(n))
+    succ = []
+    gens = []
+    for k, m in enumerate(shape):
+        a = len(succ)
+        succ += [a + (j + 1) % m for j in range(m)]
+        turn, back, flip, mirror = ident[:], ident[:], ident[:], ident[:]
+        for j in range(m):
+            turn[a + j] = a + (j + 1) % m
+            back[a + j] = a + (j - 1) % m
+            flip[a + j] = a + -j % m
+            mirror[a + j] = a + (1 - j) % m  # its own inverse
+        gens += [(tuple(turn), tuple(back)), (tuple(flip), tuple(mirror))]
+        if k and shape[k - 1] == m:
+            swap = ident[:]
+            swap[a - m : a + m] = ident[a : a + m] + ident[a - m : a]
+            gens.append((tuple(swap), tuple(swap)))
+    return succ, gens
+
+
 def generated_group(n, gens):
     """Every element of the group that gens generate, identity first.
 
-    Each generator is (sigma, rho^-1), permutations of range(n); an
-    element is (rho^-1, sigma) as verify._layout_group lists it: rho^-1
-    as n bytes and sigma as a 256-byte bytes.translate table.  The list
-    is closed under composition with each generator on the right, so it
-    is the whole group, found by walking the list while it grows.
+    Each generator is (sigma, rho^-1), permutations of range(n), as
+    layout_generators gives them; an element is (rho^-1, sigma) as
+    verify._layout_group lists it: rho^-1 as n bytes and sigma as a
+    256-byte bytes.translate table.  The list is closed under composition
+    with each generator on the right, so it is the whole group, found by
+    walking the list while it grows.
     """
     pad = bytes(range(256))
     steps = [(bytes(rho_inv) + pad[n:], bytes(sigma) + pad[n:]) for sigma, rho_inv in gens]

@@ -13,8 +13,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from cyclefactor import cli
+from cyclefactor import cli, search
 from cyclefactor.enumeration import MAX_GADGET_DEGREE
+from cyclefactor.errors import GenerationError
 
 
 def schema(name):
@@ -285,6 +286,20 @@ def test_search_past_the_fast_path_limit_is_exit_two(capsys):
     )
     assert code == 2 and out == ""
     assert "exceeds the fast-path limit" in err
+
+
+def test_search_with_no_graph_generated_is_exit_two(capsys, monkeypatch):
+    # every draw fails, so the leaderboard is empty: no record, and no
+    # silent exit 0
+    def fail(n, d, rng):
+        raise GenerationError("no permutation disjoint from the placed layers")
+
+    monkeypatch.setattr(search, "random_regular_digraph", fail)
+    code, out, err = run_cli(
+        capsys, "search", "--n", "8", "--d", "4", "--pop", "4", "--iters", "3"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_main_builds_its_parser_once_across_calls(tmp_path, capsys, monkeypatch):

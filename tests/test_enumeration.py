@@ -27,12 +27,15 @@ from cyclefactor.enumeration import (
     MAX_FAST_VERTICES,
     MAX_GADGET_DEGREE,
     ArcConstraints,
+    _advance,
     _candidate_rows,
     _cover_all,
     _cycle_sets,
     _frontier_table,
     _log2_bregman,
     _orient,
+    _search_space,
+    _unpack,
     _width_order,
     classify_crossing_patterns,
     cycle_factor_stats,
@@ -747,6 +750,104 @@ def test_engines_and_canonical_form_leave_no_reference_cycles():
     finally:
         gc.enable()
     assert leaked == 0
+
+
+# ---------------------------------------------------------------------------
+# the level step
+# ---------------------------------------------------------------------------
+
+
+# frontiers per level, levels 1..n, of cycle_factor_stats: crossing_gadget(d)
+# for d = 3..8, then the 8 graphs random_regular_digraph(16, 4, Random(1))
+# draws in turn.  A change of tail order or pruning changes them on purpose.
+GADGET_LEVEL_SIZES = {
+    3: [3, 6, 6, 6, 3, 1],
+    4: [4, 10, 11, 6, 9, 7, 4, 1],
+    5: [5, 16, 26, 18, 6, 12, 13, 13, 5, 1],
+    6: [6, 24, 53, 55, 27, 6, 15, 21, 34, 21, 6, 1],
+    7: [7, 34, 98, 146, 104, 38, 6, 18, 31, 73, 73, 31, 7, 1],
+    8: [8, 46, 167, 339, 345, 179, 51, 6, 21, 43, 136, 209, 136, 43, 8, 1],
+}
+RANDOM_LEVEL_SIZES = [
+    [4, 13, 41, 110, 199, 518, 624, 568, 733, 991, 853, 333, 105, 16, 4, 1],
+    [4, 14, 32, 92, 199, 305, 398, 340, 323, 367, 367, 302, 98, 16, 4, 1],
+    [4, 13, 40, 65, 173, 217, 299, 460, 763, 968, 923, 518, 105, 16, 4, 1],
+    [4, 13, 44, 126, 322, 436, 713, 519, 864, 790, 586, 281, 84, 16, 4, 1],
+    [4, 13, 43, 50, 90, 215, 464, 676, 653, 375, 191, 136, 77, 25, 4, 1],
+    [4, 13, 40, 119, 110, 295, 792, 1499, 1083, 805, 616, 398, 105, 13, 4, 1],
+    [4, 13, 43, 125, 223, 265, 642, 967, 1346, 1122, 1066, 325, 105, 16, 4, 1],
+    [4, 14, 44, 110, 307, 419, 544, 954, 835, 765, 809, 311, 69, 16, 4, 1],
+]
+
+
+def test_level_sizes_are_pinned(monkeypatch):
+    sizes = []
+    step = enumeration._advance
+
+    def counted(*args):
+        level = step(*args)
+        sizes.append(len(level))
+        return level
+
+    monkeypatch.setattr(enumeration, "_advance", counted)
+    rng = random.Random(1)
+    graphs = [crossing_gadget(d)[0] for d in GADGET_LEVEL_SIZES]
+    graphs += [random_regular_digraph(16, 4, rng) for _ in RANDOM_LEVEL_SIZES]
+    seen = []
+    for g in graphs:
+        sizes.clear()
+        cycle_factor_stats(g)
+        seen.append(sizes[:])
+    assert seen == [*GADGET_LEVEL_SIZES.values(), *RANDOM_LEVEL_SIZES]
+
+
+def level_step_cases():
+    """Rows and weights: the gadgets weighted as the classifier weights them,
+    and random (8, 4) and (16, 4) digraphs with four arcs weighted."""
+    cases = [gadget_rows_and_weights(d) for d in range(3, 8)]
+    rng = random.Random(28)
+    for n in (8, 8, 16, 16):
+        g = seeded_regular_digraph(n, 4, rng)
+        arcs = [(v, w) for v, row in enumerate(g.out) for w in row]
+        cases.append((g.out, {arc: rng.randrange(1, 3) for arc in rng.sample(arcs, 4)}))
+    return cases
+
+
+def folded_levels(rows, weights):
+    """Every level of the search, folded by _advance from the full frontier,
+    with the search's cand, due and slot and the byte table."""
+    n = len(rows)
+    cand, due, slot = _search_space(rows, weights, n + 1)
+    byte = [bytes((v,)) for v in range(n)]
+    levels = [{bytes(range(n)): 1}]
+    for choices, pending in zip(cand, due):
+        levels.append(_advance(levels[-1], choices, pending, byte))
+    return levels, cand, due, slot, byte
+
+
+def test_level_steps_compose_to_the_table():
+    for rows, weights in level_step_cases():
+        n = len(rows)
+        levels, _, _, slot, _ = folded_levels(rows, weights)
+        assert list(levels[-1]) == [b""]
+        flat = _unpack(levels[-1][b""], slot, (1 + sum(weights.values())) * (n + 1))
+        table = [flat[k : k + n + 1] for k in range(0, len(flat), n + 1)]
+        assert table == _frontier_table(rows, weights)
+
+
+def test_level_step_is_linear():
+    # advancing each frontier of a middle level on its own and adding the
+    # results by key gives the level after; the frontiers merge there, so
+    # a step that overwrote instead of adding would fail
+    for rows, weights in level_step_cases():
+        i = len(rows) // 2
+        levels, cand, due, _, byte = folded_levels(rows, weights)
+        parts = [_advance({k: t}, cand[i], due[i], byte) for k, t in levels[i].items()]
+        summed = Counter()
+        for part in parts:
+            summed.update(part)
+        assert sum(map(len, parts)) > len(levels[i + 1])  # some frontiers merge
+        assert summed == levels[i + 1]
 
 
 # ---------------------------------------------------------------------------

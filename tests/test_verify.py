@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import generated_group
+from brute_force import generated_group, layout_generators
 from cyclefactor import enumeration, verify
 from cyclefactor.enumeration import MAX_FAST_VERTICES, MAX_GADGET_DEGREE
 from cyclefactor.errors import IndivisibleOrderError, NotRegularError
@@ -36,7 +36,6 @@ from cyclefactor.verify import (
     cycle_types,
     gadget_cross_validation,
     iter_two_regular_digraphs,
-    layout_symmetries,
     looped_cycle_suite,
     two_regular_candidates,
     two_regular_count,
@@ -152,14 +151,14 @@ def test_layout_group_has_every_element_once():
     # a rotation group of order m and a reflection per part, and the
     # permutations of each run of equal parts: 12, 32, 72 and 384 for the
     # types of n = 6, and 6,144 for (2, 2, 2, 2); as a set, the group
-    # layout_symmetries' generators generate, closed by brute force
+    # layout_generators' generators generate, closed by brute force
     for shape in every_cycle_type():
         group = layout_group(shape)
         runs = [shape.count(m) for m in set(shape)]
         order = prod(2 * m for m in shape) * prod(map(factorial, runs))
         assert len(set(group)) == len(group) == order
         assert group[0] == (bytes(range(sum(shape))), bytes(range(256)))
-        assert set(group) == set(generated_group(sum(shape), layout_symmetries(shape)[1]))
+        assert set(group) == set(generated_group(sum(shape), layout_generators(shape)[1]))
 
 
 # every cycle type with n <= MAX_TWO_REGULAR_N: each of up to 11
@@ -169,7 +168,7 @@ def test_layout_group_has_every_element_once():
 def test_layout_symmetries_preserve_the_class(rnd):
     for shape in every_cycle_type():
         n = sum(shape)
-        succ, gens = layout_symmetries(shape)
+        succ, gens = layout_generators(shape)
         pi = rnd.sample(range(n), n)
         g = layout_graph(succ, pi)
         form = canonical_form(g)
@@ -196,7 +195,7 @@ def test_candidates_are_the_first_placement_of_each_orbit(monkeypatch, n):
     # sizes sum to n!, and the graphs of their lexicographically first
     # placements are the candidates of that type, in order
     for shape in cycle_types(n):
-        succ = layout_symmetries(shape)[0]
+        succ = layout_generators(shape)[0]
         group = layout_group(shape)
         seen, firsts, covered = set(), [], 0
         for pi in permutations(range(n)):
