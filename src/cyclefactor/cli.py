@@ -224,9 +224,15 @@ def cmd_search(args) -> int:
         population=args.pop,
         iterations=args.iters,
     )
-    with _output(args.out) as out:
+    # --out is opened at the first record, so a search that fails before
+    # any leaves no file behind
+    with contextlib.ExitStack() as stack:
+        out = None
 
         def sink(rec):
+            nonlocal out
+            if out is None:
+                out = stack.enter_context(_output(args.out))
             doc = {
                 "iteration": rec.iteration,
                 "fingerprint": f"{rec.fingerprint:016x}",

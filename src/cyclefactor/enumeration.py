@@ -542,9 +542,10 @@ def classify_crossing_patterns(d: int) -> list[TableRow]:
     merges the partial factors whose open paths start alike, so it never
     visits each factor, which is what makes d = 8 (about 10^9 factors)
     reachable.  Degree balance between the two gadget halves permits only
-    six patterns.  One pass adds each nonzero bucket to the row that
-    ROW_OF_MASK gives its pattern, so the result is comparable to
-    crossing_pattern_table; a pattern with no row raises InternalCheckError.
+    six patterns.  One pass adds each nonzero bucket's count and cycle
+    sum, in integers, to the row that ROW_OF_MASK gives its pattern, so
+    the result is comparable to crossing_pattern_table; a pattern with no
+    row, or a row with no factor, raises InternalCheckError.
     """
     if d < 3:
         raise ValueError("need d >= 3")
@@ -554,20 +555,20 @@ def classify_crossing_patterns(d: int) -> list[TableRow]:
     weights = {labeling.crossing_arcs[nm]: 1 << i for i, nm in enumerate(CROSSING_ARC_ORDER)}
     counts, sums = [0] * len(ROW_GROUPS), [0] * len(ROW_GROUPS)
     for mask, by_cycles in enumerate(_frontier_table(g.out, weights)):
-        stats = FactorStats.of_row(by_cycles)
-        if not stats.count:
+        count = sum(by_cycles)
+        if not count:
             continue
         if mask not in ROW_OF_MASK:
             used = {arc for i, arc in enumerate(CROSSING_ARC_ORDER) if mask >> i & 1}
             raise InternalCheckError(f"impossible crossing pattern {pattern_name(used)} observed")
         row = ROW_OF_MASK[mask]
-        counts[row] += stats.count
-        sums[row] += stats.cycle_sum
+        counts[row] += count
+        sums[row] += sum(map(mul, range(len(by_cycles)), by_cycles))
     rows = []
     for group, cnt, tot in zip(ROW_GROUPS, counts, sums):
         if cnt == 0:
             raise InternalCheckError(f"crossing pattern row {group} is empty")
-        rows.append(TableRow(group, cnt, Fraction(tot, cnt)))
+        rows.append(TableRow(group, cnt, tot))
     return rows
 
 

@@ -3,7 +3,13 @@
 Covers harmonic numbers, the per-crossing-pattern table of the six-class
 gadget, the gadget's excess over the looped-clique benchmark 2*H_d, and a
 proof that this excess is positive for every d >= 3.
-Everything is int or Fraction; floats appear only in report rendering.
+The table is carried in integers from its rows to the gadget's totals:
+a row holds its count and its cycle sum, count * mean, and every sum
+k! * H_k it needs is the integer a_k = [k+1 over 2], the unsigned
+Stirling number of the first kind (Graham, Knuth and Patashnik, Concrete
+Mathematics, eq. 6.58), from a_0 = 0 and a_k = k * a_(k-1) + (k-1)!.
+Fractions appear only for the means and the excess the caller reads;
+floats only in report rendering.
 """
 
 from __future__ import annotations
@@ -32,9 +38,15 @@ ROW_OF_MASK = {
 
 @dataclass(frozen=True)
 class TableRow:
+    """One row of the pattern table: its factor count and their total cycle count."""
+
     patterns: tuple[str, ...]
     count: int
-    mean: Fraction
+    cycle_sum: int
+
+    @property
+    def mean(self) -> Fraction:
+        return Fraction(self.cycle_sum, self.count)
 
 
 @dataclass(frozen=True)
@@ -73,48 +85,66 @@ def harmonic(m: int) -> Fraction:
     return Fraction(sum(common // j for j in range(1, m + 1)), common)
 
 
+def _factorial_harmonics(m: int) -> list[int]:
+    """[k! * H_k for k = 0..m], each an integer: [k+1 over 2].
+
+    k! * H_k = k * (k-1)! * H_(k-1) + (k-1)!, so a_0 = 0 and
+    a_k = k * a_(k-1) + (k-1)!; the a_k are the unsigned Stirling numbers
+    of the first kind [k+1 over 2] (Concrete Mathematics, eq. 6.58).
+    """
+    if m < 0:
+        raise ValueError("need m >= 0")
+    a, f = [0], 1  # f = (k-1)! at step k
+    for k in range(1, m + 1):
+        a.append(k * a[-1] + f)
+        f *= k
+    return a
+
+
 def no_crossing_block_counts(d: int) -> tuple[int, int]:
     """Count and cycle sum for one gadget half with both crossing arcs unused.
 
     The half induces a complete looped digraph on d vertices minus one pair
     of opposite non-loop arcs; inclusion-exclusion over the two missing
-    arcs gives the pair (N0, S0).  d=2 is admitted for degenerate oracle
-    tests under the conventions 0! = 1 and H_0 = 0.
+    arcs gives the pair (N0, S0), with
+    S0 = d! H_d - 2 (d-1)! H_(d-1) + (d-2)! (H_(d-2) + 1), evaluated as
+    a_d - 2 a_(d-1) + a_(d-2) + (d-2)! with a_k = k! H_k
+    (_factorial_harmonics).  d=2 is admitted for degenerate oracle tests
+    under the conventions 0! = 1 and H_0 = 0.
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    n0 = factorial(d) - 2 * factorial(d - 1) + factorial(d - 2)
-    if n0 != factorial(d - 2) * (d * d - 3 * d + 3):
+    f2 = factorial(d - 2)
+    n0 = factorial(d) - 2 * factorial(d - 1) + f2
+    if n0 != f2 * (d * d - 3 * d + 3):
         raise InternalCheckError("two routes to the block count disagree")
-    s0 = (
-        factorial(d) * harmonic(d)
-        - 2 * factorial(d - 1) * harmonic(d - 1)
-        + factorial(d - 2) * (harmonic(d - 2) + 1)
-    )
-    if s0.denominator != 1:
-        raise InternalCheckError("block cycle sum came out non-integral")
-    return n0, s0.numerator
+    a = _factorial_harmonics(d)
+    return n0, a[d] - 2 * a[d - 1] + a[d - 2] + f2
 
 
 def crossing_pattern_table(d: int) -> list[TableRow]:
-    """The four-row table of (patterns, count, mean cycles) for the gadget.
+    """The four-row table of (patterns, count, cycle sum) for the gadget.
 
     Rows, in fixed order: no crossing arc used; one two-cycle closed across
     a half boundary (two symmetric patterns); both such two-cycles; one
-    long cycle threading both halves (two symmetric patterns).
+    long cycle threading both halves (two symmetric patterns).  Their means
+    are 2 S0 / N0, 2 H_(d-1) + 1, 2 H_(d-2) + 2 and 2 H_(d-2) - 1; each
+    cycle sum, count * mean, is evaluated in integers through
+    a_k = k! H_k, so row 1's is 2 (d-1)! (2 a_(d-1) + (d-1)!).
     """
     if d < 3:
         raise ValueError("need d >= 3")
     n0, s0 = no_crossing_block_counts(d)
-    h1 = harmonic(d - 1)
-    h2 = harmonic(d - 2)
-    rows = [
-        TableRow(ROW_GROUPS[0], n0 * n0, Fraction(2 * s0, n0)),
-        TableRow(ROW_GROUPS[1], 2 * factorial(d - 1) ** 2, 2 * h1 + 1),
-        TableRow(ROW_GROUPS[2], factorial(d - 2) ** 2, 2 * h2 + 2),
-        TableRow(ROW_GROUPS[3], 2 * (factorial(d - 2) * (d - 2)) ** 2, 2 * h2 - 1),
+    a = _factorial_harmonics(d - 1)
+    f1, f2 = factorial(d - 1), factorial(d - 2)
+    return [
+        TableRow(ROW_GROUPS[0], n0 * n0, 2 * n0 * s0),
+        TableRow(ROW_GROUPS[1], 2 * f1 * f1, 2 * f1 * (2 * a[d - 1] + f1)),
+        TableRow(ROW_GROUPS[2], f2 * f2, 2 * f2 * (a[d - 2] + f2)),
+        TableRow(
+            ROW_GROUPS[3], 2 * (f2 * (d - 2)) ** 2, 2 * (d - 2) ** 2 * f2 * (2 * a[d - 2] - f2)
+        ),
     ]
-    return rows
 
 
 def _excess_cubic(d: int) -> int:
@@ -137,6 +167,8 @@ def benchmark_excess(d: int) -> Fraction:
 def gadget_closed_form(d: int) -> GadgetClosedForm:
     """Aggregate the pattern table into exact N, T, mean, and excess.
 
+    N and T are integer sums over the rows.  The excess T/N - 2 H_d is
+    built as one Fraction, (d! T - 2 a_d N) / (d! N) with a_d = d! H_d.
     Cross-checks the aggregate against the product formula for N and the
     closed-form excess; a mismatch raises InternalCheckError.
     """
@@ -144,14 +176,12 @@ def gadget_closed_form(d: int) -> GadgetClosedForm:
     count = sum(r.count for r in rows)
     if count != factorial(d - 2) ** 2 * _gadget_quartic(d):
         raise InternalCheckError("factor count disagrees with the closed form")
-    cycle_sum = sum((r.count * r.mean for r in rows), Fraction(0))
-    if cycle_sum.denominator != 1:
-        raise InternalCheckError("total cycle sum came out non-integral")
-    expectation = Fraction(cycle_sum, count)
-    excess = expectation - 2 * harmonic(d)
+    cycle_sum = sum(r.cycle_sum for r in rows)
+    fd = factorial(d)
+    excess = Fraction(fd * cycle_sum - 2 * _factorial_harmonics(d)[d] * count, fd * count)
     if excess != benchmark_excess(d):
         raise InternalCheckError("table excess disagrees with the closed form")
-    return GadgetClosedForm(d, count, cycle_sum.numerator, expectation, excess, tuple(rows))
+    return GadgetClosedForm(d, count, cycle_sum, Fraction(cycle_sum, count), excess, tuple(rows))
 
 
 def excess_positive_for_every_degree() -> bool:

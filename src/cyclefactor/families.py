@@ -53,16 +53,14 @@ def crossing_gadget(d: int) -> tuple[DiGraph, GadgetLabeling]:
     if d < 3:
         raise ValueError("gadget needs d >= 3 so the C classes are nonempty")
     n = 2 * d
-    classes = [[0], [1], list(range(2, d)), [d], [d + 1], list(range(d + 2, n))]
-    rows: list[set[int]] = [set() for _ in range(n)]
-    for i, cls in enumerate(classes):
-        for u in cls:
-            rows[u].update(cls)
-        for u in cls:
-            for w in classes[(i + 1) % 6]:
-                rows[u].add(w)
-                rows[w].add(u)
     # the classes run through 0..n-1 in order
+    bounds = (0, 1, 2, d, d + 1, d + 2, n)
+    classes = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    # a vertex's row is its class and the two classes beside it: three
+    # distinct classes, so the sorted row is in range and free of duplicates
+    rows = []
+    for i, cls in enumerate(classes):
+        rows += [tuple(sorted([*classes[i - 1], *cls, *classes[(i + 1) % 6]]))] * len(cls)
     class_of = tuple(name for name, cls in zip(CLASS_NAMES, classes) for _ in cls)
     crossing = {
         "u1": (1, 0),          # B1 -> A1
@@ -70,8 +68,7 @@ def crossing_gadget(d: int) -> tuple[DiGraph, GadgetLabeling]:
         "u2": (d + 1, d),      # B2 -> A2
         "v2": (0, 1),          # A1 -> B1
     }
-    g = DiGraph(n, [sorted(r) for r in rows])
-    return g, GadgetLabeling(class_of, crossing)
+    return DiGraph._of_rows(tuple(rows)), GadgetLabeling(class_of, crossing)
 
 
 def padded_gadget(k: int, d: int) -> DiGraph:

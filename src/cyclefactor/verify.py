@@ -346,9 +346,10 @@ def gadget_cross_validation(d_max: int = 6) -> SuiteReport:
     count and cycle sum.  The frontier engine merges partial factors by
     their open paths and does not visit each factor; that is what makes
     degree 8 (about 10^9 factors) and degree 12 (about 1.7 * 10^17)
-    reachable.  Compares
-    count, total cycle sum, mean, and each aggregated row; reports the
-    first differing quantity per degree.
+    reachable.  Compares, in integers,
+    count, total cycle sum, mean (by cross-multiplication), and each
+    aggregated row's count and cycle sum; reports the first differing
+    quantity per degree.
     """
     if not 3 <= d_max <= MAX_GADGET_DEGREE:
         raise ValueError(f"need 3 <= d_max <= {MAX_GADGET_DEGREE}")
@@ -357,15 +358,15 @@ def gadget_cross_validation(d_max: int = 6) -> SuiteReport:
         form = gadget_closed_form(d)
         observed = classify_crossing_patterns(d)
         count = sum(row.count for row in observed)
-        cycle_sum = sum(row.count * row.mean for row in observed)
-        mean = cycle_sum / count
+        cycle_sum = sum(row.cycle_sum for row in observed)
+        expectation = form.expectation
         mismatch = None
         if count != form.count:
             mismatch = f"factor count {count} != {form.count}"
         elif cycle_sum != form.cycle_sum:
             mismatch = f"cycle sum {cycle_sum} != {form.cycle_sum}"
-        elif mean != form.expectation:
-            mismatch = f"mean {mean} != {form.expectation}"
+        elif cycle_sum * expectation.denominator != expectation.numerator * count:
+            mismatch = f"mean {Fraction(cycle_sum, count)} != {expectation}"
         else:
             for got, want in zip(observed, form.rows):
                 if got != want:

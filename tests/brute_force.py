@@ -203,6 +203,45 @@ def brute_cycle_matchings(n):
     return [sizes[k] for k in range(max(sizes) + 1)]
 
 
+def harmonic_by_terms(m):
+    """H_m = 1 + 1/2 + ... + 1/m as a Fraction, one term at a time; H_0 = 0."""
+    return sum((Fraction(1, j) for j in range(1, m + 1)), Fraction(0))
+
+
+def block_counts_by_harmonics(d):
+    """(N0, S0) of one crossing-gadget half with both crossing arcs unused.
+
+    The half is the looped d-clique minus one pair of opposite arcs;
+    inclusion-exclusion over the two missing arcs gives N0 and, through
+    harmonic numbers, S0 = d! H_d - 2 (d-1)! H_(d-1) + (d-2)! (H_(d-2) + 1)
+    as a Fraction.  d >= 2, with 0! = 1 and H_0 = 0.
+    """
+    n0 = factorial(d) - 2 * factorial(d - 1) + factorial(d - 2)
+    s0 = (
+        factorial(d) * harmonic_by_terms(d)
+        - 2 * factorial(d - 1) * harmonic_by_terms(d - 1)
+        + factorial(d - 2) * (harmonic_by_terms(d - 2) + 1)
+    )
+    return n0, s0
+
+
+def pattern_table_by_harmonics(d):
+    """(count, mean) of each crossing-pattern row of the degree-d gadget, d >= 3.
+
+    Rows in the package's order: no crossing arc; one two-cycle across a
+    half boundary; both; one long cycle through both halves.  Means are
+    Fractions through harmonic numbers.
+    """
+    n0, s0 = block_counts_by_harmonics(d)
+    h1, h2 = harmonic_by_terms(d - 1), harmonic_by_terms(d - 2)
+    return [
+        (n0 * n0, 2 * s0 / n0),
+        (2 * factorial(d - 1) ** 2, 2 * h1 + 1),
+        (factorial(d - 2) ** 2, 2 * h2 + 2),
+        (2 * (factorial(d - 2) * (d - 2)) ** 2, 2 * h2 - 1),
+    ]
+
+
 def partial_perm_count(n, r):
     """Permutations of n points extending a fixed partial permutation of r arcs.
 
@@ -224,7 +263,7 @@ def partial_perm_cycle_sum(n, r, q):
         raise ValueError("need 0 <= r <= n")
     if not 0 <= q <= r:
         raise ValueError("a prescribed cycle consumes at least one arc: 0 <= q <= r")
-    total = factorial(n - r) * (sum(Fraction(1, j) for j in range(1, n - r + 1)) + q)
+    total = factorial(n - r) * (harmonic_by_terms(n - r) + q)
     assert total.denominator == 1, "cycle sum came out non-integral"
     return total.numerator
 

@@ -232,6 +232,47 @@ def test_search_streams_records(tmp_path, capsys):
     assert len(set(fps)) == len(fps)
 
 
+@pytest.mark.parametrize("draw", ("failing", "too large"))
+def test_failed_search_leaves_no_out_file(tmp_path, capsys, monkeypatch, draw):
+    # both searches fail before their first record: no graph is drawn, or
+    # certify refuses the first one past the fast-path limit
+    if draw == "failing":
+        def fail(n, d, rng):
+            raise GenerationError("no permutation disjoint from the placed layers")
+
+        monkeypatch.setattr(search, "random_regular_digraph", fail)
+    n = "300" if draw == "too large" else "6"
+    path = tmp_path / "records.jsonl"
+    code, out, err = run_cli(
+        capsys,
+        "search", "--n", n, "--d", "3", "--pop", "1", "--iters", "0",
+        "--out", str(path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    assert not path.exists()
+
+
+GOLDEN = Path(__file__).with_name("golden")
+
+# each command and the file holding its stdout, recorded from the H_k and
+# Fraction evaluation of the closed forms; CI diffs the installed console
+# script's table1 --d 6 and report --max-d 8 against the same files
+GOLDEN_RUNS = {
+    **{f"formula --d {d}": f"formula_d{d}.json" for d in range(3, 13)},
+    **{f"table1 --d {d}": f"table1_d{d}.json" for d in range(3, 13)},
+    "report --max-d 8": "report_max_d8.json",
+    "suite --name gadget-cross --d-max 12": "suite_gadget_cross_d12.json",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_RUNS)
+def test_gadget_output_matches_its_golden_file(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0, err
+    assert out.encode("utf-8") == (GOLDEN / GOLDEN_RUNS[command]).read_bytes()
+
+
 def test_suite_gadget_cross_reaches_degree_eight(capsys):
     doc = run_json(
         capsys, "suite", "--name", "gadget-cross", "--d-max", "8", schema_name="suite"

@@ -11,11 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute_force import (
+    block_counts_by_harmonics,
     closed_cycles_in,
     excess_numerator_positive,
     factors,
+    harmonic_by_terms,
     partial_perm_count,
     partial_perm_cycle_sum,
+    pattern_table_by_harmonics,
 )
 from cyclefactor import exact
 from cyclefactor.exact import (
@@ -39,7 +42,7 @@ def test_harmonic_values(m, value):
 
 def test_harmonic_equals_the_fraction_sum():
     for m in range(61):
-        assert harmonic(m) == sum((Fraction(1, j) for j in range(1, m + 1)), Fraction(0))
+        assert harmonic(m) == harmonic_by_terms(m)
     with pytest.raises(ValueError):
         harmonic(-1)
 
@@ -91,6 +94,39 @@ def test_block_counts_match_filtered_permutations(d):
     kept = list(factors([range(d)] * d, forbidden={(0, 1), (1, 0)}))
     assert len(kept) == n0
     assert sum(closed_cycles_in(p) for p in kept) == s0
+
+
+def test_factorial_harmonics_are_k_factorial_times_h_k():
+    assert exact._factorial_harmonics(40) == [
+        factorial(k) * harmonic_by_terms(k) for k in range(41)
+    ]
+    with pytest.raises(ValueError):
+        exact._factorial_harmonics(-1)
+
+
+@pytest.mark.parametrize("d", range(2, 41))
+def test_block_counts_match_the_harmonic_oracle(d):
+    n0, s0 = block_counts_by_harmonics(d)
+    assert s0.denominator == 1
+    assert no_crossing_block_counts(d) == (n0, s0.numerator)
+
+
+@pytest.mark.parametrize("d", range(3, 41))
+def test_closed_forms_match_the_harmonic_oracle(d):
+    # the integer rows and totals against the H_k formulation, in Fractions
+    want = pattern_table_by_harmonics(d)
+    rows = crossing_pattern_table(d)
+    assert [r.patterns for r in rows] == list(ROW_GROUPS)
+    assert [(r.count, r.mean) for r in rows] == want
+    assert [r.cycle_sum for r in rows] == [count * mean for count, mean in want]
+    count = sum(c for c, _ in want)
+    cycle_sum = sum(c * m for c, m in want)
+    assert cycle_sum.denominator == 1
+    form = gadget_closed_form(d)
+    assert form.rows == tuple(rows)
+    assert (form.count, form.cycle_sum) == (count, cycle_sum)
+    assert form.expectation == cycle_sum / count
+    assert form.excess == cycle_sum / count - 2 * harmonic_by_terms(d)
 
 
 def test_block_count_identity():

@@ -14,7 +14,7 @@ from cyclefactor.families import (
     three_block_splice,
     undirected_family,
 )
-from cyclefactor.graphs import disjoint_union, fingerprint, is_d_regular
+from cyclefactor.graphs import DiGraph, disjoint_union, fingerprint, is_d_regular
 
 
 def test_complete_looped_shape():
@@ -39,6 +39,8 @@ def test_looped_bidirected_cycle_shape():
 def test_crossing_gadget_is_d_regular(d):
     g, lab = crossing_gadget(d)
     assert g.n == 2 * d
+    # the unchecked rows are in the checked constructor's form
+    assert DiGraph(g.n, g.out).out == g.out
     assert is_d_regular(g, d)
     assert g.loop_count == 2 * d
     sizes = {name: lab.class_of.count(name) for name in CLASS_NAMES}

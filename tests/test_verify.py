@@ -327,7 +327,16 @@ def test_gadget_cross_validation_small():
         gadget_cross_validation(MAX_GADGET_DEGREE + 1)
 
 
-@pytest.mark.parametrize("field", ("row count", "cycle sum"))
+# each perturbed field of the degree-3 closed form and the failure it must give
+WRONG_CLOSED_FORM = {
+    "row count": "pattern row u1v2/v1u2",
+    "row cycle sum": "pattern row u1v2/v1u2",
+    "cycle sum": "cycle sum",
+    "expectation": "mean 4 != 29/7",
+}
+
+
+@pytest.mark.parametrize("field", WRONG_CLOSED_FORM)
 def test_gadget_cross_validation_reports_a_wrong_closed_form(monkeypatch, field):
     def perturbed(d):
         form = gadget_closed_form(d)
@@ -335,7 +344,14 @@ def test_gadget_cross_validation_reports_a_wrong_closed_form(monkeypatch, field)
             return form
         if field == "cycle sum":
             return replace(form, cycle_sum=form.cycle_sum + 1)
-        bumped = replace(form.rows[1], count=form.rows[1].count + 1)
+        if field == "expectation":
+            # count and cycle sum still agree; only their quotient is off
+            return replace(form, expectation=form.expectation + Fraction(1, 7))
+        row = form.rows[1]
+        if field == "row count":
+            bumped = replace(row, count=row.count + 1)
+        else:
+            bumped = replace(row, cycle_sum=row.cycle_sum + 1)
         return replace(form, rows=(form.rows[0], bumped) + form.rows[2:])
 
     monkeypatch.setattr(verify, "gadget_closed_form", perturbed)
@@ -344,8 +360,7 @@ def test_gadget_cross_validation_reports_a_wrong_closed_form(monkeypatch, field)
     assert report.checked == 2
     assert len(report.failures) == 1
     assert report.failures[0].startswith("d=3: ")
-    expected = "cycle sum" if field == "cycle sum" else "pattern row u1v2/v1u2"
-    assert expected in report.failures[0]
+    assert WRONG_CLOSED_FORM[field] in report.failures[0]
 
 
 def test_looped_cycle_suite_small():
