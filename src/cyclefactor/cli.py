@@ -25,7 +25,7 @@ from . import families
 from .enumeration import MAX_GADGET_DEGREE, cycle_factor_stats, two_factor_stats
 from .errors import GenerationError, InternalCheckError
 from .exact import excess_positive_for_every_degree, gadget_closed_form, harmonic, scaled_excess
-from .graphs import DiGraph, UGraph, from_text, to_text, ugraph_to_digraph
+from .graphs import DiGraph, UGraph, from_text, to_text, u_disjoint_union, ugraph_to_digraph
 from .search import DEFAULT_SEED, SearchConfig, run_search
 from .verify import (
     Certificate,
@@ -43,8 +43,11 @@ SUITES = {
 }
 
 
-def _undirected(u: UGraph) -> str:
-    return to_text(ugraph_to_digraph(u))
+def _undirected(u: UGraph, copies: int = 1) -> str:
+    """The text of copies disjoint copies of u, as a symmetric digraph."""
+    if copies < 1:
+        raise ValueError("copies must be >= 1")
+    return to_text(ugraph_to_digraph(u_disjoint_union([u] * copies)))
 
 
 # each gen family's builder; its keyword parameters are the flags it reads
@@ -53,9 +56,9 @@ FAMILIES = {
     "looped-cycle": lambda n=6: to_text(families.looped_bidirected_cycle(n), 3),
     "gadget": lambda d=3: to_text(families.crossing_gadget(d)[0], d),
     "padded-gadget": lambda k=2, d=3: to_text(families.padded_gadget(k, d), d),
-    "cycle": lambda n=6, copies=1: _undirected(families.undirected_family("cycle", n, copies)),
-    "clique": lambda m=5, copies=1: _undirected(families.undirected_family("clique", m, copies)),
-    "k222": lambda copies=1: _undirected(families.undirected_family("k222", copies=copies)),
+    "cycle": lambda n=6, copies=1: _undirected(families.cycle_graph(n), copies),
+    "clique": lambda m=5, copies=1: _undirected(families.complete_graph(m), copies),
+    "k222": lambda copies=1: _undirected(families.complete_tripartite_222(), copies),
     "splice": lambda m=5: _undirected(families.three_block_splice(m)),
 }
 
@@ -278,11 +281,11 @@ def _report_checks(max_d: int) -> list[dict]:
     add("octahedron mean cycles, strict", Fraction(6, 5), octa.mean())
     k5 = two_factor_stats(families.complete_graph(5))
     add("5-clique mean cycles, strict", Fraction(1), k5.mean())
-    two_k3 = two_factor_stats(families.undirected_family("clique", 3, copies=2))
+    two_k3 = two_factor_stats(u_disjoint_union([families.complete_graph(3)] * 2))
     add("two 3-cliques mean cycles", Fraction(2), two_k3.mean())
-    six_k5 = two_factor_stats(families.undirected_family("clique", 5, copies=6))
+    six_k5 = two_factor_stats(u_disjoint_union([families.complete_graph(5)] * 6))
     add("six 5-cliques mean cycles", Fraction(6), six_k5.mean())
-    five_oct = two_factor_stats(families.undirected_family("k222", copies=5))
+    five_oct = two_factor_stats(u_disjoint_union([families.complete_tripartite_222()] * 5))
     add("five octahedra mean cycles", Fraction(6), five_oct.mean())
     return checks
 

@@ -41,9 +41,6 @@ its own order limit, MAX_FAST_VERTICES, so positions fit in key bytes.
 The tables are polynomials in the flat index key * (n + 1) + cycles,
 packed into one int (Kronecker substitution), so adding an arc weight or
 closing a cycle is a shift and merging two frontiers an addition.
-gn_classification_check reads the looped bidirected cycles' factor set
-off this table too: their histogram against a count of the factors they
-are known to contain.
 
 The undirected side covers vertex sets by cycles instead.  _cycle_sets
 counts the directed cycles on each vertex set, packed by cycle count,
@@ -70,7 +67,7 @@ from .exact import (
     TableRow,
     pattern_name,
 )
-from .families import crossing_gadget, looped_bidirected_cycle
+from .families import crossing_gadget
 from .graphs import Arc, DiGraph, UGraph
 
 MAX_FAST_VERTICES = 64
@@ -573,29 +570,8 @@ def classify_crossing_patterns(d: int) -> list[TableRow]:
 
 
 # ---------------------------------------------------------------------------
-# Looped bidirected cycles: factors versus matchings
+# Matchings of the n-cycle
 # ---------------------------------------------------------------------------
-
-
-def gn_classification_check(n: int) -> bool:
-    """Factors of the looped bidirected n-cycle = 2 rotations + matchings.
-
-    Every vertex has its loop and both arcs to v +- 1, so the two full
-    rotations (one cycle each) and one swap-factor per matching of the
-    n-cycle (matched pairs transposed, everything else fixed by its loop;
-    k pairs leave n - k cycles) are 2 + sum_k m_k distinct cycle-factors.
-    If the factor histogram equals {1: 2} plus {n - k: m_k}, the factor
-    count is that sum, so the factor set is exactly that set; no factor
-    is visited.
-    """
-    if not 4 <= n <= MAX_FAST_VERTICES:
-        raise ValueError(f"need 4 <= n <= {MAX_FAST_VERTICES}")
-    g = looped_bidirected_cycle(n)
-    if not all(g.has_arc(v, (v + s) % n) for v in range(n) for s in (0, 1, -1)):
-        return False
-    # n - k >= n/2 >= 2, so no swap-factor shares a cycle count with a rotation
-    expected = {1: 2} | {n - k: m for k, m in enumerate(cycle_matching_counts(n))}
-    return cycle_factor_stats(g).histogram == expected
 
 
 def cycle_matching_counts(n: int) -> list[int]:

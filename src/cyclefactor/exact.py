@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .errors import InternalCheckError
 
@@ -77,12 +77,11 @@ def pattern_name(used) -> str:
 def harmonic(m: int) -> Fraction:
     """H_m = 1 + 1/2 + ... + 1/m exactly; H_0 = 0.
 
-    One Fraction over the common denominator lcm(1..m), not m additions.
+    One Fraction, a_m / m! with a_m = m! H_m from _factorial_harmonics.
     """
     if m < 0:
         raise ValueError("harmonic number needs m >= 0")
-    common = lcm(*range(1, m + 1))
-    return Fraction(sum(common // j for j in range(1, m + 1)), common)
+    return Fraction(_factorial_harmonics(m)[m], factorial(m))
 
 
 def _factorial_harmonics(m: int) -> list[int]:

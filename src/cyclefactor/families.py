@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Arc, DiGraph, UGraph, disjoint_union, u_disjoint_union
+from .graphs import Arc, DiGraph, UGraph, disjoint_union
 
 CLASS_NAMES = ("A1", "B1", "C1", "A2", "B2", "C2")
 
@@ -109,24 +109,6 @@ def complete_tripartite_222() -> UGraph:
         for v in q
     ]
     return UGraph(6, edges)
-
-
-def undirected_family(name: str, size: int = 0, copies: int = 1) -> UGraph:
-    """Dispatcher for the named undirected families, with disjoint copies.
-
-    name is one of "cycle" (C_size), "clique" (K_size), "k222" (K_{2,2,2}).
-    """
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    if name == "cycle":
-        base = cycle_graph(size)
-    elif name == "clique":
-        base = complete_graph(size)
-    elif name == "k222":
-        base = complete_tripartite_222()
-    else:
-        raise ValueError(f"unknown undirected family {name!r}")
-    return u_disjoint_union([base] * copies) if copies > 1 else base
 
 
 def three_block_splice(m: int) -> UGraph:

@@ -210,19 +210,16 @@ def _leaders(records: Iterable[SearchRecord], size: int) -> list[SearchRecord]:
 
 class _Lineage:
     """One population member: its graph with the record evaluate gave it
-    and that record's _rank_key, its own random stream, its lineage tag,
-    its best excess so far and the iterations since that best."""
+    and that record's _rank_key, its own random stream, its best excess
+    so far and the iterations since that best."""
 
-    __slots__ = ("graph", "rec", "rank", "rng", "origin", "best", "stale")
+    __slots__ = ("graph", "rec", "rank", "rng", "best", "stale")
 
-    def __init__(
-        self, graph: DiGraph | None, rec: SearchRecord | None, rng: random.Random, origin: str
-    ):
+    def __init__(self, graph: DiGraph | None, rec: SearchRecord | None, rng: random.Random):
         self.graph = graph
         self.rec = rec
         self.rank = None if rec is None else _rank_key(rec)
         self.rng = rng
-        self.origin = origin
         self.best = None if rec is None else rec.certificate.excess
         self.stale = 0
 
@@ -279,13 +276,13 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
         try:
             g = random_regular_digraph(config.n, config.d, rng)
         except GenerationError:
-            return _Lineage(None, None, rng, "random")  # dropped next iteration
-        return _Lineage(g, evaluate(g, it, "random"), rng, "random")
+            return _Lineage(None, None, rng)  # dropped next iteration
+        return _Lineage(g, evaluate(g, it, "random"), rng)
 
     pop = [fresh(0) for _ in range(config.population)]
     for it in range(1, config.iterations + 1):
         # rank parents and mutated children together
-        ranked: list[tuple[tuple[float, Fraction, int], DiGraph, SearchRecord, _Lineage, str]] = []
+        ranked: list[tuple[tuple[float, Fraction, int], DiGraph, SearchRecord, _Lineage]] = []
         seen: set[int] = set()  # the classes ranked, by their record's id
         for member in pop:
             if member.graph is None:
@@ -294,22 +291,21 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
             parent = member.rec
             if id(parent) not in seen:
                 seen.add(id(parent))
-                ranked.append((member.rank, member.graph, parent, member, member.origin))
-            parent_tag = f"{parent.fingerprint:016x}"
-            rec = evaluate(child, it, parent_tag)
+                ranked.append((member.rank, member.graph, parent, member))
+            rec = evaluate(child, it, f"{parent.fingerprint:016x}")
             if id(rec) not in seen:
                 seen.add(id(rec))
-                ranked.append((_rank_key(rec), child, rec, member, parent_tag))
+                ranked.append((_rank_key(rec), child, rec, member))
         ranked.sort(key=itemgetter(0))
         survivors: list[_Lineage] = []
         used_members: set[int] = set()
-        for rank, g, rec, member, origin in ranked[: config.population]:
+        for rank, g, rec, member in ranked[: config.population]:
             if id(member) in used_members:
                 # parent and child both survive: the child forks its own stream
-                survivors.append(_Lineage(g, rec, stream.next_rng(), origin))
+                survivors.append(_Lineage(g, rec, stream.next_rng()))
                 continue
             used_members.add(id(member))
-            member.graph, member.rec, member.rank, member.origin = g, rec, rank, origin
+            member.graph, member.rec, member.rank = g, rec, rank
             if rec.certificate.excess > member.best:
                 member.best, member.stale = rec.certificate.excess, 0
             else:

@@ -25,12 +25,12 @@ from .enumeration import (
     classify_crossing_patterns,
     cycle_factor_stats,
     cycle_matching_counts,
-    gn_classification_check,
 )
 from .errors import IndivisibleOrderError, NotRegularError
 from .exact import gadget_closed_form, harmonic
 # unused here; perfbench/workloads.py traces crossing_gadget at this binding
 from .families import crossing_gadget  # noqa: F401
+from .families import looped_bidirected_cycle
 from .graphs import DiGraph, canonical_form, is_d_regular, to_text
 
 # largest order the two-regular suite walks: n_max = 8 covers 190,711,867
@@ -383,14 +383,26 @@ def gadget_cross_validation(d_max: int = 6) -> SuiteReport:
 def looped_cycle_suite(n_max: int = 12) -> SuiteReport:
     """Factor-set classification of the looped bidirected cycles, n = 4..n_max.
 
-    Each n is proved by gn_classification_check's histogram count, with
-    no factor walk, so n_max reaches the engine's order limit.
+    In the looped C_n every vertex has its loop and both arcs to v +- 1,
+    so the two full rotations (one cycle each) and one swap-factor per
+    matching of the n-cycle (matched pairs transposed, everything else
+    fixed by its loop; k pairs leave n - k cycles) are 2 + sum_k m_k
+    distinct cycle-factors.  If the factor histogram equals {1: 2} plus
+    {n - k: m_k}, the factor count is that sum, so the factor set is
+    exactly that set.  No factor is visited, so n_max reaches the
+    engine's order limit.
     """
     if not 4 <= n_max <= MAX_FAST_VERTICES:
         raise ValueError(f"need 4 <= n_max <= {MAX_FAST_VERTICES}")
     failures = []
     for n in range(4, n_max + 1):
-        if not gn_classification_check(n):
+        g = looped_bidirected_cycle(n)
+        # n - k >= n/2 >= 2, so no swap-factor shares a cycle count with a rotation
+        expected = {1: 2} | {n - k: m for k, m in enumerate(cycle_matching_counts(n))}
+        if not (
+            all(g.has_arc(v, (v + s) % n) for v in range(n) for s in (0, 1, -1))
+            and cycle_factor_stats(g).histogram == expected
+        ):
             failures.append(f"n={n}: factors are not two rotations plus matchings")
     if cycle_matching_counts(6) != [1, 6, 9, 2]:
         failures.append("matching counts of the 6-cycle differ from (1, 6, 9, 2)")

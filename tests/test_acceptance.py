@@ -45,9 +45,8 @@ from cyclefactor.families import (
     cycle_graph,
     looped_bidirected_cycle,
     padded_gadget,
-    undirected_family,
 )
-from cyclefactor.graphs import DiGraph, double_cover, to_text
+from cyclefactor.graphs import DiGraph, double_cover, to_text, u_disjoint_union
 from cyclefactor.search import SearchConfig, run_search
 from cyclefactor.verify import (
     certify,
@@ -210,17 +209,17 @@ def test_c08_undirected_partition_values():
     with Budget("criterion 8", 10.0):
         c6 = two_factor_stats(cycle_graph(6), allow_edge_as_2cycle=True)
         assert c6.mean() == Fraction(7, 3)
-        two_k3 = two_factor_stats(undirected_family("clique", 3, copies=2))
+        two_k3 = two_factor_stats(u_disjoint_union([complete_graph(3)] * 2))
         assert two_k3.mean() == Fraction(2)
         octa = two_factor_stats(complete_tripartite_222())
         assert octa.mean() == Fraction(6, 5)
         k5 = two_factor_stats(complete_graph(5))
         assert k5.mean() == Fraction(1)
         assert two_factor_stats(
-            undirected_family("clique", 5, copies=6)
+            u_disjoint_union([complete_graph(5)] * 6)
         ).mean() == Fraction(6)
         assert two_factor_stats(
-            undirected_family("k222", copies=5)
+            u_disjoint_union([complete_tripartite_222()] * 5)
         ).mean() == Fraction(6)
 
 

@@ -105,6 +105,18 @@ def test_gen_rejects_foreign_flag(tmp_path, capsys, family, flag, value):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("copies", ("0", "-1"))
+@pytest.mark.parametrize("family", ("cycle", "clique", "k222"))
+def test_gen_rejects_fewer_than_one_copy(tmp_path, capsys, family, copies):
+    path = tmp_path / "g.txt"
+    code, out, err = run_cli(
+        capsys, "gen", "--family", family, "--copies", copies, "--out", str(path)
+    )
+    assert code == 2 and out == ""
+    assert err == "error: copies must be >= 1\n"
+    assert not path.exists()
+
+
 def test_expect_reads_stdin(capsys, monkeypatch):
     text = "3 1\n0: 1\n1: 2\n2: 0\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))

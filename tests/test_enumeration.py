@@ -41,7 +41,6 @@ from cyclefactor.enumeration import (
     cycle_factor_stats,
     cycle_matching_counts,
     expected_cycles,
-    gn_classification_check,
     ryser_permanent,
     two_factor_stats,
 )
@@ -72,7 +71,7 @@ from cyclefactor.graphs import (
     u_disjoint_union,
 )
 from cyclefactor.search import random_regular_digraph
-from cyclefactor.verify import iter_two_regular_digraphs, two_regular_candidates
+from cyclefactor.verify import iter_two_regular_digraphs, looped_cycle_suite, two_regular_candidates
 
 
 @st.composite
@@ -745,7 +744,7 @@ def test_engines_and_canonical_form_leave_no_reference_cycles():
         for n in range(2, 6):
             list(iter_two_regular_digraphs(n))
             list(two_regular_candidates(n))
-        gn_classification_check(6)
+        looped_cycle_suite(6)
         leaked = gc.collect()
     finally:
         gc.enable()
@@ -924,7 +923,9 @@ def test_classifier_row_totals_match_plain_enumeration():
 
 @pytest.mark.parametrize("n", range(4, 11))
 def test_cycle_factor_inventory_of_looped_cycles(n):
-    assert gn_classification_check(n)
+    report = looped_cycle_suite(n)
+    assert report.ok, report.failures
+    assert report.checked == n - 3
 
 
 @pytest.mark.parametrize("n", range(4, 17))
@@ -946,9 +947,9 @@ def test_looped_cycle_factor_set_is_rotations_plus_swaps(n):
 
 def test_inventory_guard():
     with pytest.raises(ValueError):
-        gn_classification_check(3)
+        looped_cycle_suite(3)
     with pytest.raises(ValueError):
-        gn_classification_check(MAX_FAST_VERTICES + 1)
+        looped_cycle_suite(MAX_FAST_VERTICES + 1)
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -1010,13 +1011,13 @@ def test_partition_known_values():
 def test_three_block_splice_measured_values():
     # regression anchors: the splice stays below the plain three-clique
     # union, so it is a measured data point, not an improvement
-    from cyclefactor.families import three_block_splice, undirected_family
+    from cyclefactor.families import three_block_splice
 
     spliced = two_factor_stats(three_block_splice(5))
     assert (spliced.count, spliced.cycle_sum) == (432, 864)
     assert spliced.histogram == {1: 216, 3: 216}
     assert spliced.mean() == Fraction(2)
-    plain = two_factor_stats(undirected_family("clique", 5, copies=3))
+    plain = two_factor_stats(u_disjoint_union([complete_graph(5)] * 3))
     assert plain.mean() == Fraction(3)
     assert spliced.mean() < plain.mean()
     # one 18-vertex component, in both conventions

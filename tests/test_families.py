@@ -12,7 +12,6 @@ from cyclefactor.families import (
     looped_bidirected_cycle,
     padded_gadget,
     three_block_splice,
-    undirected_family,
 )
 from cyclefactor.graphs import DiGraph, disjoint_union, fingerprint, is_d_regular
 
@@ -104,16 +103,6 @@ def test_octahedron():
     # non-edges are exactly the three part pairs
     non = [(u, v) for u in range(6) for v in range(u + 1, 6) if v not in g.adj[u]]
     assert non == [(0, 1), (2, 3), (4, 5)]
-
-
-def test_undirected_family_dispatch():
-    assert undirected_family("cycle", 6) == cycle_graph(6)
-    assert undirected_family("clique", 4) == complete_graph(4)
-    assert undirected_family("k222") == complete_tripartite_222()
-    two = undirected_family("clique", 3, copies=2)
-    assert two.n == 6 and two.num_edges == 6
-    with pytest.raises(ValueError):
-        undirected_family("torus", 4)
 
 
 def test_three_block_splice_stays_regular():
