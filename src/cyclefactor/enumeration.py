@@ -60,13 +60,7 @@ from operator import mul
 from typing import Sequence
 
 from .errors import InternalCheckError, NoCycleFactorError
-from .exact import (
-    CROSSING_ARC_ORDER,
-    ROW_GROUPS,
-    ROW_OF_MASK,
-    TableRow,
-    pattern_name,
-)
+from .exact import CROSSING_ARC_ORDER, ROW_GROUPS, ROW_OF_MASK, TableRow
 from .families import crossing_gadget
 from .graphs import Arc, DiGraph, UGraph
 
@@ -544,20 +538,18 @@ def classify_crossing_patterns(d: int) -> list[TableRow]:
     the result is comparable to crossing_pattern_table; a pattern with no
     row, or a row with no factor, raises InternalCheckError.
     """
-    if d < 3:
-        raise ValueError("need d >= 3")
     if d > MAX_GADGET_DEGREE:
         raise ValueError(f"degree {d} above the enumeration limit {MAX_GADGET_DEGREE}")
-    g, labeling = crossing_gadget(d)
-    weights = {labeling.crossing_arcs[nm]: 1 << i for i, nm in enumerate(CROSSING_ARC_ORDER)}
+    g, crossing = crossing_gadget(d)
+    weights = {crossing[nm]: 1 << i for i, nm in enumerate(CROSSING_ARC_ORDER)}
     counts, sums = [0] * len(ROW_GROUPS), [0] * len(ROW_GROUPS)
     for mask, by_cycles in enumerate(_frontier_table(g.out, weights)):
         count = sum(by_cycles)
         if not count:
             continue
         if mask not in ROW_OF_MASK:
-            used = {arc for i, arc in enumerate(CROSSING_ARC_ORDER) if mask >> i & 1}
-            raise InternalCheckError(f"impossible crossing pattern {pattern_name(used)} observed")
+            name = "".join(nm for i, nm in enumerate(CROSSING_ARC_ORDER) if mask >> i & 1)
+            raise InternalCheckError(f"impossible crossing pattern {name} observed")
         row = ROW_OF_MASK[mask]
         counts[row] += count
         sums[row] += sum(map(mul, range(len(by_cycles)), by_cycles))

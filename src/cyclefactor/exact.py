@@ -54,24 +54,20 @@ class GadgetClosedForm:
     """Exact cycle-factor statistics of the 2d-vertex crossing gadget.
 
     count and cycle_sum are the number of cycle-factors and their total
-    cycle count; excess = expectation - 2*H_d is the margin over two
-    disjoint looped d-cliques on the same vertex count.
+    cycle count, and expectation is their quotient; excess =
+    expectation - 2*H_d is the margin over two disjoint looped d-cliques
+    on the same vertex count.
     """
 
     d: int
     count: int
     cycle_sum: int
-    expectation: Fraction
     excess: Fraction
     rows: tuple[TableRow, ...]
 
-
-def pattern_name(used) -> str:
-    """Canonical name of a crossing-arc subset; "none" for the empty set."""
-    picked = [a for a in CROSSING_ARC_ORDER if a in used]
-    if len(picked) != len(set(used)):
-        raise ValueError(f"unknown crossing arc label in {sorted(used)!r}")
-    return "".join(picked) if picked else "none"
+    @property
+    def expectation(self) -> Fraction:
+        return Fraction(self.cycle_sum, self.count)
 
 
 def harmonic(m: int) -> Fraction:
@@ -180,7 +176,7 @@ def gadget_closed_form(d: int) -> GadgetClosedForm:
     excess = Fraction(fd * cycle_sum - 2 * _factorial_harmonics(d)[d] * count, fd * count)
     if excess != benchmark_excess(d):
         raise InternalCheckError("table excess disagrees with the closed form")
-    return GadgetClosedForm(d, count, cycle_sum, Fraction(cycle_sum, count), excess, tuple(rows))
+    return GadgetClosedForm(d, count, cycle_sum, excess, tuple(rows))
 
 
 def excess_positive_for_every_degree() -> bool:

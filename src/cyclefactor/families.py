@@ -8,24 +8,7 @@ octahedron K_{2,2,2}, and the three-block clique splice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import Arc, DiGraph, UGraph, disjoint_union
-
-CLASS_NAMES = ("A1", "B1", "C1", "A2", "B2", "C2")
-
-
-@dataclass(frozen=True)
-class GadgetLabeling:
-    """Class labels and crossing arcs of the six-class gadget.
-
-    class_of[v] is one of A1, B1, C1, A2, B2, C2.  The four crossing arcs
-    u1: B1->A1, v1: A2->B2, u2: B2->A2, v2: A1->B1 are exactly the arcs
-    between the two halves D1 = B1+C1+A2 and D2 = B2+C2+A1.
-    """
-
-    class_of: tuple[str, ...]
-    crossing_arcs: dict[str, Arc]
 
 
 def complete_looped(m: int) -> DiGraph:
@@ -42,13 +25,16 @@ def looped_bidirected_cycle(n: int) -> DiGraph:
     return DiGraph(n, [[(v - 1) % n, v, (v + 1) % n] for v in range(n)])
 
 
-def crossing_gadget(d: int) -> tuple[DiGraph, GadgetLabeling]:
-    """The 2d-vertex d-regular gadget built from six classes in cyclic order.
+def crossing_gadget(d: int) -> tuple[DiGraph, dict[str, Arc]]:
+    """The 2d-vertex d-regular gadget and its four named crossing arcs.
 
-    Classes A1, B1, C1, A2, B2, C2 have sizes 1, 1, d-2, 1, 1, d-2.  Each
-    class is internally complete looped; consecutive classes in the cyclic
-    order are joined by all arcs in both directions.  For d=3 the result is
-    arc-identical to looped_bidirected_cycle(6).
+    Six classes A1, B1, C1, A2, B2, C2 of sizes 1, 1, d-2, 1, 1, d-2 take
+    the vertices 0..2d-1 in order.  Each class is internally complete
+    looped; consecutive classes in the cyclic order are joined by all arcs
+    in both directions.  The crossing arcs u1: B1->A1, v1: A2->B2,
+    u2: B2->A2, v2: A1->B1 are exactly the arcs between the two halves
+    D1 = B1+C1+A2 and D2 = B2+C2+A1.  For d=3 the graph is arc-identical
+    to looped_bidirected_cycle(6).
     """
     if d < 3:
         raise ValueError("gadget needs d >= 3 so the C classes are nonempty")
@@ -61,22 +47,19 @@ def crossing_gadget(d: int) -> tuple[DiGraph, GadgetLabeling]:
     rows = []
     for i, cls in enumerate(classes):
         rows += [tuple(sorted([*classes[i - 1], *cls, *classes[(i + 1) % 6]]))] * len(cls)
-    class_of = tuple(name for name, cls in zip(CLASS_NAMES, classes) for _ in cls)
     crossing = {
         "u1": (1, 0),          # B1 -> A1
         "v1": (d, d + 1),      # A2 -> B2
         "u2": (d + 1, d),      # B2 -> A2
         "v2": (0, 1),          # A1 -> B1
     }
-    return DiGraph._of_rows(tuple(rows)), GadgetLabeling(class_of, crossing)
+    return DiGraph._of_rows(tuple(rows)), crossing
 
 
 def padded_gadget(k: int, d: int) -> DiGraph:
     """The kd-vertex d-regular graph: crossing gadget plus k-2 looped cliques."""
     if k < 2:
         raise ValueError("need k >= 2 (k=2 is the bare gadget)")
-    if d < 3:
-        raise ValueError("need d >= 3")
     gadget, _ = crossing_gadget(d)
     return disjoint_union([gadget] + [complete_looped(d)] * (k - 2))
 

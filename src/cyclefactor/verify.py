@@ -78,11 +78,14 @@ def _benchmark(n: int, d: int) -> Fraction:
 def certify(g: DiGraph, d: int, provenance: str = "") -> Certificate:
     """Certify the graph's exact excess over the benchmark (n/d)*H_d.
 
-    Preconditions: g is d-regular, d divides n, and at least one
-    cycle-factor exists (automatic for regular graphs, but checked).
+    Preconditions: g has a vertex, g is d-regular, d divides n, and at
+    least one cycle-factor exists (automatic for regular graphs, but
+    checked).
     """
     if d < 1:
         raise ValueError("need d >= 1")
+    if g.n == 0:
+        raise ValueError("graph has no vertex")
     if not is_d_regular(g, d):
         raise NotRegularError(f"graph is not {d}-regular")
     if g.n % d != 0:
@@ -346,10 +349,10 @@ def gadget_cross_validation(d_max: int = 6) -> SuiteReport:
     count and cycle sum.  The frontier engine merges partial factors by
     their open paths and does not visit each factor; that is what makes
     degree 8 (about 10^9 factors) and degree 12 (about 1.7 * 10^17)
-    reachable.  Compares, in integers,
-    count, total cycle sum, mean (by cross-multiplication), and each
+    reachable.  Compares, in integers, count, total cycle sum and each
     aggregated row's count and cycle sum; reports the first differing
-    quantity per degree.
+    quantity per degree.  The mean is their quotient, so it needs no
+    comparison of its own.
     """
     if not 3 <= d_max <= MAX_GADGET_DEGREE:
         raise ValueError(f"need 3 <= d_max <= {MAX_GADGET_DEGREE}")
@@ -359,14 +362,11 @@ def gadget_cross_validation(d_max: int = 6) -> SuiteReport:
         observed = classify_crossing_patterns(d)
         count = sum(row.count for row in observed)
         cycle_sum = sum(row.cycle_sum for row in observed)
-        expectation = form.expectation
         mismatch = None
         if count != form.count:
             mismatch = f"factor count {count} != {form.count}"
         elif cycle_sum != form.cycle_sum:
             mismatch = f"cycle sum {cycle_sum} != {form.cycle_sum}"
-        elif cycle_sum * expectation.denominator != expectation.numerator * count:
-            mismatch = f"mean {Fraction(cycle_sum, count)} != {expectation}"
         else:
             for got, want in zip(observed, form.rows):
                 if got != want:

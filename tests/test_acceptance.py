@@ -104,7 +104,7 @@ def test_c02_degree_seven_leg():
 
 @pytest.mark.slow
 def test_c02_degree_eight_leg():
-    with Budget("criterion 2 (d=8)", 30.0):
+    with Budget("criterion 2 (d=8)", 5.0):
         report = gadget_cross_validation(8)
         assert report.ok, report.failures
         assert report.checked == 6
@@ -136,7 +136,7 @@ def test_c04_padded_gadget_margins():
 
 
 def test_c05_two_regular_exhaustive_suite():
-    with Budget("criterion 5", 60.0):
+    with Budget("criterion 5", 5.0):
         report = two_regular_suite(6)
         assert report.ok, report.failures[:3]
         assert report.checked == 1 + 6 + 90 + 2040 + 67950
@@ -179,7 +179,7 @@ def test_c05_edge_usage_of_the_degree_eight_gadget(tmp_path, capsys):
 
 
 def test_c06_looped_cycle_classification():
-    with Budget("criterion 6", 30.0):
+    with Budget("criterion 6", 5.0):
         report = looped_cycle_suite(12)
         assert report.ok, report.failures
 
@@ -193,7 +193,7 @@ def iter_partial_permutations(n):
 
 
 def test_c07_constrained_completion_oracle():
-    with Budget("criterion 7", 120.0):
+    with Budget("criterion 7", 10.0):
         for n in range(1, 7):
             g = complete_looped(n)
             for pinned in iter_partial_permutations(n):
@@ -224,7 +224,7 @@ def test_c08_undirected_partition_values():
 
 
 def test_c09_permanent_equivalence_corpus():
-    with Budget("criterion 9", 60.0):
+    with Budget("criterion 9", 5.0):
         rng = random.Random(20260813)
         for _ in range(50):
             n = rng.randint(1, 7)
@@ -237,7 +237,7 @@ def test_c09_permanent_equivalence_corpus():
 
 
 def test_c10_search_rediscovery():
-    with Budget("criterion 10", 120.0):
+    with Budget("criterion 10", 10.0):
         first = run_search(SearchConfig(6, 3))
         again = run_search(SearchConfig(6, 3))
         assert first == again
@@ -252,6 +252,6 @@ def test_c10_search_rediscovery():
 
 @pytest.mark.slow
 def test_large_search_example_finds_positive_excess():
-    with Budget("search (8,4)", 120.0):
+    with Budget("search (8,4)", 40.0):
         records = run_search(SearchConfig(8, 4, population=64, iterations=500))
         assert records[0].certificate.excess > 0

@@ -156,6 +156,22 @@ def test_verify_ties_on_clique_union(tmp_path, capsys):
     assert doc["expectation"] == "35/6" and doc["excess"] == "1/3"
 
 
+def test_verify_refuses_a_graph_with_no_vertex(tmp_path, capsys):
+    # the certificate schema needs n >= 1, so there is nothing to certify
+    path = tmp_path / "empty.txt"
+    path.write_text("0 -1\n")
+    code, out, err = run_cli(capsys, "verify", "--graph", str(path), "--d", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: graph has no vertex\n"
+
+
+def test_verify_smallest_certificate_fits_the_schema(tmp_path, capsys):
+    path = tmp_path / "loop.txt"
+    path.write_text("1 1\n0: 0\n")
+    doc = run_json(capsys, "verify", "--graph", str(path), "--d", "1", schema_name="certificate")
+    assert (doc["n"], doc["count"], doc["cycle_sum"]) == (1, 1, 1)
+
+
 def test_formula_values(capsys):
     doc = run_json(capsys, "formula", "--d", "3", schema_name="formula")
     assert doc["count"] == 20

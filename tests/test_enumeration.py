@@ -51,7 +51,6 @@ from cyclefactor.exact import (
     ROW_OF_MASK,
     crossing_pattern_table,
     harmonic,
-    pattern_name,
 )
 from cyclefactor.families import (
     complete_graph,
@@ -632,9 +631,9 @@ def test_two_heads_due_at_one_tail_prune_to_zero():
 
 def gadget_rows_and_weights(d):
     """The gadget's rows with each crossing arc weighted by its pattern bit."""
-    g, labeling = crossing_gadget(d)
+    g, crossing = crossing_gadget(d)
     bit_of = {name: 1 << i for i, name in enumerate(CROSSING_ARC_ORDER)}
-    weights = {arc: bit_of[name] for name, arc in labeling.crossing_arcs.items()}
+    weights = {arc: bit_of[name] for name, arc in crossing.items()}
     return g.out, weights
 
 
@@ -875,12 +874,13 @@ def test_classifier_guards():
 @pytest.mark.parametrize("d", (3, 4))
 def test_classifier_matches_permutation_oracle(d):
     # bucket every permutation factor by the crossing arcs it uses
-    g, labeling = crossing_gadget(d)
+    g, crossing = crossing_gadget(d)
     buckets = {}
     for p in factors(g.out):
-        used = {name for name, (t, h) in labeling.crossing_arcs.items() if p[t] == h}
-        count, total = buckets.get(pattern_name(used), (0, 0))
-        buckets[pattern_name(used)] = (count + 1, total + closed_cycles_in(p))
+        used = [name for name in CROSSING_ARC_ORDER if p[crossing[name][0]] == crossing[name][1]]
+        name = "".join(used) or "none"
+        count, total = buckets.get(name, (0, 0))
+        buckets[name] = (count + 1, total + closed_cycles_in(p))
     assert set(buckets) <= frozenset().union(*ROW_GROUPS)
     want = []
     for group in ROW_GROUPS:

@@ -30,7 +30,6 @@ from cyclefactor.exact import (
     gadget_closed_form,
     harmonic,
     no_crossing_block_counts,
-    pattern_name,
     scaled_excess,
 )
 
@@ -135,24 +134,15 @@ def test_block_count_identity():
         assert n0 == factorial(d) - 2 * factorial(d - 1) + factorial(d - 2)
 
 
-def test_pattern_names():
-    assert pattern_name(frozenset()) == "none"
-    assert pattern_name({"u2", "u1"}) == "u1u2"
-    assert pattern_name({"v2", "u1", "v1", "u2"}) == "u1v1u2v2"
-    with pytest.raises(ValueError):
-        pattern_name({"u1", "w9"})
+def test_row_of_mask_sends_each_allowed_pattern_to_its_row():
+    assert CROSSING_ARC_ORDER == ("u1", "v1", "u2", "v2")
     allowed = frozenset().union(*ROW_GROUPS)
     assert allowed == {"none", "u1u2", "v1v2", "u1v2", "v1u2", "u1v1u2v2"}
-    assert CROSSING_ARC_ORDER == ("u1", "v1", "u2", "v2")
-
-
-def test_row_of_mask_sends_each_allowed_pattern_to_its_row():
-    allowed = frozenset().union(*ROW_GROUPS)
-    assert sum(map(len, ROW_GROUPS)) == len(allowed) == 6  # no pattern in two rows
+    assert sum(map(len, ROW_GROUPS)) == len(allowed)  # no pattern in two rows
     assert ROW_OF_MASK == {0b0000: 0, 0b1001: 1, 0b0110: 1, 0b1111: 2, 0b0101: 3, 0b1010: 3}
-    # the mask's name, built by pattern_name, is in the mask's row group
+    # the mask's name, its arcs in CROSSING_ARC_ORDER, is in the mask's row group
     for mask in range(16):
-        name = pattern_name({a for i, a in enumerate(CROSSING_ARC_ORDER) if mask >> i & 1})
+        name = "".join(a for i, a in enumerate(CROSSING_ARC_ORDER) if mask >> i & 1) or "none"
         assert (mask in ROW_OF_MASK) == (name in allowed)
         if mask in ROW_OF_MASK:
             assert name in ROW_GROUPS[ROW_OF_MASK[mask]]

@@ -3,7 +3,6 @@
 import pytest
 
 from cyclefactor.families import (
-    CLASS_NAMES,
     complete_graph,
     complete_looped,
     complete_tripartite_222,
@@ -34,32 +33,44 @@ def test_looped_bidirected_cycle_shape():
         looped_bidirected_cycle(3)
 
 
+def gadget_classes(d):
+    """Vertex ranges of the classes A1, B1, C1, A2, B2, C2, in cyclic order."""
+    bounds = (0, 1, 2, d, d + 1, d + 2, 2 * d)
+    return [set(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+
+
 @pytest.mark.parametrize("d", range(3, 13))
 def test_crossing_gadget_is_d_regular(d):
-    g, lab = crossing_gadget(d)
+    g, _ = crossing_gadget(d)
     assert g.n == 2 * d
     # the unchecked rows are in the checked constructor's form
     assert DiGraph(g.n, g.out).out == g.out
     assert is_d_regular(g, d)
     assert g.loop_count == 2 * d
-    sizes = {name: lab.class_of.count(name) for name in CLASS_NAMES}
-    assert sizes == {"A1": 1, "B1": 1, "C1": d - 2, "A2": 1, "B2": 1, "C2": d - 2}
+    # each vertex's row is its class and the two classes beside it
+    classes = gadget_classes(d)
+    for i, cls in enumerate(classes):
+        row = classes[i - 1] | cls | classes[(i + 1) % 6]
+        for v in cls:
+            assert set(g.out[v]) == row
 
 
 @pytest.mark.parametrize("d", range(3, 9))
 def test_crossing_arcs_are_the_only_half_cut(d):
-    g, lab = crossing_gadget(d)
-    h1 = frozenset(v for v, c in enumerate(lab.class_of) if c in ("B1", "C1", "A2"))
-    h2 = frozenset(v for v, c in enumerate(lab.class_of) if c in ("B2", "C2", "A1"))
-    assert h1 | h2 == frozenset(range(g.n)) and not h1 & h2
+    g, crossing = crossing_gadget(d)
+    a1, b1, c1, a2, b2, c2 = gadget_classes(d)
+    h1, h2 = b1 | c1 | a2, b2 | c2 | a1
+    assert h1 | h2 == set(range(g.n)) and not h1 & h2
     cut = {
         (u, w)
         for u, w in g.arcs()
         if (u in h1) != (w in h1)
     }
-    assert cut == set(lab.crossing_arcs.values())
-    assert set(lab.crossing_arcs) == {"u1", "v1", "u2", "v2"}
-    for u, w in lab.crossing_arcs.values():
+    assert cut == set(crossing.values())
+    # A1, B1, A2, B2 are one vertex each; u1: B1->A1, v1: A2->B2, u2: B2->A2, v2: A1->B1
+    (x1,), (y1,), (x2,), (y2,) = a1, b1, a2, b2
+    assert crossing == {"u1": (y1, x1), "v1": (x2, y2), "u2": (y2, x2), "v2": (x1, y1)}
+    for u, w in crossing.values():
         assert g.has_arc(u, w)
 
 
