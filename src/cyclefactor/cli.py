@@ -75,16 +75,40 @@ def _flag_readers() -> dict[str, list[str]]:
 GEN_FLAGS = _flag_readers()
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift the interpreter's cap on the digits of an int turned into text.
+
+    The cap (4300 digits by default, where the interpreter has one) would
+    refuse the gadget's exact count and cycle sum from d = 860; it is
+    restored on exit, since main also runs inside longer-lived processes.
+    """
+    set_cap = getattr(sys, "set_int_max_str_digits", None)
+    if set_cap is None:
+        yield
+        return
+    cap = sys.get_int_max_str_digits()
+    set_cap(0)
+    try:
+        yield
+    finally:
+        set_cap(cap)
+
+
 def _exact(name: str, x) -> dict:
     """An exact rational as a "p/q" string under name, its float under name_float."""
     f = Fraction(x)
-    return {name: f"{f.numerator}/{f.denominator}", f"{name}_float": float(f)}
+    with _all_digits():
+        text = f"{f.numerator}/{f.denominator}"
+    return {name: text, f"{name}_float": float(f)}
 
 
 def _emit(doc) -> None:
     # the text is built whole before any of it is written, so a value
     # that cannot be converted leaves stdout empty
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with _all_digits():
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    sys.stdout.write(text + "\n")
 
 
 def _read_graph(path: str) -> tuple[DiGraph, int]:

@@ -25,6 +25,22 @@ the forward pass kept: it regenerates each frontier's moves, and an
 arc's usage sums, over its moves, the partial factors reaching the
 frontier times the completions of the target.
 
+Two heads are twins when they have the same column in the rows run: the
+same candidate tails, each with equal arc weights into both, as the
+members of a complete looped class (the gadget's C classes, every vertex
+of K_d°).  Swapping two twins in every completion of a frontier maps its
+completions one to one onto those of the frontier with the twins
+swapped, with the same cycle count and key, so frontiers that differ
+only by a permutation of twins have the same future and their tables
+add.  So the keys name each group of twins by one token, and the level
+step _advance_twins, run only at a tail with a group among its
+candidates, moves onto each free member a token stands for: a due group
+with two free heads prunes the frontier, one with a single free head
+forces the move onto it.  The merge needs only the table: it runs where
+no usage is wanted and, as a cost gate, where the Bregman bound below
+exceeds n^4.  The answer, one packed table, is read one key row at a
+time, and a row that is 0 is not unpacked.
+
 Its cost is set by how many frontiers a level holds, which the tail
 order decides.  _orient alone picks the order and the direction.  The
 order places next the tail that leaves the least width: open heads, and
@@ -255,22 +271,30 @@ def _orient(
 
 
 def _search_space(
-    rows: Sequence[Sequence[int]], weights: dict[Arc, int], stride: int
-) -> tuple[list[list[tuple]], list[list[tuple]], int] | None:
+    rows: Sequence[Sequence[int]], weights: dict[Arc, int], stride: int, twins: bool
+) -> tuple[list[list[tuple]], list[list[tuple]], int, bytes, list[bool]] | None:
     """The search the frontier engine runs, or None if a tail or head has no candidate.
 
     The search runs in the direction and tail order of _orient, and
     vertices are relabeled by their position in that order, so it runs
-    over positions 0..n-1.  Returns cand, due and slot.  cand[i] lists
-    tail i's choices as (head, shift, shift + slot, original arc): shift,
-    weight * stride * slot, moves a table along a join, and shift + slot
-    along a closing.  In the transpose, choice v -> w is g's arc (w, v),
-    so weights and usage stay keyed by g's arcs.  due[i] lists the heads
-    whose last candidate tail is position i, each with tail i's one choice
-    of it as a 1-tuple: at position i a head of due[i] still free must be
-    taken now.  slot, the bits of one packed coefficient, is two more than
-    log2 of the Bregman bound of the rows run.  More than
+    over positions 0..n-1.  Returns cand, due, slot, start and twinned.
+    cand[i] lists tail i's choices as (head, shift, shift + slot, original
+    arc): shift, weight * stride * slot, moves a table along a join, and
+    shift + slot along a closing.  In the transpose, choice v -> w is g's
+    arc (w, v), so weights and usage stay keyed by g's arcs.  due[i] lists
+    the heads whose last candidate tail is position i, each with tail i's
+    one choice of it as a 1-tuple: at position i a head of due[i] still
+    free must be taken now.  slot, the bits of one packed coefficient, is
+    two more than log2 of the Bregman bound of the rows run.  More than
     MAX_FAST_VERTICES rows raise ValueError, so positions fit in bytes.
+
+    With twins, where the bound exceeds n^4, heads with the same column
+    (the same candidate tails, each with the same shift) are twins, and
+    each group of two or more twins is named by its first member, its
+    token: cand and due keep the token's choices only, each standing for
+    the whole group.  start is the full frontier, every position's start
+    replaced by its token, and twinned[i] tells whether tail i has a
+    group among its candidates.  Without twins no head is grouped.
     """
     n = len(rows)
     if n > MAX_FAST_VERTICES:
@@ -295,10 +319,27 @@ def _search_space(
         cand.append(row)
     if not all(cand) or () in last:
         return None
+    token = list(range(n))
+    twinned = [False] * n
+    if twins and n > 1 and log2_bound > 4 * log2(n):
+        columns: list[list[int]] = [[] for _ in range(n)]
+        for i, row in enumerate(cand):
+            for h, shift, _, _ in row:
+                columns[h] += i, shift
+        first: dict[tuple, int] = {}
+        token = [first.setdefault(tuple(col), h) for h, col in enumerate(columns)]
+        if len(first) < n:
+            # a group lies in all of its tails' rows or in none, so a row
+            # that loses a member to its token has a group
+            for i, row in enumerate(cand):
+                kept = [c for c in row if token[c[0]] == c[0]]
+                twinned[i] = len(kept) < len(row)
+                cand[i] = kept
     due: list[list[tuple]] = [[] for _ in range(n)]
     for h, (i, choice) in enumerate(last):
-        due[i].append((h, (choice,)))
-    return cand, due, slot
+        if token[h] == h:
+            due[i].append((h, (choice,)))
+    return cand, due, slot, bytes(token), twinned
 
 
 def _advance(
@@ -318,7 +359,10 @@ def _advance(
     tail can take either, and one forces tail i's choice onto it.  Moves
     reaching equal starts merge by addition.  Only the arguments are
     read, so any level dict may be advanced, and the step is linear: the
-    level after a sum of levels is the sum of the levels after them.
+    level after a sum of levels is the sum of the levels after them.  A
+    start may be a twin group's token, which this step only carries:
+    tail i has no group among its choices (_advance_twins runs where it
+    has).
     """
     nxt: dict[bytes, int] = {}
     for starts, table in level.items():
@@ -346,6 +390,59 @@ def _advance(
     return nxt
 
 
+def _advance_twins(
+    level: dict[bytes, int], choices: list[tuple], pending: list[tuple], byte: list[bytes]
+) -> dict[bytes, int]:
+    """_advance for a tail with a group of twin heads among its choices.
+
+    A token among the starts is some free member of its group, and as
+    many members are free as the token occurs.  A choice of head h, a
+    token or a lone head, moves onto each start equal to h: where that
+    start is s, tail i's own, it closes the cycle, and elsewhere it joins
+    the path there and puts s in its place.  Joins onto twins of s keep
+    the rest as it is, so they add to the closing's key together.  A
+    pending head or group counts once per free member, so a due group
+    with two free heads prunes the frontier and one with a single free
+    head forces the move onto it.  Otherwise the rule of _advance.
+    """
+    nxt: dict[bytes, int] = {}
+    for starts, table in level.items():
+        moves = choices
+        for h, forced in pending:
+            free = starts.count(h)
+            if free:
+                if free > 1 or moves is not choices:
+                    break
+                moves = forced
+        else:
+            s = starts[0]
+            rest = starts[1:]
+            for h, shift, closing, _ in moves:
+                if h == s:
+                    key = rest
+                    part = table << closing
+                    joins = rest.count(h)
+                    if joins:
+                        part += (table << shift if shift else table) * joins
+                else:
+                    free = rest.count(h)
+                    if not free:
+                        continue
+                    part = table << shift if shift else table
+                    if free > 1:
+                        j = rest.find(h)
+                        while j >= 0:
+                            key = rest[:j] + byte[s] + rest[j + 1 :]
+                            old = nxt.get(key)
+                            nxt[key] = part if old is None else old + part
+                            j = rest.find(h, j + 1)
+                        continue
+                    key = rest.replace(byte[h], byte[s])
+                old = nxt.get(key)
+                nxt[key] = part if old is None else old + part
+    return nxt
+
+
 def _frontier_table(
     rows: Sequence[Sequence[int]], weights: dict[Arc, int], usage: dict[Arc, int] | None = None
 ) -> list[list[int]]:
@@ -360,50 +457,62 @@ def _frontier_table(
 
     The search of _search_space, run forward over its frontiers (Knuth's
     SIMPATH): level 0 is the full frontier, and _advance maps each level
-    to the next.  Level n holds one entry, the empty frontier, whose
-    table is the answer.
+    to the next, or _advance_twins where the tail has a twin group among
+    its choices.  Level n holds one entry, the empty frontier, whose table
+    is the answer; it is read one key row at a time, and a row that is 0
+    is not unpacked.
 
     The partial factors reaching a level-i frontier are perfect matchings
     of tails 0..i-1 onto the heads it has used, so Bregman's bound on
     those rows, and with it the bound on all the rows searched (g's or its
     transpose's), caps their count; the slots, two bits wider than its
     log2 to absorb rounding, never overflow, even for frontiers with no
-    completion.
+    completion.  A frontier of merged twins adds the tables of several
+    such frontiers.  Where it has a completion, each partial factor
+    reaching it joins one completion into a distinct factor, so the
+    factor count, below the bound, still caps it; where it has none, a
+    carry between slots stays in tables that never reach the answer,
+    since frontiers merge only with equal completions.
 
-    With usage wanted, the forward pass keeps every level, and a backward
-    pass walks them back from the empty frontier, which completes once.
-    It regenerates each frontier's moves from cand[i] by _advance's rule,
-    without the deadlines, and looks up B, the completions of the target,
-    in the level after, which it has already turned into completions.  A
-    move the forward pass pruned or forced away leaves a due head free
-    that no later tail can take, so its target is in no level and adds 0.
-    F, the number of partial factors reaching a frontier, is its table
-    modulo 2^slot - 1: every shift is a multiple of slot and 2^slot = 1
-    modulo 2^slot - 1, so that is the coefficient sum, which the bound
-    above keeps below the modulus.  Each move adds F * B to its arc's
-    usage, and the frontier's B is the sum of its moves' B.  Each level's
-    tables turn into completions as the pass goes, and a level is dropped
-    once the one before it is done.  The kept levels hold one key and one
-    table per frontier and nothing per move: on
-    random_regular_digraph(16, 8, Random(0)) the process peaks at 118 MiB
-    with usage, against 89 MiB for the table alone.
+    With usage wanted, no heads are merged, the forward pass keeps every
+    level, and a backward pass walks them back from the empty frontier,
+    which completes once.  It regenerates each frontier's moves from
+    cand[i] by _advance's rule, without the deadlines, and looks up B, the
+    completions of the target, in the level after, which it has already
+    turned into completions.  A move the forward pass pruned or forced
+    away leaves a due head free that no later tail can take, so its
+    target is in no level and adds 0.  F, the number of partial factors
+    reaching a frontier, is its table modulo 2^slot - 1: every shift is a
+    multiple of slot and 2^slot = 1 modulo 2^slot - 1, so that is the
+    coefficient sum, which the bound above keeps below the modulus.  Each
+    move adds F * B to its arc's usage, and the frontier's B is the sum of
+    its moves' B.  Each level's tables turn into completions as the pass
+    goes, and a level is dropped once the one before it is done.  The
+    kept levels hold one key and one table per frontier and nothing per
+    move: on random_regular_digraph(16, 8, Random(0)) the process peaks at
+    118 MiB with usage, against 89 MiB for the table alone.
     """
     n = len(rows)
     stride = n + 1
     nkeys = 1 + sum(weights.values())
-    search = _search_space(rows, weights, stride)
+    search = _search_space(rows, weights, stride, usage is None)
     if search is None:
         return [[0] * stride for _ in range(nkeys)]
-    cand, due, slot = search
+    cand, due, slot, start, twinned = search
     byte = [bytes((v,)) for v in range(n)]
     levels: list[dict[bytes, int]] = []  # every level, when usage is wanted
-    level = {bytes(range(n)): 1}
-    for choices, pending in zip(cand, due):
+    level = {start: 1}
+    for choices, pending, twin in zip(cand, due, twinned):
         if usage is not None:
             levels.append(level)
-        level = _advance(level, choices, pending, byte)
+        level = (_advance_twins if twin else _advance)(level, choices, pending, byte)
     packed = level.get(b"", 0)
-    flat = _unpack(packed, slot, nkeys * stride)
+    width = stride * slot  # the bits of one key's row
+    mask = (1 << width) - 1
+    by_key = []
+    for key in range(nkeys):
+        row = packed >> key * width & mask
+        by_key.append(_unpack(row, slot, stride) if row else [0] * stride)
     if usage is not None and packed:
         full = (1 << slot) - 1
         after = {b"": 1}  # the empty frontier completes once
@@ -426,7 +535,7 @@ def _frontier_table(
                         total += completions
                 level[starts] = total
             after = level
-    return [flat[k * stride : (k + 1) * stride] for k in range(nkeys)]
+    return by_key
 
 
 def _cycle_sets(rows: Sequence[Sequence[int]], slot: int) -> dict[int, int]:

@@ -208,6 +208,19 @@ def harmonic_by_terms(m):
     return sum((Fraction(1, j) for j in range(1, m + 1)), Fraction(0))
 
 
+def stirling_cycle_counts(m):
+    """c(m, j) for j = 0..m: permutations of m points with j cycles.
+
+    The unsigned Stirling numbers of the first kind, by their recurrence
+    c(k + 1, j) = k c(k, j) + c(k, j - 1): point k + 1 joins one of the k
+    cycle slots of a permutation of k points, or is a cycle of its own.
+    """
+    row = [1]
+    for k in range(m):
+        row = [k * a + b for a, b in zip(row + [0], [0] + row)]
+    return row
+
+
 def block_counts_by_harmonics(d):
     """(N0, S0) of one crossing-gadget half with both crossing arcs unused.
 

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from importlib import resources
+from math import factorial
 from pathlib import Path
 
 import jsonschema
@@ -181,12 +182,25 @@ def test_formula_values(capsys):
 
 
 @pytest.mark.parametrize("command", ["formula", "table1"])
-def test_unprintable_value_leaves_stdout_empty(capsys, command):
-    # at d = 900 a count has more digits than int-to-str converts, so the
-    # document fails while it is built, before any of it is written
-    code, out, err = run_cli(capsys, command, "--d", "900")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ")
+def test_closed_forms_print_exactly_at_degree_1000(capsys, command):
+    # the count has about 5100 digits, more than the interpreter turns
+    # into text by default; the command lifts that cap only while it
+    # writes, and parsing the document here needs it lifted too
+    d = 1000
+    set_cap = getattr(sys, "set_int_max_str_digits", None)
+    cap = sys.get_int_max_str_digits() if set_cap else None
+    code, out, err = run_cli(capsys, command, "--d", str(d))
+    assert (code, err) == (0, "")
+    if set_cap:
+        assert sys.get_int_max_str_digits() == cap
+        set_cap(0)
+    try:
+        doc = json.loads(out)
+    finally:
+        if set_cap:
+            set_cap(cap)
+    counts = [doc["count"]] if command == "formula" else [row["count"] for row in doc["rows"]]
+    assert sum(counts) == factorial(d - 2) ** 2 * (d**4 - 6 * d**3 + 19 * d**2 - 30 * d + 20)
 
 
 def test_table_rows(capsys):

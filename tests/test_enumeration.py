@@ -20,6 +20,8 @@ from brute_force import (
     closed_cycles_in,
     cycle_matchings,
     factors,
+    harmonic_by_terms,
+    stirling_cycle_counts,
     walk_factors,
 )
 from cyclefactor import enumeration
@@ -28,6 +30,7 @@ from cyclefactor.enumeration import (
     MAX_GADGET_DEGREE,
     ArcConstraints,
     _advance,
+    _advance_twins,
     _candidate_rows,
     _cover_all,
     _cycle_sets,
@@ -70,7 +73,12 @@ from cyclefactor.graphs import (
     u_disjoint_union,
 )
 from cyclefactor.search import random_regular_digraph
-from cyclefactor.verify import iter_two_regular_digraphs, looped_cycle_suite, two_regular_candidates
+from cyclefactor.verify import (
+    certify,
+    iter_two_regular_digraphs,
+    looped_cycle_suite,
+    two_regular_candidates,
+)
 
 
 @st.composite
@@ -757,37 +765,43 @@ def test_engines_and_canonical_form_leave_no_reference_cycles():
 
 # frontiers per level, levels 1..n, of cycle_factor_stats: crossing_gadget(d)
 # for d = 3..8, then the 8 graphs random_regular_digraph(16, 4, Random(1))
-# draws in turn.  A change of tail order or pruning changes them on purpose.
+# draws in turn.  A change of tail order, pruning or twin merging changes
+# them on purpose.  From d = 5 the gadget's bound exceeds n^4, so each C
+# class is one token; the 4th and 6th random graphs have one twin pair.
 GADGET_LEVEL_SIZES = {
     3: [3, 6, 6, 6, 3, 1],
     4: [4, 10, 11, 6, 9, 7, 4, 1],
-    5: [5, 16, 26, 18, 6, 12, 13, 13, 5, 1],
-    6: [6, 24, 53, 55, 27, 6, 15, 21, 34, 21, 6, 1],
-    7: [7, 34, 98, 146, 104, 38, 6, 18, 31, 73, 73, 31, 7, 1],
-    8: [8, 46, 167, 339, 345, 179, 51, 6, 21, 43, 136, 209, 136, 43, 8, 1],
+    5: [5, 10, 9, 7, 6, 12, 13, 7, 3, 1],
+    6: [6, 12, 11, 9, 7, 6, 15, 21, 13, 7, 3, 1],
+    7: [7, 14, 13, 11, 9, 7, 6, 18, 31, 21, 13, 7, 3, 1],
+    8: [8, 16, 15, 13, 11, 9, 7, 6, 21, 43, 31, 21, 13, 7, 3, 1],
 }
 RANDOM_LEVEL_SIZES = [
     [4, 13, 41, 110, 199, 518, 624, 568, 733, 991, 853, 333, 105, 16, 4, 1],
     [4, 14, 32, 92, 199, 305, 398, 340, 323, 367, 367, 302, 98, 16, 4, 1],
     [4, 13, 40, 65, 173, 217, 299, 460, 763, 968, 923, 518, 105, 16, 4, 1],
-    [4, 13, 44, 126, 322, 436, 713, 519, 864, 790, 586, 281, 84, 16, 4, 1],
+    [4, 13, 44, 126, 322, 436, 685, 438, 659, 576, 364, 147, 42, 10, 3, 1],
     [4, 13, 43, 50, 90, 215, 464, 676, 653, 375, 191, 136, 77, 25, 4, 1],
-    [4, 13, 40, 119, 110, 295, 792, 1499, 1083, 805, 616, 398, 105, 13, 4, 1],
+    [3, 11, 34, 107, 110, 295, 792, 1499, 1083, 805, 616, 398, 105, 13, 4, 1],
     [4, 13, 43, 125, 223, 265, 642, 967, 1346, 1122, 1066, 325, 105, 16, 4, 1],
     [4, 14, 44, 110, 307, 419, 544, 954, 835, 765, 809, 311, 69, 16, 4, 1],
 ]
 
 
 def test_level_sizes_are_pinned(monkeypatch):
+    # both level steps are counted, so a twin level is seen like any other
     sizes = []
-    step = enumeration._advance
 
-    def counted(*args):
-        level = step(*args)
-        sizes.append(len(level))
-        return level
+    def counted(step):
+        def run(*args):
+            level = step(*args)
+            sizes.append(len(level))
+            return level
 
-    monkeypatch.setattr(enumeration, "_advance", counted)
+        return run
+
+    for name in ("_advance", "_advance_twins"):
+        monkeypatch.setattr(enumeration, name, counted(getattr(enumeration, name)))
     rng = random.Random(1)
     graphs = [crossing_gadget(d)[0] for d in GADGET_LEVEL_SIZES]
     graphs += [random_regular_digraph(16, 4, rng) for _ in RANDOM_LEVEL_SIZES]
@@ -797,6 +811,12 @@ def test_level_sizes_are_pinned(monkeypatch):
         cycle_factor_stats(g)
         seen.append(sizes[:])
     assert seen == [*GADGET_LEVEL_SIZES.values(), *RANDOM_LEVEL_SIZES]
+    assert max(seen[5]) == 43  # 345 when each C class member is its own head
+    # the usage path's backward pass needs every labelled frontier, so
+    # with usage nothing merges and the d = 8 gadget keeps those 345
+    sizes.clear()
+    cycle_factor_stats(crossing_gadget(8)[0], want_edge_usage=True)
+    assert sizes == [8, 46, 167, 339, 345, 179, 51, 6, 21, 43, 136, 209, 136, 43, 8, 1]
 
 
 def level_step_cases():
@@ -811,22 +831,24 @@ def level_step_cases():
     return cases
 
 
-def folded_levels(rows, weights):
-    """Every level of the search, folded by _advance from the full frontier,
-    with the search's cand, due and slot and the byte table."""
+def folded_levels(rows, weights, twins=True):
+    """Every level of the table search, folded from the full frontier by
+    the level step each tail runs, with those steps and the search's cand,
+    due and slot."""
     n = len(rows)
-    cand, due, slot = _search_space(rows, weights, n + 1)
+    cand, due, slot, start, twinned = _search_space(rows, weights, n + 1, twins)
     byte = [bytes((v,)) for v in range(n)]
-    levels = [{bytes(range(n)): 1}]
-    for choices, pending in zip(cand, due):
-        levels.append(_advance(levels[-1], choices, pending, byte))
-    return levels, cand, due, slot, byte
+    steps = [_advance_twins if twin else _advance for twin in twinned]
+    levels = [{start: 1}]
+    for step, choices, pending in zip(steps, cand, due):
+        levels.append(step(levels[-1], choices, pending, byte))
+    return levels, steps, cand, due, slot, byte
 
 
 def test_level_steps_compose_to_the_table():
     for rows, weights in level_step_cases():
         n = len(rows)
-        levels, _, _, slot, _ = folded_levels(rows, weights)
+        levels, _, _, _, slot, _ = folded_levels(rows, weights)
         assert list(levels[-1]) == [b""]
         flat = _unpack(levels[-1][b""], slot, (1 + sum(weights.values())) * (n + 1))
         table = [flat[k : k + n + 1] for k in range(0, len(flat), n + 1)]
@@ -837,15 +859,156 @@ def test_level_step_is_linear():
     # advancing each frontier of a middle level on its own and adding the
     # results by key gives the level after; the frontiers merge there, so
     # a step that overwrote instead of adding would fail
+    twins = 0
     for rows, weights in level_step_cases():
         i = len(rows) // 2
-        levels, cand, due, _, byte = folded_levels(rows, weights)
-        parts = [_advance({k: t}, cand[i], due[i], byte) for k, t in levels[i].items()]
+        levels, steps, cand, due, _, byte = folded_levels(rows, weights)
+        step = steps[i]
+        twins += step is _advance_twins
+        parts = [step({k: t}, cand[i], due[i], byte) for k, t in levels[i].items()]
         summed = Counter()
         for part in parts:
             summed.update(part)
         assert sum(map(len, parts)) > len(levels[i + 1])  # some frontiers merge
         assert summed == levels[i + 1]
+    assert twins  # the twin step, too
+
+
+# ---------------------------------------------------------------------------
+# twin heads
+# ---------------------------------------------------------------------------
+
+
+def planted_class_rows(n, rng):
+    """Rows of a random digraph whose vertices fall in complete looped
+    classes of 1 to 4, with each ordered pair of classes joined by all
+    arcs or by none at a drawn density; returns the rows and the classes.
+    Members of a class have one column, so they are twins."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    classes = []
+    while labels:
+        k = rng.randint(1, min(4, len(labels)))
+        classes.append(labels[:k])
+        labels = labels[k:]
+    density = rng.random()
+    rows = [[] for _ in range(n)]
+    for a in classes:
+        for b in classes:
+            if a is b or rng.random() < density:
+                for v in a:
+                    rows[v] += b
+    return [sorted(row) for row in rows], classes
+
+
+def twin_weights(rows, classes, seed, rng):
+    """No weight, a weight on one arc into one member of a class (which
+    splits the class), or one weight on the arcs from a tail into every
+    member of a class (which keeps it), by seed mod 3."""
+    joined = [(v, c) for c in classes if len(c) > 1 for v, row in enumerate(rows) if c[0] in row]
+    if seed % 3 == 0 or not joined:
+        return {}
+    v, c = rng.choice(joined)
+    weight = rng.randint(1, 2)
+    return {(v, w): weight for w in (c[:1] if seed % 3 == 1 else c)}
+
+
+def test_twin_merging_matches_engines_that_never_merge(monkeypatch):
+    # the merged table search against the usage path, which keeps every
+    # labelled frontier, then forced into the transpose, and against the
+    # walk oracle where n <= 9 and it visits at most 10^4 factors
+    def run_transposed(rows):
+        cols = transpose(rows)
+        return cols, _width_order(cols)[0], _log2_bregman(cols), True
+
+    merged = split = transposed = walked = 0
+    for seed in range(300):
+        rng = random.Random(f"twins {seed}")
+        n = 4 + seed % 9
+        rows, classes = planted_class_rows(n, rng)
+        weights = twin_weights(rows, classes, seed, rng)
+        search = _search_space(rows, weights, n + 1, True)
+        twinned = search is not None and any(search[4])
+        merged += twinned
+        split += twinned and seed % 3 == 1 and bool(weights)
+        transposed += _orient(rows)[3]
+        if weights:
+            table = _frontier_table(rows, weights)
+            assert table == _frontier_table(rows, weights, {}), seed
+        else:
+            g = DiGraph(n, rows)
+            stats, labelled = cycle_factor_stats(g), cycle_factor_stats(g, want_edge_usage=True)
+            assert (stats.count, stats.histogram) == (labelled.count, labelled.histogram), seed
+            table = _frontier_table(rows, {})
+        monkeypatch.setattr(enumeration, "_orient", run_transposed)
+        assert _frontier_table(rows, weights) == table, seed
+        monkeypatch.undo()
+        if n <= 9 and sum(map(sum, table)) <= 10**4:
+            walked += 1
+            expected, _ = factor_table_by_iteration(DiGraph(n, rows), None, weights)
+            assert nonzero_cells(table) == expected, seed
+    assert merged > 100  # the merge ran, on about two graphs in five
+    assert split > 30  # on graphs with a class split by a weight too
+    assert transposed > 20  # some choose the transpose on their own
+    assert walked > 150
+
+
+def test_each_merged_level_sums_the_labelled_frontiers_by_token():
+    # a merged key is a labelled key with each head replaced by its token,
+    # and its table is the sum of theirs, level by level: the merge loses
+    # no frontier and keeps none that the labelled search prunes
+    grouped = 0
+    for seed in range(120):
+        rng = random.Random(f"twins {seed}")
+        n = 4 + seed % 9
+        rows, classes = planted_class_rows(n, rng)
+        weights = twin_weights(rows, classes, seed, rng)
+        if _search_space(rows, weights, n + 1, True) is None:
+            continue
+        merged = folded_levels(rows, weights)[0]
+        labelled = folded_levels(rows, weights, twins=False)[0]
+        (token,) = merged[0]
+        grouped += len(set(token)) < n
+        to_token = token + bytes(range(n, 256))
+        for merged_level, labelled_level in zip(merged, labelled):
+            summed = Counter()
+            for key, table in labelled_level.items():
+                summed[key.translate(to_token)] += table
+            assert summed == merged_level, seed
+    assert grouped > 40
+
+
+def test_a_weighted_arc_splits_its_twins():
+    # K_8 looped, whose bound 8! exceeds 8^4: one token for all eight
+    # heads; weighting an arc into head 7 leaves heads 0..6 as one group
+    # and head 7 alone; without twins every head is its own
+    rows = complete_looped(8).out
+    tokens = []
+    for weights in ({}, {(1, 7): 1}):
+        _, _, _, start, twinned = _search_space(rows, weights, 9, True)
+        tokens.append((len(set(start)), all(twinned)))
+    assert tokens == [(1, True), (2, True)]
+    assert _search_space(rows, {}, 9, False)[3:] == (bytes(range(8)), [False] * 8)
+
+
+@pytest.mark.parametrize("k, m", [(8, 8), (6, 10), (5, 12)])
+def test_looped_clique_copies_match_the_stirling_numbers(k, m):
+    # kK_m°, the conjecture's extremal graph: each copy's factors by cycle
+    # count are c(m, j), so the histogram is their k-fold convolution, the
+    # mean k H_m, and the certificate ties the benchmark
+    want = [1]
+    for _ in range(k):
+        product = [0] * (len(want) + m)
+        for i, a in enumerate(want):
+            for j, c in enumerate(stirling_cycle_counts(m)):
+                product[i + j] += a * c
+        want = product
+    g = disjoint_union([complete_looped(m)] * k)
+    stats = cycle_factor_stats(g)
+    assert stats.histogram == {c: h for c, h in enumerate(want) if h}
+    assert stats.mean() == k * harmonic_by_terms(m)
+    cert = certify(g, m)
+    assert (cert.excess, cert.verdict) == (0, "ties")
 
 
 # ---------------------------------------------------------------------------
