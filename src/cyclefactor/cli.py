@@ -111,11 +111,13 @@ def _emit(doc) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _read_graph(path: str) -> tuple[DiGraph, int]:
+def _read_graph(path: str) -> DiGraph:
+    # the file's degree hint is dropped: expect reports the degree the
+    # graph has, and verify takes it from --d
     if path == "-":
-        return from_text(sys.stdin.read())
+        return from_text(sys.stdin.read())[0]
     with open(path, "r", encoding="utf-8") as fh:
-        return from_text(fh.read())
+        return from_text(fh.read())[0]
 
 
 def _output(path: str | None):
@@ -153,11 +155,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_expect(args) -> int:
-    g, d_hint = _read_graph(args.graph)
+    g = _read_graph(args.graph)
     stats = cycle_factor_stats(g, want_edge_usage=args.edge_usage)
     doc = {
         "n": g.n,
-        "d": d_hint if d_hint > 0 else _regular_degree(g),
+        "d": _regular_degree(g),
         "count": stats.count,
         "cycle_sum": stats.cycle_sum,
         **_exact("expectation", stats.mean()),
@@ -188,7 +190,7 @@ def _certificate_doc(cert: Certificate) -> dict:
 
 
 def cmd_verify(args) -> int:
-    g, _ = _read_graph(args.graph)
+    g = _read_graph(args.graph)
     cert = certify(g, args.d, provenance=args.graph)
     _emit(_certificate_doc(cert))
     return 0

@@ -32,14 +32,13 @@ of K_d°).  Swapping two twins in every completion of a frontier maps its
 completions one to one onto those of the frontier with the twins
 swapped, with the same cycle count and key, so frontiers that differ
 only by a permutation of twins have the same future and their tables
-add.  So the keys name each group of twins by one token, and the level
-step _advance_twins, run only at a tail with a group among its
-candidates, moves onto each free member a token stands for: a due group
-with two free heads prunes the frontier, one with a single free head
-forces the move onto it.  The merge needs only the table: it runs where
-no usage is wanted and, as a cost gate, where the Bregman bound below
-exceeds n^4.  The answer, one packed table, is read one key row at a
-time, and a row that is 0 is not unpacked.
+add.  So the keys name each group of twins by one token, and a choice
+of a token, whose arc is None, stands for one arc per member: the one
+level step, _advance, moves it onto each free member.  The merge needs
+only the table: it runs where no usage is wanted and, as a cost gate,
+where the Bregman bound below exceeds n^4.  The answer, one packed
+table, is read one key row at a time, and a row that is 0 is not
+unpacked.
 
 Its cost is set by how many frontiers a level holds, which the tail
 order decides.  _orient alone picks the order and the direction.  The
@@ -69,6 +68,7 @@ the 2-cycles only as matched edges, and covers the graph by them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lgamma, log, log2, prod
@@ -272,14 +272,14 @@ def _orient(
 
 def _search_space(
     rows: Sequence[Sequence[int]], weights: dict[Arc, int], stride: int, twins: bool
-) -> tuple[list[list[tuple]], list[list[tuple]], int, bytes, list[bool]] | None:
+) -> tuple[list[list[tuple]], list[list[tuple]], int, bytes] | None:
     """The search the frontier engine runs, or None if a tail or head has no candidate.
 
     The search runs in the direction and tail order of _orient, and
     vertices are relabeled by their position in that order, so it runs
-    over positions 0..n-1.  Returns cand, due, slot, start and twinned.
-    cand[i] lists tail i's choices as (head, shift, shift + slot, original
-    arc): shift, weight * stride * slot, moves a table along a join, and
+    over positions 0..n-1.  Returns cand, due, slot and start.  cand[i]
+    lists tail i's choices as (head, shift, shift + slot, original arc):
+    shift, weight * stride * slot, moves a table along a join, and
     shift + slot along a closing.  In the transpose, choice v -> w is g's
     arc (w, v), so weights and usage stay keyed by g's arcs.  due[i] lists
     the heads whose last candidate tail is position i, each with tail i's
@@ -292,9 +292,9 @@ def _search_space(
     (the same candidate tails, each with the same shift) are twins, and
     each group of two or more twins is named by its first member, its
     token: cand and due keep the token's choices only, each standing for
-    the whole group.  start is the full frontier, every position's start
-    replaced by its token, and twinned[i] tells whether tail i has a
-    group among its candidates.  Without twins no head is grouped.
+    one arc per member of the group, so its arc is None.  start is the
+    full frontier, every position's start replaced by its token.  Without
+    twins no head is grouped, and every choice has its arc.
     """
     n = len(rows)
     if n > MAX_FAST_VERTICES:
@@ -320,7 +320,6 @@ def _search_space(
     if not all(cand) or () in last:
         return None
     token = list(range(n))
-    twinned = [False] * n
     if twins and n > 1 and log2_bound > 4 * log2(n):
         columns: list[list[int]] = [[] for _ in range(n)]
         for i, row in enumerate(cand):
@@ -329,23 +328,24 @@ def _search_space(
         first: dict[tuple, int] = {}
         token = [first.setdefault(tuple(col), h) for h, col in enumerate(columns)]
         if len(first) < n:
-            # a group lies in all of its tails' rows or in none, so a row
-            # that loses a member to its token has a group
+            size = Counter(token)
             for i, row in enumerate(cand):
-                kept = [c for c in row if token[c[0]] == c[0]]
-                twinned[i] = len(kept) < len(row)
-                cand[i] = kept
+                cand[i] = row = [
+                    c if size[c[0]] == 1 else (*c[:3], None) for c in row if token[c[0]] == c[0]
+                ]
+                for c in row:  # due takes a token's choice with no arc
+                    last[c[0]] = (i, c)
     due: list[list[tuple]] = [[] for _ in range(n)]
     for h, (i, choice) in enumerate(last):
         if token[h] == h:
             due[i].append((h, (choice,)))
-    return cand, due, slot, bytes(token), twinned
+    return cand, due, slot, bytes(token)
 
 
 def _advance(
     level: dict[bytes, int], choices: list[tuple], pending: list[tuple], byte: list[bytes]
 ) -> dict[bytes, int]:
-    """One forward step of the frontier engine: level i to level i + 1.
+    """The level step of the frontier engine: level i to level i + 1.
 
     level maps the starts of the open paths, as bytes indexed by tail - i,
     to the packed table of the partial factors reaching them; choices and
@@ -359,10 +359,16 @@ def _advance(
     tail can take either, and one forces tail i's choice onto it.  Moves
     reaching equal starts merge by addition.  Only the arguments are
     read, so any level dict may be advanced, and the step is linear: the
-    level after a sum of levels is the sum of the levels after them.  A
-    start may be a twin group's token, which this step only carries:
-    tail i has no group among its choices (_advance_twins runs where it
-    has).
+    level after a sum of levels is the sum of the levels after them.
+
+    A choice whose arc is None has a twin group's token for its head,
+    and as many members are free as the token occurs among the starts.
+    Only such a choice counts them: it moves onto each free member.  A
+    closing onto s also joins each twin of s in the rest, which keeps the
+    rest as it is and so adds to the closing's key, and a join puts s in
+    the place of each free member in turn.  A due token is forced like a
+    due head, and where two of its members are free the forced move adds
+    nothing: one of them would stay free past its deadline.
     """
     nxt: dict[bytes, int] = {}
     for starts, table in level.items():
@@ -375,61 +381,20 @@ def _advance(
         else:
             s = starts[0]
             rest = starts[1:]
-            for h, shift, closing, _ in moves:
+            for h, shift, closing, arc in moves:
                 if h == s:
                     key = rest
                     part = table << closing
+                    if arc is None and h in rest:
+                        if moves is not choices:
+                            continue
+                        part += (table << shift if shift else table) * rest.count(h)
                 elif h in rest:
-                    key = rest.replace(byte[h], byte[s])
                     # most joins weigh 0, and a shift by 0 still costs a call
                     part = table << shift if shift else table
-                else:
-                    continue
-                old = nxt.get(key)
-                nxt[key] = part if old is None else old + part
-    return nxt
-
-
-def _advance_twins(
-    level: dict[bytes, int], choices: list[tuple], pending: list[tuple], byte: list[bytes]
-) -> dict[bytes, int]:
-    """_advance for a tail with a group of twin heads among its choices.
-
-    A token among the starts is some free member of its group, and as
-    many members are free as the token occurs.  A choice of head h, a
-    token or a lone head, moves onto each start equal to h: where that
-    start is s, tail i's own, it closes the cycle, and elsewhere it joins
-    the path there and puts s in its place.  Joins onto twins of s keep
-    the rest as it is, so they add to the closing's key together.  A
-    pending head or group counts once per free member, so a due group
-    with two free heads prunes the frontier and one with a single free
-    head forces the move onto it.  Otherwise the rule of _advance.
-    """
-    nxt: dict[bytes, int] = {}
-    for starts, table in level.items():
-        moves = choices
-        for h, forced in pending:
-            free = starts.count(h)
-            if free:
-                if free > 1 or moves is not choices:
-                    break
-                moves = forced
-        else:
-            s = starts[0]
-            rest = starts[1:]
-            for h, shift, closing, _ in moves:
-                if h == s:
-                    key = rest
-                    part = table << closing
-                    joins = rest.count(h)
-                    if joins:
-                        part += (table << shift if shift else table) * joins
-                else:
-                    free = rest.count(h)
-                    if not free:
-                        continue
-                    part = table << shift if shift else table
-                    if free > 1:
+                    if arc is None:
+                        if moves is not choices and rest.count(h) > 1:
+                            continue
                         j = rest.find(h)
                         while j >= 0:
                             key = rest[:j] + byte[s] + rest[j + 1 :]
@@ -438,6 +403,8 @@ def _advance_twins(
                             j = rest.find(h, j + 1)
                         continue
                     key = rest.replace(byte[h], byte[s])
+                else:
+                    continue
                 old = nxt.get(key)
                 nxt[key] = part if old is None else old + part
     return nxt
@@ -456,9 +423,8 @@ def _frontier_table(
     omitted).
 
     The search of _search_space, run forward over its frontiers (Knuth's
-    SIMPATH): level 0 is the full frontier, and _advance maps each level
-    to the next, or _advance_twins where the tail has a twin group among
-    its choices.  Level n holds one entry, the empty frontier, whose table
+    SIMPATH): level 0 is the full frontier, and one level step, _advance,
+    maps each level to the next.  Level n holds one entry, the empty frontier, whose table
     is the answer; it is read one key row at a time, and a row that is 0
     is not unpacked.
 
@@ -474,9 +440,9 @@ def _frontier_table(
     carry between slots stays in tables that never reach the answer,
     since frontiers merge only with equal completions.
 
-    With usage wanted, no heads are merged, the forward pass keeps every
-    level, and a backward pass walks them back from the empty frontier,
-    which completes once.  It regenerates each frontier's moves from
+    With usage wanted, no heads are merged, so every choice has its arc,
+    the forward pass keeps every level, and a backward pass walks them
+    back from the empty frontier, which completes once.  It regenerates each frontier's moves from
     cand[i] by _advance's rule, without the deadlines, and looks up B, the
     completions of the target, in the level after, which it has already
     turned into completions.  A move the forward pass pruned or forced
@@ -498,14 +464,14 @@ def _frontier_table(
     search = _search_space(rows, weights, stride, usage is None)
     if search is None:
         return [[0] * stride for _ in range(nkeys)]
-    cand, due, slot, start, twinned = search
+    cand, due, slot, start = search
     byte = [bytes((v,)) for v in range(n)]
     levels: list[dict[bytes, int]] = []  # every level, when usage is wanted
     level = {start: 1}
-    for choices, pending, twin in zip(cand, due, twinned):
+    for choices, pending in zip(cand, due):
         if usage is not None:
             levels.append(level)
-        level = (_advance_twins if twin else _advance)(level, choices, pending, byte)
+        level = _advance(level, choices, pending, byte)
     packed = level.get(b"", 0)
     width = stride * slot  # the bits of one key's row
     mask = (1 << width) - 1

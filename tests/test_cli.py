@@ -125,6 +125,20 @@ def test_expect_reads_stdin(capsys, monkeypatch):
     assert doc["count"] == 1 and doc["expectation"] == "1/1"
 
 
+@pytest.mark.parametrize(
+    "text, d",
+    [
+        ("2 5\n0: 0 1\n1: 0 1\n", 2),  # 2-regular, hint 5
+        ("3 2\n0: 0 1\n1: 1 2\n2: 0 1 2\n", None),  # not regular, hint 2
+    ],
+)
+def test_expect_reports_the_degree_the_graph_has(capsys, monkeypatch, text, d):
+    # the file's degree hint is a hint: "d" is the graph's own degree
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    doc = run_json(capsys, "expect", "--graph", "-", schema_name="expect")
+    assert doc["d"] == d
+
+
 def test_expect_edge_usage_row_sums(tmp_path, capsys):
     path = tmp_path / "x3.txt"
     run_cli(capsys, "gen", "--family", "gadget", "--d", "3", "--out", str(path))
@@ -313,6 +327,18 @@ def test_gadget_output_matches_its_golden_file(capsys, command):
     code, out, err = run_cli(capsys, *command.split())
     assert code == 0, err
     assert out.encode("utf-8") == (GOLDEN / GOLDEN_RUNS[command]).read_bytes()
+
+
+def test_expect_output_matches_its_golden_file(capsys, monkeypatch):
+    # gen --family gadget --d 4 | expect --graph - --histogram --edge-usage,
+    # the usage path end to end; CI diffs the installed console script
+    # against the same file
+    code, text, err = run_cli(capsys, "gen", "--family", "gadget", "--d", "4")
+    assert code == 0, err
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "expect", "--graph", "-", "--histogram", "--edge-usage")
+    assert code == 0, err
+    assert out.encode("utf-8") == (GOLDEN / "expect_gadget_d4.json").read_bytes()
 
 
 def test_suite_gadget_cross_reaches_degree_eight(capsys):

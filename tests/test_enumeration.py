@@ -30,7 +30,6 @@ from cyclefactor.enumeration import (
     MAX_GADGET_DEGREE,
     ArcConstraints,
     _advance,
-    _advance_twins,
     _candidate_rows,
     _cover_all,
     _cycle_sets,
@@ -789,19 +788,14 @@ RANDOM_LEVEL_SIZES = [
 
 
 def test_level_sizes_are_pinned(monkeypatch):
-    # both level steps are counted, so a twin level is seen like any other
     sizes = []
 
-    def counted(step):
-        def run(*args):
-            level = step(*args)
-            sizes.append(len(level))
-            return level
+    def counted(*args):
+        level = _advance(*args)
+        sizes.append(len(level))
+        return level
 
-        return run
-
-    for name in ("_advance", "_advance_twins"):
-        monkeypatch.setattr(enumeration, name, counted(getattr(enumeration, name)))
+    monkeypatch.setattr(enumeration, "_advance", counted)
     rng = random.Random(1)
     graphs = [crossing_gadget(d)[0] for d in GADGET_LEVEL_SIZES]
     graphs += [random_regular_digraph(16, 4, rng) for _ in RANDOM_LEVEL_SIZES]
@@ -833,22 +827,20 @@ def level_step_cases():
 
 def folded_levels(rows, weights, twins=True):
     """Every level of the table search, folded from the full frontier by
-    the level step each tail runs, with those steps and the search's cand,
-    due and slot."""
+    the level step, with the search's cand, due and slot."""
     n = len(rows)
-    cand, due, slot, start, twinned = _search_space(rows, weights, n + 1, twins)
+    cand, due, slot, start = _search_space(rows, weights, n + 1, twins)
     byte = [bytes((v,)) for v in range(n)]
-    steps = [_advance_twins if twin else _advance for twin in twinned]
     levels = [{start: 1}]
-    for step, choices, pending in zip(steps, cand, due):
-        levels.append(step(levels[-1], choices, pending, byte))
-    return levels, steps, cand, due, slot, byte
+    for choices, pending in zip(cand, due):
+        levels.append(_advance(levels[-1], choices, pending, byte))
+    return levels, cand, due, slot, byte
 
 
 def test_level_steps_compose_to_the_table():
     for rows, weights in level_step_cases():
         n = len(rows)
-        levels, _, _, _, slot, _ = folded_levels(rows, weights)
+        levels, _, _, slot, _ = folded_levels(rows, weights)
         assert list(levels[-1]) == [b""]
         flat = _unpack(levels[-1][b""], slot, (1 + sum(weights.values())) * (n + 1))
         table = [flat[k : k + n + 1] for k in range(0, len(flat), n + 1)]
@@ -859,19 +851,63 @@ def test_level_step_is_linear():
     # advancing each frontier of a middle level on its own and adding the
     # results by key gives the level after; the frontiers merge there, so
     # a step that overwrote instead of adding would fail
-    twins = 0
+    tokens = 0
     for rows, weights in level_step_cases():
         i = len(rows) // 2
-        levels, steps, cand, due, _, byte = folded_levels(rows, weights)
-        step = steps[i]
-        twins += step is _advance_twins
-        parts = [step({k: t}, cand[i], due[i], byte) for k, t in levels[i].items()]
+        levels, cand, due, _, byte = folded_levels(rows, weights)
+        tokens += any(arc is None for _, _, _, arc in cand[i])
+        parts = [_advance({k: t}, cand[i], due[i], byte) for k, t in levels[i].items()]
         summed = Counter()
         for part in parts:
             summed.update(part)
         assert sum(map(len, parts)) > len(levels[i + 1])  # some frontiers merge
         assert summed == levels[i + 1]
-    assert twins  # the twin step, too
+    assert tokens  # a level stepped by a twin group's token, too
+
+
+def test_a_token_choice_moves_onto_each_free_member():
+    # hand-built levels: head 2 is a group's token, a choice with no arc,
+    # and head 5 a lone head; a step that took the token for one head
+    # would keep the first frontier, close without the joins and make
+    # one key of the two joins
+    byte = [bytes((v,)) for v in range(8)]
+    slot = 4
+    token = (2, 2 * slot, 3 * slot, None)
+    lone = (5, 0, slot, (0, 5))
+    due = [(2, (token,))]
+    # a due token with two free members prunes, s one of them or not
+    assert _advance({bytes([0, 2, 2]): 1}, [token, lone], due, byte) == {}
+    assert _advance({bytes([2, 5, 2]): 1}, [token, lone], due, byte) == {}
+    # with one free member it forces the move onto it
+    forced = {bytes([0, 5]): 1 << 2 * slot}
+    assert _advance({bytes([0, 2, 5]): 1}, [token, lone], due, byte) == forced
+    # closing onto s, a token that sits twice more in the rest, adds the
+    # closing and the two joins, each shifted, under the one key rest
+    level = {bytes([2, 2, 5, 2]): 3}
+    want = (3 << 3 * slot) + 2 * (3 << 2 * slot)
+    assert _advance(level, [token], [], byte) == {bytes([2, 5, 2]): want}
+    # a join onto a token that occurs twice puts s in each place in turn
+    level = {bytes([0, 2, 5, 2]): 3}
+    joins = {bytes([0, 5, 2]): 3 << 2 * slot, bytes([2, 5, 0]): 3 << 2 * slot}
+    assert _advance(level, [token], [], byte) == joins
+    # a lone head keeps the one-head rule beside it
+    assert _advance(level, [token, lone], [], byte) == {**joins, bytes([2, 0, 2]): 3}
+
+
+@pytest.mark.parametrize("k, m", [(3, 4), (2, 6)])
+def test_looped_clique_copies_use_each_arc_uniformly(k, m):
+    # kK_m°, the conjecture's extremal graph: a factor is a uniform
+    # permutation of each copy, which takes each of its m^2 arcs in a
+    # fraction 1/m of the factors
+    g = disjoint_union([complete_looped(m)] * k)
+    stats = cycle_factor_stats(g, want_edge_usage=True)
+    assert stats.count % m == 0
+    assert len(stats.edge_usage) == k * m * m
+    assert set(stats.edge_usage.values()) == {stats.count // m}
+    # the usage path groups no twins, so its backward pass reads a real
+    # arc off every choice
+    cand, _, _, _ = _search_space(g.out, {}, g.n + 1, False)
+    assert all(arc is not None for row in cand for _, _, _, arc in row)
 
 
 # ---------------------------------------------------------------------------
@@ -928,9 +964,9 @@ def test_twin_merging_matches_engines_that_never_merge(monkeypatch):
         rows, classes = planted_class_rows(n, rng)
         weights = twin_weights(rows, classes, seed, rng)
         search = _search_space(rows, weights, n + 1, True)
-        twinned = search is not None and any(search[4])
-        merged += twinned
-        split += twinned and seed % 3 == 1 and bool(weights)
+        grouped = search is not None and len(set(search[3])) < n
+        merged += grouped
+        split += grouped and seed % 3 == 1 and bool(weights)
         transposed += _orient(rows)[3]
         if weights:
             table = _frontier_table(rows, weights)
@@ -981,14 +1017,18 @@ def test_each_merged_level_sums_the_labelled_frontiers_by_token():
 def test_a_weighted_arc_splits_its_twins():
     # K_8 looped, whose bound 8! exceeds 8^4: one token for all eight
     # heads; weighting an arc into head 7 leaves heads 0..6 as one group
-    # and head 7 alone; without twins every head is its own
+    # and head 7 alone; without twins every head is its own.  Every tail
+    # chooses the group's token, with no arc, and the lone head by its arc
     rows = complete_looped(8).out
     tokens = []
     for weights in ({}, {(1, 7): 1}):
-        _, _, _, start, twinned = _search_space(rows, weights, 9, True)
-        tokens.append((len(set(start)), all(twinned)))
-    assert tokens == [(1, True), (2, True)]
-    assert _search_space(rows, {}, 9, False)[3:] == (bytes(range(8)), [False] * 8)
+        cand, _, _, start = _search_space(rows, weights, 9, True)
+        arcless = {sum(arc is None for _, _, _, arc in row) for row in cand}
+        tokens.append((len(set(start)), list(map(len, cand)), arcless))
+    assert tokens == [(1, [1] * 8, {1}), (2, [2] * 8, {1})]
+    cand, _, _, start = _search_space(rows, {}, 9, False)
+    assert start == bytes(range(8))
+    assert all(arc is not None for row in cand for _, _, _, arc in row)
 
 
 @pytest.mark.parametrize("k, m", [(8, 8), (6, 10), (5, 12)])
