@@ -15,7 +15,6 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable
 
 from .errors import GenerationError
 from .graphs import Arc, DiGraph, canonical_form, fingerprint
@@ -158,7 +157,10 @@ def swap_move(g: DiGraph, rng: random.Random) -> DiGraph:
     return g
 
 
-def _rank_key(rec: SearchRecord) -> tuple[float, Fraction, int]:
+_Rank = tuple[float, Fraction, int]
+
+
+def _rank_key(rec: SearchRecord) -> _Rank:
     """Sort key ranking records by descending exact excess, then fingerprint.
 
     The excess leads as a float: float() is monotone, so two keys whose
@@ -193,34 +195,31 @@ def _final_key(rec: SearchRecord) -> tuple[Fraction, int, int]:
     return -rec.certificate.excess, rec.fingerprint, rec.iteration
 
 
-def _leaders(records: Iterable[SearchRecord], size: int) -> list[SearchRecord]:
-    """sorted(records, key=_final_key)[:size], without a key per record.
+def _admit(top: list[SearchRecord], rec: SearchRecord, size: int) -> None:
+    """Admit rec to top, a leaderboard of at most `size` records.
 
-    One pass keeps the best `size` so far in order, equal keys in arrival
-    order as the stable sort leaves them; a record whose excess is below
-    the last kept one's cannot enter and is passed over.
+    Fed the records one at a time, top stays sorted(records so far,
+    key=_final_key)[:size], equal keys in arrival order as the stable sort
+    leaves them; a record whose excess is below the last kept one's when
+    top is full cannot enter and is passed over without a key.
     """
-    top: list[SearchRecord] = []
-    for rec in records:
-        if len(top) < size or rec.certificate.excess >= top[-1].certificate.excess:
-            insort(top, rec, key=_final_key)
-            del top[size:]
-    return top
+    if len(top) < size or rec.certificate.excess >= top[-1].certificate.excess:
+        insort(top, rec, key=_final_key)
+        del top[size:]
 
 
 class _Lineage:
-    """One population member: its graph with the record evaluate gave it
-    and that record's _rank_key, its own random stream, its best excess
-    so far and the iterations since that best."""
+    """One population member: its graph with the _rank_key of its class,
+    its own random stream, its best excess so far and the iterations since
+    that best."""
 
-    __slots__ = ("graph", "rec", "rank", "rng", "best", "stale")
+    __slots__ = ("graph", "rank", "rng", "best", "stale")
 
-    def __init__(self, graph: DiGraph | None, rec: SearchRecord | None, rng: random.Random):
+    def __init__(self, graph: DiGraph | None, rank: _Rank | None, rng: random.Random):
         self.graph = graph
-        self.rec = rec
-        self.rank = None if rec is None else _rank_key(rec)
+        self.rank = rank
         self.rng = rng
-        self.best = None if rec is None else rec.certificate.excess
+        self.best = None if rank is None else -rank[1]
         self.stale = 0
 
 
@@ -236,40 +235,47 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
     by labeled rows in front of it spares a graph seen again its canonical
     form, so each labeled graph is put in canonical form once.  Both dicts
     key on _row_key, the rows' adjacency matrix as one integer, so no
-    graph outlives its lineage: at (8, 4) a 200-iteration search peaks at
-    about 28 MiB, where keying on the graphs and on tuple forms took 50 MiB.
-    The fingerprint digests the canonical form already in hand, and is the
-    printed identity, the lineage tag and the tie-break.  The ranking
-    compares excesses as floats first and as Fractions only on a float tie
+    graph outlives its lineage, and both hold the class's _rank_key tuple,
+    which also stands for the class in the lineages and the per-iteration
+    ranking; the full record of a class lives only while it is on the
+    leaderboard.  At (8, 4) with population 64 a 200-iteration search
+    peaks at about 23.5 MiB and a 500-iteration one at about 25 MiB, where
+    keeping every class's record took 27 and 30 MiB.  The fingerprint
+    digests the canonical form already in hand, and is the printed
+    identity, the lineage tag and the tie-break.  The ranking compares
+    excesses as floats first and as Fractions only on a float tie
     (_rank_key), which gives the exact order.  Every graph here is
     d-regular, so it has a cycle-factor (its bipartite double cover is
     d-regular, and Hall's theorem gives a perfect matching) and certify
     never raises NoCycleFactorError.
     The returned leaderboard holds one record per class certified, sorted
-    by descending excess and capped at `population` entries; `sink`, when
-    given, receives each record the moment its class is certified.
+    by descending excess and capped at `population` entries, kept up to
+    date by _admit as each class is certified; `sink`, when given,
+    receives each record the moment its class is certified.
     """
     stream = SeedStream(config.seed)
-    # the leaderboard: one record per isomorphism class, by canonical rows
-    classes: dict[int, SearchRecord] = {}
-    # every labeled graph met, by its own rows
-    evaluated: dict[int, SearchRecord] = {}
+    # every class met, by canonical rows, and every labeled graph met, by
+    # its own rows, each to the class's one _rank_key tuple; full records
+    # live only on the leaderboard
+    classes: dict[int, _Rank] = {}
+    evaluated: dict[int, _Rank] = {}
+    top: list[SearchRecord] = []
 
-    def evaluate(g: DiGraph, it: int, origin: str) -> SearchRecord:
+    def evaluate(g: DiGraph, it: int, origin: str) -> _Rank:
         key = _row_key(g.out)
-        rec = evaluated.get(key)
-        if rec is None:
+        rank = evaluated.get(key)
+        if rank is None:
             form = canonical_form(g)[0]
             form_key = _row_key(form)
-            rec = classes.get(form_key)
-            if rec is None:
-                rec = classes[form_key] = SearchRecord(
-                    certify(g, config.d), it, fingerprint(g, form), origin
-                )
+            rank = classes.get(form_key)
+            if rank is None:
+                rec = SearchRecord(certify(g, config.d), it, fingerprint(g, form), origin)
+                rank = classes[form_key] = _rank_key(rec)
+                _admit(top, rec, config.population)
                 if sink is not None:
                     sink(rec)
-            evaluated[key] = rec
-        return rec
+            evaluated[key] = rank
+        return rank
 
     def fresh(it: int) -> _Lineage:
         rng = stream.next_rng()
@@ -282,32 +288,33 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
     pop = [fresh(0) for _ in range(config.population)]
     for it in range(1, config.iterations + 1):
         # rank parents and mutated children together
-        ranked: list[tuple[tuple[float, Fraction, int], DiGraph, SearchRecord, _Lineage]] = []
-        seen: set[int] = set()  # the classes ranked, by their record's id
+        ranked: list[tuple[_Rank, DiGraph, _Lineage]] = []
+        seen: set[int] = set()  # the classes ranked, by their rank key's id
         for member in pop:
             if member.graph is None:
                 continue
             child = swap_move(member.graph, member.rng)
-            parent = member.rec
+            parent = member.rank
             if id(parent) not in seen:
                 seen.add(id(parent))
-                ranked.append((member.rank, member.graph, parent, member))
-            rec = evaluate(child, it, f"{parent.fingerprint:016x}")
-            if id(rec) not in seen:
-                seen.add(id(rec))
-                ranked.append((_rank_key(rec), child, rec, member))
+                ranked.append((parent, member.graph, member))
+            rank = evaluate(child, it, f"{parent[2]:016x}")
+            if id(rank) not in seen:
+                seen.add(id(rank))
+                ranked.append((rank, child, member))
         ranked.sort(key=itemgetter(0))
         survivors: list[_Lineage] = []
         used_members: set[int] = set()
-        for rank, g, rec, member in ranked[: config.population]:
+        for rank, g, member in ranked[: config.population]:
             if id(member) in used_members:
                 # parent and child both survive: the child forks its own stream
-                survivors.append(_Lineage(g, rec, stream.next_rng()))
+                survivors.append(_Lineage(g, rank, stream.next_rng()))
                 continue
             used_members.add(id(member))
-            member.graph, member.rec, member.rank = g, rec, rank
-            if rec.certificate.excess > member.best:
-                member.best, member.stale = rec.certificate.excess, 0
+            member.graph, member.rank = g, rank
+            excess = -rank[1]
+            if excess > member.best:
+                member.best, member.stale = excess, 0
             else:
                 member.stale += 1
             survivors.append(member)
@@ -315,4 +322,4 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
         pop = [fresh(it) if m.stale >= RESTART_AFTER else m for m in survivors]
         pop += [fresh(it) for _ in range(config.population - len(pop))]
 
-    return _leaders(classes.values(), config.population)
+    return top

@@ -341,6 +341,16 @@ def test_expect_output_matches_its_golden_file(capsys, monkeypatch):
     assert out.encode("utf-8") == (GOLDEN / "expect_gadget_d4.json").read_bytes()
 
 
+def test_search_output_matches_its_golden_file(capsys):
+    # every record the search streams, in order; CI diffs the installed
+    # console script against the same file
+    code, out, err = run_cli(
+        capsys, "search", "--n", "6", "--d", "3", "--pop", "4", "--iters", "6", "--seed", "5"
+    )
+    assert code == 0, err
+    assert out.encode("utf-8") == (GOLDEN / "search_n6_d3.jsonl").read_bytes()
+
+
 def test_suite_gadget_cross_reaches_degree_eight(capsys):
     doc = run_json(
         capsys, "suite", "--name", "gadget-cross", "--d-max", "8", schema_name="suite"

@@ -24,7 +24,7 @@ from cyclefactor.search import (
     splitmix64,
     swap_move,
 )
-from cyclefactor.verify import certify
+from cyclefactor.verify import Certificate, certify
 
 
 def test_splitmix_is_pure():
@@ -207,7 +207,7 @@ def test_each_labeled_graph_is_put_in_canonical_form_once(monkeypatch):
 
 
 def test_search_keeps_no_graph_past_its_lineage():
-    # the caches hold records under integer keys, so the live digraphs are
+    # the caches hold rank keys under integer keys, so the live digraphs are
     # the population, the graphs ranked this iteration and their children,
     # however many labeled graphs the search has met
     cfg = SearchConfig(8, 4, seed=2, population=16, iterations=60)
@@ -230,6 +230,31 @@ def test_search_keeps_no_graph_past_its_lineage():
     assert max(counts) <= 4 * cfg.population, counts
 
 
+def test_search_keeps_records_only_on_its_leaderboard():
+    # the caches hold each class's rank key, so the live records and
+    # certificates are the leaderboard's and the one being sunk, however
+    # many classes were met
+    cfg = SearchConfig(8, 4, seed=2, population=16, iterations=60)
+
+    def live():
+        return sum(isinstance(o, (SearchRecord, Certificate)) for o in gc.get_objects())
+
+    before = live()
+    counts = []
+    met = 0
+
+    def sink(rec):
+        nonlocal met
+        met += 1
+        if met % 150 == 0:
+            counts.append(live() - before)
+
+    run_search(cfg, sink=sink)
+    assert met > 4 * 150
+    assert len(counts) >= 4
+    assert max(counts) <= 2 * cfg.population + 2, counts
+
+
 def test_leaders_match_the_sorted_prefix():
     cert = certify(crossing_gadget(4)[0], 4)
     rng = random.Random(8)
@@ -246,7 +271,10 @@ def test_leaders_match_the_sorted_prefix():
         expected = sorted(
             records, key=lambda r: (-r.certificate.excess, r.fingerprint, r.iteration)
         )[:size]
-        assert search._leaders(records, size) == expected
+        top = []
+        for rec in records:
+            search._admit(top, rec, size)
+        assert top == expected
 
 
 def test_swap_move_needs_equal_out_degrees():
