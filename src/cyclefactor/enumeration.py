@@ -34,11 +34,10 @@ swapped, with the same cycle count and key, so frontiers that differ
 only by a permutation of twins have the same future and their tables
 add.  So the keys name each group of twins by one token, and a choice
 of a token, whose arc is None, stands for one arc per member: the one
-level step, _advance, moves it onto each free member.  The merge needs
-only the table: it runs where no usage is wanted and, as a cost gate,
-where the Bregman bound below exceeds n^4.  The answer, one packed
-table, is read one key row at a time, and a row that is 0 is not
-unpacked.
+level step, _advance, moves it onto each free member.  The merge runs,
+as a cost gate, where the Bregman bound below exceeds n^4, for the
+table and the usage alike.  The answer, one packed table, is read one
+key row at a time, and a row that is 0 is not unpacked.
 
 Its cost is set by how many frontiers a level holds, which the tail
 order decides.  _orient alone picks the order and the direction.  The
@@ -83,6 +82,8 @@ from .graphs import Arc, DiGraph, UGraph
 MAX_FAST_VERTICES = 64
 # largest crossing-gadget degree the pattern classifier enumerates
 MAX_GADGET_DEGREE = 12
+# bytes((v,)) for every position the engine runs, made once
+_BYTES = [bytes((v,)) for v in range(MAX_FAST_VERTICES)]
 
 
 @dataclass(frozen=True)
@@ -271,8 +272,8 @@ def _orient(
 
 
 def _search_space(
-    rows: Sequence[Sequence[int]], weights: dict[Arc, int], stride: int, twins: bool
-) -> tuple[list[list[tuple]], list[list[tuple]], int, bytes] | None:
+    rows: Sequence[Sequence[int]], weights: dict[Arc, int], stride: int
+) -> tuple[list[list[tuple]], list[list[tuple]], int, bytes, list[dict] | None] | None:
     """The search the frontier engine runs, or None if a tail or head has no candidate.
 
     The search runs in the direction and tail order of _orient, and
@@ -288,13 +289,14 @@ def _search_space(
     two more than log2 of the Bregman bound of the rows run.  More than
     MAX_FAST_VERTICES rows raise ValueError, so positions fit in bytes.
 
-    With twins, where the bound exceeds n^4, heads with the same column
-    (the same candidate tails, each with the same shift) are twins, and
-    each group of two or more twins is named by its first member, its
-    token: cand and due keep the token's choices only, each standing for
-    one arc per member of the group, so its arc is None.  start is the
-    full frontier, every position's start replaced by its token.  Without
-    twins no head is grouped, and every choice has its arc.
+    Where the bound exceeds n^4, heads with the same column (the same
+    candidate tails, each with the same shift) are twins, and each group
+    of two or more twins is named by its first member, its token: cand
+    and due keep the token's choices only, each standing for one arc per
+    member of the group, so its arc is None.  start is the full frontier,
+    every position's start replaced by its token, and members[i] maps a
+    token to tail i's arcs into its group.  Where no head is grouped,
+    members is None and every choice has its arc.
     """
     n = len(rows)
     if n > MAX_FAST_VERTICES:
@@ -320,7 +322,8 @@ def _search_space(
     if not all(cand) or () in last:
         return None
     token = list(range(n))
-    if twins and n > 1 and log2_bound > 4 * log2(n):
+    members = None
+    if n > 1 and log2_bound > 4 * log2(n):
         columns: list[list[int]] = [[] for _ in range(n)]
         for i, row in enumerate(cand):
             for h, shift, _, _ in row:
@@ -329,7 +332,10 @@ def _search_space(
         token = [first.setdefault(tuple(col), h) for h, col in enumerate(columns)]
         if len(first) < n:
             size = Counter(token)
+            members = [{} for _ in cand]
             for i, row in enumerate(cand):
+                for h, _, _, arc in row:
+                    members[i].setdefault(token[h], []).append(arc)
                 cand[i] = row = [
                     c if size[c[0]] == 1 else (*c[:3], None) for c in row if token[c[0]] == c[0]
                 ]
@@ -339,7 +345,7 @@ def _search_space(
     for h, (i, choice) in enumerate(last):
         if token[h] == h:
             due[i].append((h, (choice,)))
-    return cand, due, slot, bytes(token)
+    return cand, due, slot, bytes(token), members
 
 
 def _advance(
@@ -440,32 +446,42 @@ def _frontier_table(
     carry between slots stays in tables that never reach the answer,
     since frontiers merge only with equal completions.
 
-    With usage wanted, no heads are merged, so every choice has its arc,
-    the forward pass keeps every level, and a backward pass walks them
-    back from the empty frontier, which completes once.  It regenerates each frontier's moves from
-    cand[i] by _advance's rule, without the deadlines, and looks up B, the
-    completions of the target, in the level after, which it has already
-    turned into completions.  A move the forward pass pruned or forced
-    away leaves a due head free that no later tail can take, so its
-    target is in no level and adds 0.  F, the number of partial factors
-    reaching a frontier, is its table modulo 2^slot - 1: every shift is a
-    multiple of slot and 2^slot = 1 modulo 2^slot - 1, so that is the
-    coefficient sum, which the bound above keeps below the modulus.  Each
-    move adds F * B to its arc's usage, and the frontier's B is the sum of
-    its moves' B.  Each level's tables turn into completions as the pass
-    goes, and a level is dropped once the one before it is done.  The
-    kept levels hold one key and one table per frontier and nothing per
-    move: on random_regular_digraph(16, 8, Random(0)) the process peaks at
-    118 MiB with usage, against 89 MiB for the table alone.
+    With usage wanted, the forward pass keeps every level, and a backward
+    pass walks them back from the empty frontier, which completes once.
+    It regenerates each frontier's moves from cand[i] by _advance's rule,
+    without the deadlines, and looks up B, the completions of the target,
+    in the level after, which it has already turned into completions.  A
+    move the forward pass pruned or forced away leaves a due head free
+    that no later tail can take, so its target is in no level and adds 0.
+    F, the number of partial factors reaching a frontier, is its table
+    modulo 2^slot - 1: every shift is a multiple of slot and 2^slot = 1
+    modulo 2^slot - 1, so that is the coefficient sum, which the bound
+    above keeps below the modulus.  Each move adds F * B to its arc's
+    usage, and the frontier's B is the sum of its moves' B.  Each level's
+    tables turn into completions as the pass goes, and a level is dropped
+    once the one before it is done.  The kept levels hold one key and one
+    table per frontier and nothing per move: on
+    random_regular_digraph(16, 8, Random(0)) the process peaks at 118 MiB
+    with usage, against 89 MiB for the table alone.
+
+    A merged frontier's F sums its labelled frontiers', which share one B.
+    A token choice takes _advance's moves: a closing onto s reaches rest
+    1 + rest.count(s) times, and a join onto h reaches rest[:j] + s +
+    rest[j + 1:] for each free member at j.  Its usage builds up under the
+    token for the level and is then split evenly over members[i]; a
+    remainder raises InternalCheckError.  Not the completion swap but
+    another bijection makes the shares equal: for twins h and h', with
+    tau their swap, sigma -> tau o sigma maps the factors with sigma(t) =
+    h one to one onto those with sigma(t) = h', keys kept, cycle counts not.
     """
     n = len(rows)
     stride = n + 1
     nkeys = 1 + sum(weights.values())
-    search = _search_space(rows, weights, stride, usage is None)
+    search = _search_space(rows, weights, stride)
     if search is None:
         return [[0] * stride for _ in range(nkeys)]
-    cand, due, slot, start = search
-    byte = [bytes((v,)) for v in range(n)]
+    cand, due, slot, start, members = search
+    byte = _BYTES
     levels: list[dict[bytes, int]] = []  # every level, when usage is wanted
     level = {start: 1}
     for choices, pending in zip(cand, due):
@@ -482,7 +498,8 @@ def _frontier_table(
     if usage is not None and packed:
         full = (1 << slot) - 1
         after = {b"": 1}  # the empty frontier completes once
-        for choices in reversed(cand):
+        for i in range(n - 1, -1, -1):
+            choices = cand[i]
             level = levels.pop()
             for starts, table in level.items():
                 reaching = table % full  # F, as above
@@ -490,7 +507,13 @@ def _frontier_table(
                 rest = starts[1:]
                 total = 0
                 for h, _, _, arc in choices:
-                    if h == s:
+                    if arc is None:  # a token: a move onto each free member
+                        arc = h  # its bucket, split below
+                        completions = after.get(rest, 0) if h == s else 0
+                        for j, t in enumerate(rest):
+                            if t == h:
+                                completions += after.get(rest[:j] + byte[s] + rest[j + 1 :], 0)
+                    elif h == s:
                         completions = after.get(rest)
                     elif h in rest:
                         completions = after.get(rest.replace(byte[h], byte[s]))
@@ -500,6 +523,13 @@ def _frontier_table(
                         usage[arc] = usage.get(arc, 0) + reaching * completions
                         total += completions
                 level[starts] = total
+            if members:
+                for h, arcs in members[i].items():
+                    share, left = divmod(usage.pop(h, 0), len(arcs))
+                    if left:
+                        raise InternalCheckError(f"usage of head {h}'s twins does not split evenly")
+                    if share:
+                        usage.update(dict.fromkeys(arcs, share))
             after = level
     return by_key
 
@@ -586,8 +616,8 @@ def cycle_factor_stats(
     an arc for every v.  One factor table with no arc weighted, so it is a
     single row by cycle count; count, cycle sum and histogram are all read
     off it.  With want_edge_usage the frontier engine also runs its
-    backward pass, which keeps every level of the forward pass until the
-    call returns; without it no level outlives the next.
+    backward pass over the same search, which keeps every level of the
+    forward pass until the call returns; without it no level outlives the next.
     """
     usage: dict[Arc, int] | None = {} if want_edge_usage else None
     (by_cycles,) = _frontier_table(_candidate_rows(g, constraints), {}, usage)

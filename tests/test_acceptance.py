@@ -12,7 +12,9 @@ every degree through 12 in about 1.5 s; the 2-regular suite covers the
 190,711,867 labeled graphs with n <= 8 through their 5,936 isomorphism
 classes in about 3 s, and `expect --edge-usage` gives the per-arc usage
 of the degree-8 gadget in about 10 ms, by the frontier engine's backward
-pass, where a walk over its 1,047,168,000 factors took about 20 min.
+pass, where a walk over its 1,047,168,000 factors took about 20 min, and
+of the 60-vertex padded degree-12 gadget in about 6 ms, its twin heads
+merged, where one frontier per labelled head set took about 2.5 s.
 """
 
 import json
@@ -176,6 +178,34 @@ def test_c05_edge_usage_of_the_degree_eight_gadget(tmp_path, capsys):
         by_head[head] = by_head.get(head, 0) + used
     assert len(by_tail) == len(by_head) == 16
     assert set(by_tail.values()) == set(by_head.values()) == {1047168000}
+
+
+def test_c05_edge_usage_of_the_padded_degree_twelve_gadget(tmp_path, capsys):
+    # the conjecture's extremal shape beside the gadget: three K_12 looped
+    # copies (vertices 24..59) next to the d = 12 gadget, 60 vertices.  Each
+    # copy's heads merge into one token, so the backward pass steps a few
+    # frontiers per level, where one frontier per labelled head set took
+    # about 2.5 s; a factor is a uniform permutation of each copy, which
+    # takes each of its arcs in 1/12 of the factors
+    path = tmp_path / "padded12.txt"
+    path.write_text(to_text(padded_gadget(5, 12), 12))
+    with Budget("expect --edge-usage (padded gadget k=5, d=12)", 1.0):
+        assert main(["expect", "--graph", str(path), "--edge-usage"]) == 0
+        # read before the budget prints its own line
+        doc = json.loads(capsys.readouterr().out)
+    count = doc["count"]
+    assert count % 12 == 0
+    by_tail, by_head, clique = {}, {}, []
+    for arc, used in doc["edge_usage"].items():
+        tail, head = map(int, arc.split("->"))
+        by_tail[tail] = by_tail.get(tail, 0) + used
+        by_head[head] = by_head.get(head, 0) + used
+        if tail >= 24:
+            assert (tail - 24) // 12 == (head - 24) // 12
+            clique.append(used)
+    assert len(by_tail) == len(by_head) == 60
+    assert set(by_tail.values()) == set(by_head.values()) == {count}
+    assert clique == [count // 12] * (3 * 12 * 12)
 
 
 def test_c06_looped_cycle_classification():

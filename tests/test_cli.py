@@ -329,16 +329,30 @@ def test_gadget_output_matches_its_golden_file(capsys, command):
     assert out.encode("utf-8") == (GOLDEN / GOLDEN_RUNS[command]).read_bytes()
 
 
-def test_expect_output_matches_its_golden_file(capsys, monkeypatch):
-    # gen --family gadget --d 4 | expect --graph - --histogram --edge-usage,
-    # the usage path end to end; CI diffs the installed console script
-    # against the same file
-    code, text, err = run_cli(capsys, "gen", "--family", "gadget", "--d", "4")
+def gen_piped_to_expect(capsys, monkeypatch, *family):
+    # gen ... | expect --graph - --histogram --edge-usage, in process
+    code, text, err = run_cli(capsys, "gen", "--family", *family)
     assert code == 0, err
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     code, out, err = run_cli(capsys, "expect", "--graph", "-", "--histogram", "--edge-usage")
     assert code == 0, err
-    assert out.encode("utf-8") == (GOLDEN / "expect_gadget_d4.json").read_bytes()
+    return out.encode("utf-8")
+
+
+def test_expect_output_matches_its_golden_file(capsys, monkeypatch):
+    # gen --family gadget --d 4 | expect --graph - --histogram --edge-usage,
+    # the usage path end to end; CI diffs the installed console script
+    # against the same file
+    out = gen_piped_to_expect(capsys, monkeypatch, "gadget", "--d", "4")
+    assert out == (GOLDEN / "expect_gadget_d4.json").read_bytes()
+
+
+def test_merged_expect_output_matches_its_golden_file(capsys, monkeypatch):
+    # K_7 looped, whose bound 7! exceeds 7^4, so its usage pass runs with
+    # the seven heads merged into one token; CI diffs the installed console
+    # script against the same file
+    out = gen_piped_to_expect(capsys, monkeypatch, "complete-looped", "--m", "7")
+    assert out == (GOLDEN / "expect_complete_looped_m7.json").read_bytes()
 
 
 def test_search_output_matches_its_golden_file(capsys):

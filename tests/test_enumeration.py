@@ -806,11 +806,10 @@ def test_level_sizes_are_pinned(monkeypatch):
         seen.append(sizes[:])
     assert seen == [*GADGET_LEVEL_SIZES.values(), *RANDOM_LEVEL_SIZES]
     assert max(seen[5]) == 43  # 345 when each C class member is its own head
-    # the usage path's backward pass needs every labelled frontier, so
-    # with usage nothing merges and the d = 8 gadget keeps those 345
+    # the usage path steps the same merged levels before its backward pass
     sizes.clear()
     cycle_factor_stats(crossing_gadget(8)[0], want_edge_usage=True)
-    assert sizes == [8, 46, 167, 339, 345, 179, 51, 6, 21, 43, 136, 209, 136, 43, 8, 1]
+    assert sizes == GADGET_LEVEL_SIZES[8]
 
 
 def level_step_cases():
@@ -825,11 +824,11 @@ def level_step_cases():
     return cases
 
 
-def folded_levels(rows, weights, twins=True):
-    """Every level of the table search, folded from the full frontier by
-    the level step, with the search's cand, due and slot."""
+def folded_levels(rows, weights):
+    """Every level of the search, folded from the full frontier by the
+    level step, with the search's cand, due and slot."""
     n = len(rows)
-    cand, due, slot, start = _search_space(rows, weights, n + 1, twins)
+    cand, due, slot, start, _ = _search_space(rows, weights, n + 1)
     byte = [bytes((v,)) for v in range(n)]
     levels = [{start: 1}]
     for choices, pending in zip(cand, due):
@@ -894,7 +893,7 @@ def test_a_token_choice_moves_onto_each_free_member():
     assert _advance(level, [token, lone], [], byte) == {**joins, bytes([2, 0, 2]): 3}
 
 
-@pytest.mark.parametrize("k, m", [(3, 4), (2, 6)])
+@pytest.mark.parametrize("k, m", [(3, 4), (2, 6), (5, 10)])
 def test_looped_clique_copies_use_each_arc_uniformly(k, m):
     # kK_m°, the conjecture's extremal graph: a factor is a uniform
     # permutation of each copy, which takes each of its m^2 arcs in a
@@ -904,10 +903,11 @@ def test_looped_clique_copies_use_each_arc_uniformly(k, m):
     assert stats.count % m == 0
     assert len(stats.edge_usage) == k * m * m
     assert set(stats.edge_usage.values()) == {stats.count // m}
-    # the usage path groups no twins, so its backward pass reads a real
-    # arc off every choice
-    cand, _, _, _ = _search_space(g.out, {}, g.n + 1, False)
-    assert all(arc is not None for row in cand for _, _, _, arc in row)
+    # above n^4 each copy is one token, a choice with no arc, whose usage
+    # the backward pass splits over the copy's arcs; 3K_4° is below
+    cand, _, _, start, _ = _search_space(g.out, {}, g.n + 1)
+    tokens = {arc is None for row in cand for _, _, _, arc in row}
+    assert (tokens, len(set(start))) == (({False}, g.n) if m == 4 else ({True}, k))
 
 
 # ---------------------------------------------------------------------------
@@ -949,44 +949,111 @@ def twin_weights(rows, classes, seed, rng):
     return {(v, w): weight for w in (c[:1] if seed % 3 == 1 else c)}
 
 
-def test_twin_merging_matches_engines_that_never_merge(monkeypatch):
-    # the merged table search against the usage path, which keeps every
-    # labelled frontier, then forced into the transpose, and against the
-    # walk oracle where n <= 9 and it visits at most 10^4 factors
-    def run_transposed(rows):
-        cols = transpose(rows)
-        return cols, _width_order(cols)[0], _log2_bregman(cols), True
-
-    merged = split = transposed = walked = 0
-    for seed in range(300):
+def planted_cases(seeds):
+    """Seed, rows and twin weights of a planted-class digraph on 4 to 12
+    vertices, for each seed."""
+    for seed in seeds:
         rng = random.Random(f"twins {seed}")
-        n = 4 + seed % 9
-        rows, classes = planted_class_rows(n, rng)
-        weights = twin_weights(rows, classes, seed, rng)
-        search = _search_space(rows, weights, n + 1, True)
+        rows, classes = planted_class_rows(4 + seed % 9, rng)
+        yield seed, rows, twin_weights(rows, classes, seed, rng)
+
+
+def orient_transposed(rows):
+    # _orient forced into the transpose, ordered as _orient orders it
+    cols = transpose(rows)
+    return cols, _width_order(cols)[0], _log2_bregman(cols), True
+
+
+def unmerging_weights(rows, weights):
+    """weights, with base = 1 + sum(weights) added to the arcs of one
+    cycle-factor of rows, and base.
+
+    The factor takes one arc out of each tail and one into each head, so
+    each head's column has an arc of weight at least base from a tail
+    whose other arcs weigh less, and each tail's row likewise: no two
+    heads share a column in either direction, and the engine merges no
+    twins.  A factor's key modulo base is its key under weights, which is
+    below base."""
+    base = 1 + sum(weights.values())
+    spread = dict(weights)
+    for arc in enumerate(next(walk_factors(rows))):
+        spread[arc] = weights.get(arc, 0) + base
+    assert _search_space(rows, spread, len(rows) + 1)[4] is None
+    return spread, base
+
+
+def unmerged_table_and_usage(rows, weights):
+    """Table and usage from a search that merges no heads, its keys folded
+    back onto the keys under weights."""
+    spread, base = unmerging_weights(rows, weights)
+    table, usage = table_and_usage(rows, spread)
+    folded = [[0] * (len(rows) + 1) for _ in range(base)]
+    for key, row in enumerate(table):
+        folded[key % base] = [a + b for a, b in zip(folded[key % base], row)]
+    return folded, usage
+
+
+def unmerged_levels(rows, weights):
+    """Every level of a search that merges no heads, each table folded back
+    onto the keys under weights.  A labelled frontier's coefficients fit
+    their slots, and 2^(base * width) = 1 modulo 2^(base * width) - 1, so
+    the remainder moves each key's row to the key modulo base."""
+    spread, base = unmerging_weights(rows, weights)
+    levels, _, _, slot, _ = folded_levels(rows, spread)
+    full = (1 << base * (len(rows) + 1) * slot) - 1
+    return [{key: table % full for key, table in level.items()} for level in levels]
+
+
+def test_twin_merging_matches_engines_that_never_merge(monkeypatch):
+    # the merged table and usage against a search that merges no heads,
+    # in the engine's direction and forced into the transpose, and against
+    # the walk oracle where n <= 9 and it visits at most 10^4 factors
+    merged = split = transposed = walked = walked_merged = 0
+    for seed, rows, weights in planted_cases(range(300)):
+        n = len(rows)
+        search = _search_space(rows, weights, n + 1)
         grouped = search is not None and len(set(search[3])) < n
         merged += grouped
         split += grouped and seed % 3 == 1 and bool(weights)
         transposed += _orient(rows)[3]
-        if weights:
-            table = _frontier_table(rows, weights)
-            assert table == _frontier_table(rows, weights, {}), seed
-        else:
-            g = DiGraph(n, rows)
-            stats, labelled = cycle_factor_stats(g), cycle_factor_stats(g, want_edge_usage=True)
-            assert (stats.count, stats.histogram) == (labelled.count, labelled.histogram), seed
-            table = _frontier_table(rows, {})
-        monkeypatch.setattr(enumeration, "_orient", run_transposed)
+        unmerged = unmerged_table_and_usage(rows, weights)
+        table, usage = table_and_usage(rows, weights)
+        assert (table, usage) == unmerged, seed
         assert _frontier_table(rows, weights) == table, seed
+        monkeypatch.setattr(enumeration, "_orient", orient_transposed)
+        assert table_and_usage(rows, weights) == unmerged, seed
         monkeypatch.undo()
         if n <= 9 and sum(map(sum, table)) <= 10**4:
             walked += 1
-            expected, _ = factor_table_by_iteration(DiGraph(n, rows), None, weights)
-            assert nonzero_cells(table) == expected, seed
+            walked_merged += grouped
+            expected = factor_table_by_iteration(DiGraph(n, rows), None, weights)
+            assert (nonzero_cells(table), usage) == expected, seed
     assert merged > 100  # the merge ran, on about two graphs in five
     assert split > 30  # on graphs with a class split by a weight too
     assert transposed > 20  # some choose the transpose on their own
     assert walked > 150
+    assert walked_merged > 20  # the token moves against the walk too
+
+
+def test_an_uneven_token_bucket_raises(monkeypatch):
+    # K_8 looped is one token: each tail's bucket, 8 * 7! = 40320 uses,
+    # splits into 5040 per arc over its 8 arcs; with the group's arcs
+    # listed as 11, as if they did not share the usage evenly, the split
+    # leaves a remainder of 5
+    def eleven_members(*args):
+        search = _search_space(*args)
+        for row in search[4]:
+            for arcs in row.values():
+                arcs += arcs[:3]
+        return search
+
+    g = complete_looped(8)
+    assert cycle_factor_stats(g, want_edge_usage=True).edge_usage == {
+        arc: 5040 for arc in g.arcs()
+    }
+    monkeypatch.setattr(enumeration, "_search_space", eleven_members)
+    with pytest.raises(InternalCheckError, match="split evenly"):
+        cycle_factor_stats(g, want_edge_usage=True)
 
 
 def test_each_merged_level_sums_the_labelled_frontiers_by_token():
@@ -994,15 +1061,12 @@ def test_each_merged_level_sums_the_labelled_frontiers_by_token():
     # and its table is the sum of theirs, level by level: the merge loses
     # no frontier and keeps none that the labelled search prunes
     grouped = 0
-    for seed in range(120):
-        rng = random.Random(f"twins {seed}")
-        n = 4 + seed % 9
-        rows, classes = planted_class_rows(n, rng)
-        weights = twin_weights(rows, classes, seed, rng)
-        if _search_space(rows, weights, n + 1, True) is None:
+    for seed, rows, weights in planted_cases(range(120)):
+        n = len(rows)
+        if _search_space(rows, weights, n + 1) is None:
             continue
         merged = folded_levels(rows, weights)[0]
-        labelled = folded_levels(rows, weights, twins=False)[0]
+        labelled = unmerged_levels(rows, weights)
         (token,) = merged[0]
         grouped += len(set(token)) < n
         to_token = token + bytes(range(n, 256))
@@ -1017,17 +1081,18 @@ def test_each_merged_level_sums_the_labelled_frontiers_by_token():
 def test_a_weighted_arc_splits_its_twins():
     # K_8 looped, whose bound 8! exceeds 8^4: one token for all eight
     # heads; weighting an arc into head 7 leaves heads 0..6 as one group
-    # and head 7 alone; without twins every head is its own.  Every tail
-    # chooses the group's token, with no arc, and the lone head by its arc
+    # and head 7 alone; with one arc into each head weighted apart every
+    # head is its own.  Every tail chooses the group's token, with no arc,
+    # and the lone head by its arc
     rows = complete_looped(8).out
     tokens = []
     for weights in ({}, {(1, 7): 1}):
-        cand, _, _, start = _search_space(rows, weights, 9, True)
+        cand, _, _, start, _ = _search_space(rows, weights, 9)
         arcless = {sum(arc is None for _, _, _, arc in row) for row in cand}
         tokens.append((len(set(start)), list(map(len, cand)), arcless))
     assert tokens == [(1, [1] * 8, {1}), (2, [2] * 8, {1})]
-    cand, _, _, start = _search_space(rows, {}, 9, False)
-    assert start == bytes(range(8))
+    cand, _, _, start, members = _search_space(rows, unmerging_weights(rows, {})[0], 9)
+    assert (start, members) == (bytes(range(8)), None)
     assert all(arc is not None for row in cand for _, _, _, arc in row)
 
 
