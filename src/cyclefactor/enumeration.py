@@ -80,8 +80,6 @@ from .families import crossing_gadget
 from .graphs import Arc, DiGraph, UGraph
 
 MAX_FAST_VERTICES = 64
-# largest crossing-gadget degree the pattern classifier enumerates
-MAX_GADGET_DEGREE = 12
 # bytes((v,)) for every position the engine runs, made once
 _BYTES = [bytes((v,)) for v in range(MAX_FAST_VERTICES)]
 
@@ -349,23 +347,23 @@ def _search_space(
 
 
 def _advance(
-    level: dict[bytes, int], choices: list[tuple], pending: list[tuple], byte: list[bytes]
+    level: dict[bytes, int], choices: list[tuple], pending: list[tuple]
 ) -> dict[bytes, int]:
     """The level step of the frontier engine: level i to level i + 1.
 
     level maps the starts of the open paths, as bytes indexed by tail - i,
     to the packed table of the partial factors reaching them; choices and
-    pending are cand[i] and due[i] of _search_space, and byte[v] is
-    bytes((v,)).  Tail i's path starts at s, the first start: its choice
-    of head s closes a cycle, shifts the table by the closing shift and
-    drops s; its choice of another free head h, one of the rest, joins
-    the path that starts at h, shifts the table by the arc's shift and
-    replaces h by s; any other head is used.  A head due at tail i that
-    is still a start is pending: two prune the frontier, since no later
-    tail can take either, and one forces tail i's choice onto it.  Moves
-    reaching equal starts merge by addition.  Only the arguments are
-    read, so any level dict may be advanced, and the step is linear: the
-    level after a sum of levels is the sum of the levels after them.
+    pending are cand[i] and due[i] of _search_space.  Tail i's path starts
+    at s, the first start: its choice of head s closes a cycle, shifts the
+    table by the closing shift and drops s; its choice of another free
+    head h, one of the rest, joins the path that starts at h, shifts the
+    table by the arc's shift and replaces h by s; any other head is used.
+    A head due at tail i that is still a start is pending: two prune the
+    frontier, since no later tail can take either, and one forces tail i's
+    choice onto it.  Moves reaching equal starts merge by addition.  Only
+    the arguments and the constant _BYTES are read, so any level dict may
+    be advanced, and the step is linear: the level after a sum of levels
+    is the sum of the levels after them.
 
     A choice whose arc is None has a twin group's token for its head,
     and as many members are free as the token occurs among the starts.
@@ -376,6 +374,7 @@ def _advance(
     due head, and where two of its members are free the forced move adds
     nothing: one of them would stay free past its deadline.
     """
+    byte = _BYTES  # a local, read in the loop below
     nxt: dict[bytes, int] = {}
     for starts, table in level.items():
         moves = choices
@@ -487,7 +486,7 @@ def _frontier_table(
     for choices, pending in zip(cand, due):
         if usage is not None:
             levels.append(level)
-        level = _advance(level, choices, pending, byte)
+        level = _advance(level, choices, pending)
     packed = level.get(b"", 0)
     width = stride * slot  # the bits of one key's row
     mask = (1 << width) - 1
@@ -637,14 +636,13 @@ def classify_crossing_patterns(d: int) -> list[TableRow]:
     most once and its key is its 4-bit pattern.  The frontier engine
     merges the partial factors whose open paths start alike, so it never
     visits each factor, which is what makes d = 8 (about 10^9 factors)
-    reachable.  Degree balance between the two gadget halves permits only
+    reachable; the gadget has 2d vertices, so the engine's order limit
+    stops d at MAX_FAST_VERTICES // 2.  Degree balance between the two gadget halves permits only
     six patterns.  One pass adds each nonzero bucket's count and cycle
     sum, in integers, to the row that ROW_OF_MASK gives its pattern, so
     the result is comparable to crossing_pattern_table; a pattern with no
     row, or a row with no factor, raises InternalCheckError.
     """
-    if d > MAX_GADGET_DEGREE:
-        raise ValueError(f"degree {d} above the enumeration limit {MAX_GADGET_DEGREE}")
     g, crossing = crossing_gadget(d)
     weights = {crossing[nm]: 1 << i for i, nm in enumerate(CROSSING_ARC_ORDER)}
     counts, sums = [0] * len(ROW_GROUPS), [0] * len(ROW_GROUPS)

@@ -229,20 +229,19 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
     Per iteration every lineage proposes a mutated child; parents and
     children are ranked by exact excess, one graph per isomorphism class,
     the top `population` survive, and lineages that have not improved for
-    RESTART_AFTER iterations restart from a fresh random graph.  Classes
-    are keyed by canonical form, which is exact, and each is certified and
-    fingerprinted once, when its first member is evaluated; a dict keyed
-    by labeled rows in front of it spares a graph seen again its canonical
-    form, so each labeled graph is put in canonical form once.  Both dicts
-    key on _row_key, the rows' adjacency matrix as one integer, so no
-    graph outlives its lineage, and both hold the class's _rank_key tuple,
-    which also stands for the class in the lineages and the per-iteration
-    ranking; the full record of a class lives only while it is on the
-    leaderboard.  At (8, 4) with population 64 a 200-iteration search
-    peaks at about 23.5 MiB and a 500-iteration one at about 25 MiB, where
-    keeping every class's record took 27 and 30 MiB.  The fingerprint
-    digests the canonical form already in hand, and is the printed
-    identity, the lineage tag and the tie-break.  The ranking compares
+    RESTART_AFTER iterations restart from a fresh random graph.  Every
+    graph drawn or mutated is put in canonical form, which is exact, and
+    its class is looked up in the one cache, keyed by _row_key of the
+    form, the adjacency matrix as one integer, so no graph outlives its
+    lineage; a class met for the first time is certified and fingerprinted
+    then, once.  The cache holds the class's _rank_key tuple, which also
+    stands for the class in the lineages and the per-iteration ranking;
+    the full record of a class lives only while it is on the leaderboard.
+    The cache grows with classes, not with labeled graphs: at (8, 4) with
+    population 64 a 200-iteration search peaks at about 22 MiB and a
+    500-iteration one at about 22.7 MiB.  The fingerprint digests the
+    canonical form already in hand, and is the printed identity, the
+    lineage tag and the tie-break.  The ranking compares
     excesses as floats first and as Fractions only on a float tie
     (_rank_key), which gives the exact order.  Every graph here is
     d-regular, so it has a cycle-factor (its bipartite double cover is
@@ -254,27 +253,21 @@ def run_search(config: SearchConfig, sink=None) -> list[SearchRecord]:
     receives each record the moment its class is certified.
     """
     stream = SeedStream(config.seed)
-    # every class met, by canonical rows, and every labeled graph met, by
-    # its own rows, each to the class's one _rank_key tuple; full records
-    # live only on the leaderboard
+    # every class met, by its canonical rows, to the class's one _rank_key
+    # tuple; full records live only on the leaderboard
     classes: dict[int, _Rank] = {}
-    evaluated: dict[int, _Rank] = {}
     top: list[SearchRecord] = []
 
     def evaluate(g: DiGraph, it: int, origin: str) -> _Rank:
-        key = _row_key(g.out)
-        rank = evaluated.get(key)
+        form = canonical_form(g)[0]
+        key = _row_key(form)
+        rank = classes.get(key)
         if rank is None:
-            form = canonical_form(g)[0]
-            form_key = _row_key(form)
-            rank = classes.get(form_key)
-            if rank is None:
-                rec = SearchRecord(certify(g, config.d), it, fingerprint(g, form), origin)
-                rank = classes[form_key] = _rank_key(rec)
-                _admit(top, rec, config.population)
-                if sink is not None:
-                    sink(rec)
-            evaluated[key] = rank
+            rec = SearchRecord(certify(g, config.d), it, fingerprint(g, form), origin)
+            rank = classes[key] = _rank_key(rec)
+            _admit(top, rec, config.population)
+            if sink is not None:
+                sink(rec)
         return rank
 
     def fresh(it: int) -> _Lineage:

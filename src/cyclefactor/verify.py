@@ -21,7 +21,6 @@ from typing import Iterator, Sequence
 
 from .enumeration import (
     MAX_FAST_VERTICES,
-    MAX_GADGET_DEGREE,
     classify_crossing_patterns,
     cycle_factor_stats,
     cycle_matching_counts,
@@ -348,14 +347,16 @@ def gadget_cross_validation(d_max: int = 6) -> SuiteReport:
     factors (any other pattern raises), so their totals give the factor
     count and cycle sum.  The frontier engine merges partial factors by
     their open paths and does not visit each factor; that is what makes
-    degree 8 (about 10^9 factors) and degree 12 (about 1.7 * 10^17)
-    reachable.  Compares, in integers, count, total cycle sum and each
+    degree 8 (about 10^9 factors) and degree 32 (about 6.1 * 10^70)
+    reachable.  The gadget has 2d vertices, so d_max stops at
+    MAX_FAST_VERTICES // 2, and a bound outside 3..32 raises ValueError
+    before any degree is checked.  Compares, in integers, count, total cycle sum and each
     aggregated row's count and cycle sum; reports the first differing
     quantity per degree.  The mean is their quotient, so it needs no
     comparison of its own.
     """
-    if not 3 <= d_max <= MAX_GADGET_DEGREE:
-        raise ValueError(f"need 3 <= d_max <= {MAX_GADGET_DEGREE}")
+    if not 3 <= d_max <= MAX_FAST_VERTICES // 2:
+        raise ValueError(f"need 3 <= d_max <= {MAX_FAST_VERTICES // 2}")
     failures = []
     for d in range(3, d_max + 1):
         form = gadget_closed_form(d)

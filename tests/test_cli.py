@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 from cyclefactor import cli, search
-from cyclefactor.enumeration import MAX_GADGET_DEGREE
+from cyclefactor.enumeration import MAX_FAST_VERTICES
 from cyclefactor.errors import GenerationError
 
 
@@ -255,6 +255,7 @@ def test_suite_failure_exits_three(capsys, monkeypatch):
         ("two-regular", "--n-max", "0"),  # below the library's n_max >= 2
         ("two-regular", "--n-max", "9"),  # above MAX_TWO_REGULAR_N
         ("gadget-cross", "--d-max", "0"),  # below the library's d_max >= 3
+        ("gadget-cross", "--d-max", "33"),  # a 66-vertex gadget, past MAX_FAST_VERTICES
         ("looped-cycle", "--d-max", "9"),  # looped-cycle takes no degree bound
         ("looped-cycle", "--n-max", "65"),  # above MAX_FAST_VERTICES
         ("gadget-cross", "--n-max", "5"),  # gadget-cross takes no order bound
@@ -373,14 +374,15 @@ def test_suite_gadget_cross_reaches_degree_eight(capsys):
 
 
 def test_report_at_the_largest_gadget_degree(capsys):
-    top = MAX_GADGET_DEGREE
+    # the gadget has 2d vertices, so 32 is the largest degree the engine runs
+    top = MAX_FAST_VERTICES // 2
     doc = run_json(capsys, "report", "--max-d", str(top), schema_name="report")
     assert doc["ok"] is True and doc["max_d"] == top
     names = [c["name"] for c in doc["checks"]]
     assert f"gadget excess positive at degree {top}" in names
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["report", "--max-d", str(top + 1)])
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "report", "--max-d", str(top + 1))
+    assert code == 2 and out == ""
+    assert err == f"error: need 3 <= d_max <= {top}\n"
 
 
 def test_report_small(capsys):

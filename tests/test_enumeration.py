@@ -27,7 +27,6 @@ from brute_force import (
 from cyclefactor import enumeration
 from cyclefactor.enumeration import (
     MAX_FAST_VERTICES,
-    MAX_GADGET_DEGREE,
     ArcConstraints,
     _advance,
     _candidate_rows,
@@ -436,7 +435,7 @@ def test_symmetric_rows_are_never_transposed(monkeypatch):
         return _width_order(rows)
 
     monkeypatch.setattr(enumeration, "_width_order", counted)
-    graphs = [crossing_gadget(d)[0] for d in range(3, MAX_GADGET_DEGREE + 1)]
+    graphs = [crossing_gadget(d)[0] for d in range(3, 13)]
     graphs += [complete_looped(8), looped_bidirected_cycle(20), padded_gadget(3, 4)]
     rng = random.Random(7)
     for n, d in ((16, 4), (20, 4), (18, 6)):
@@ -829,17 +828,16 @@ def folded_levels(rows, weights):
     level step, with the search's cand, due and slot."""
     n = len(rows)
     cand, due, slot, start, _ = _search_space(rows, weights, n + 1)
-    byte = [bytes((v,)) for v in range(n)]
     levels = [{start: 1}]
     for choices, pending in zip(cand, due):
-        levels.append(_advance(levels[-1], choices, pending, byte))
-    return levels, cand, due, slot, byte
+        levels.append(_advance(levels[-1], choices, pending))
+    return levels, cand, due, slot
 
 
 def test_level_steps_compose_to_the_table():
     for rows, weights in level_step_cases():
         n = len(rows)
-        levels, _, _, slot, _ = folded_levels(rows, weights)
+        levels, _, _, slot = folded_levels(rows, weights)
         assert list(levels[-1]) == [b""]
         flat = _unpack(levels[-1][b""], slot, (1 + sum(weights.values())) * (n + 1))
         table = [flat[k : k + n + 1] for k in range(0, len(flat), n + 1)]
@@ -853,9 +851,9 @@ def test_level_step_is_linear():
     tokens = 0
     for rows, weights in level_step_cases():
         i = len(rows) // 2
-        levels, cand, due, _, byte = folded_levels(rows, weights)
+        levels, cand, due, _ = folded_levels(rows, weights)
         tokens += any(arc is None for _, _, _, arc in cand[i])
-        parts = [_advance({k: t}, cand[i], due[i], byte) for k, t in levels[i].items()]
+        parts = [_advance({k: t}, cand[i], due[i]) for k, t in levels[i].items()]
         summed = Counter()
         for part in parts:
             summed.update(part)
@@ -869,28 +867,27 @@ def test_a_token_choice_moves_onto_each_free_member():
     # and head 5 a lone head; a step that took the token for one head
     # would keep the first frontier, close without the joins and make
     # one key of the two joins
-    byte = [bytes((v,)) for v in range(8)]
     slot = 4
     token = (2, 2 * slot, 3 * slot, None)
     lone = (5, 0, slot, (0, 5))
     due = [(2, (token,))]
     # a due token with two free members prunes, s one of them or not
-    assert _advance({bytes([0, 2, 2]): 1}, [token, lone], due, byte) == {}
-    assert _advance({bytes([2, 5, 2]): 1}, [token, lone], due, byte) == {}
+    assert _advance({bytes([0, 2, 2]): 1}, [token, lone], due) == {}
+    assert _advance({bytes([2, 5, 2]): 1}, [token, lone], due) == {}
     # with one free member it forces the move onto it
     forced = {bytes([0, 5]): 1 << 2 * slot}
-    assert _advance({bytes([0, 2, 5]): 1}, [token, lone], due, byte) == forced
+    assert _advance({bytes([0, 2, 5]): 1}, [token, lone], due) == forced
     # closing onto s, a token that sits twice more in the rest, adds the
     # closing and the two joins, each shifted, under the one key rest
     level = {bytes([2, 2, 5, 2]): 3}
     want = (3 << 3 * slot) + 2 * (3 << 2 * slot)
-    assert _advance(level, [token], [], byte) == {bytes([2, 5, 2]): want}
+    assert _advance(level, [token], []) == {bytes([2, 5, 2]): want}
     # a join onto a token that occurs twice puts s in each place in turn
     level = {bytes([0, 2, 5, 2]): 3}
     joins = {bytes([0, 5, 2]): 3 << 2 * slot, bytes([2, 5, 0]): 3 << 2 * slot}
-    assert _advance(level, [token], [], byte) == joins
+    assert _advance(level, [token], []) == joins
     # a lone head keeps the one-head rule beside it
-    assert _advance(level, [token, lone], [], byte) == {**joins, bytes([2, 0, 2]): 3}
+    assert _advance(level, [token, lone], []) == {**joins, bytes([2, 0, 2]): 3}
 
 
 @pytest.mark.parametrize("k, m", [(3, 4), (2, 6), (5, 10)])
@@ -999,7 +996,7 @@ def unmerged_levels(rows, weights):
     their slots, and 2^(base * width) = 1 modulo 2^(base * width) - 1, so
     the remainder moves each key's row to the key modulo base."""
     spread, base = unmerging_weights(rows, weights)
-    levels, _, _, slot, _ = folded_levels(rows, spread)
+    levels, _, _, slot = folded_levels(rows, spread)
     full = (1 << base * (len(rows) + 1) * slot) - 1
     return [{key: table % full for key, table in level.items()} for level in levels]
 
@@ -1122,7 +1119,7 @@ def test_looped_clique_copies_match_the_stirling_numbers(k, m):
 
 
 # every degree that classifies in under 0.1 s; the d = 12 acceptance leg
-# checks the same rows at every degree through MAX_GADGET_DEGREE
+# and the report at --max-d 32 check the same rows through d = 32
 @pytest.mark.parametrize("d", range(3, 11))
 def test_classified_buckets_match_closed_table(d):
     got = classify_crossing_patterns(d)
@@ -1135,8 +1132,10 @@ def test_classified_buckets_match_closed_table(d):
 def test_classifier_guards():
     with pytest.raises(ValueError):
         classify_crossing_patterns(2)
-    with pytest.raises(ValueError):
-        classify_crossing_patterns(MAX_GADGET_DEGREE + 1)
+    # the gadget has 2d vertices, so d = 33 is past the engine's order limit
+    top = MAX_FAST_VERTICES // 2
+    with pytest.raises(ValueError, match=f"graph order {2 * top + 2} exceeds"):
+        classify_crossing_patterns(top + 1)
 
 
 @pytest.mark.parametrize("d", (3, 4))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from brute_force import generated_group, layout_generators
 from cyclefactor import verify
-from cyclefactor.enumeration import MAX_FAST_VERTICES, MAX_GADGET_DEGREE
+from cyclefactor.enumeration import MAX_FAST_VERTICES
 from cyclefactor.errors import IndivisibleOrderError, NotRegularError
 from cyclefactor.exact import benchmark_excess, gadget_closed_form, harmonic
 from cyclefactor.families import (
@@ -323,8 +323,8 @@ def test_two_regular_suite_holds_below_six():
 def test_gadget_cross_validation_small():
     report = gadget_cross_validation(5)
     assert report.ok and report.checked == 3
-    with pytest.raises(ValueError):
-        gadget_cross_validation(MAX_GADGET_DEGREE + 1)
+    with pytest.raises(ValueError, match="need 3 <= d_max <= 32"):
+        gadget_cross_validation(MAX_FAST_VERTICES // 2 + 1)
 
 
 # each perturbed field of the degree-3 closed form and the failure it must give
