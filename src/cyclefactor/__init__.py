@@ -6,7 +6,6 @@ certificates, and a reproducible local search.
 """
 
 from .enumeration import (
-    ArcConstraints,
     FactorStats,
     cycle_factor_stats,
     expected_cycles,
@@ -33,7 +32,6 @@ from .verify import Certificate, SuiteReport, certify
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcConstraints",
     "Certificate",
     "DiGraph",
     "FactorStats",

@@ -1,8 +1,10 @@
 """Exact brute-force engines for factor statistics.
 
 Directed side: cycle-factor counts, cycle-count histograms, per-arc
-usage, constrained enumeration with prescribed or forbidden arcs, and the
-crossing-pattern table of the gadget.  Undirected side:
+usage, and the crossing-pattern table of the gadget.  The factors that
+use some arcs and avoid others are the factors of a subgraph: keep only
+the required arc at its tail, and drop the forbidden arcs and the
+required heads from every other row.  Undirected side:
 spanning partitions into cycles (optionally also single matched edges),
 matchings of cycles, and a Ryser permanent used as an independent
 counting oracle.
@@ -109,52 +111,6 @@ class FactorStats:
         if self.count == 0:
             raise NoCycleFactorError("no cycle-factor")
         return Fraction(self.cycle_sum, self.count)
-
-
-@dataclass(frozen=True)
-class ArcConstraints:
-    """Prescribed and excluded arcs for constrained enumeration.
-
-    required must form a partial permutation: no two arcs may share a tail
-    or share a head.  required and forbidden must be disjoint.  Required
-    arcs absent from the graph make the count 0 rather than erroring.
-    """
-
-    required: frozenset[Arc] = frozenset()
-    forbidden: frozenset[Arc] = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "required", frozenset(self.required))
-        object.__setattr__(self, "forbidden", frozenset(self.forbidden))
-        tails = [a[0] for a in self.required]
-        heads = [a[1] for a in self.required]
-        if len(set(tails)) != len(tails) or len(set(heads)) != len(heads):
-            raise ValueError("required arcs must form a partial permutation")
-        if self.required & self.forbidden:
-            raise ValueError("an arc cannot be both required and forbidden")
-
-
-def _candidate_rows(
-    g: DiGraph, constraints: ArcConstraints | None
-) -> Sequence[Sequence[int]]:
-    if constraints is None:
-        return g.out
-    req_head: dict[int, int] = {}
-    req_heads: set[int] = set()
-    for tail, head in constraints.required:
-        req_head[tail] = head
-        req_heads.add(head)
-    forbidden = constraints.forbidden
-    rows = []
-    for v in range(g.n):
-        if v in req_head:
-            h = req_head[v]
-            rows.append([h] if g.has_arc(v, h) else [])
-        else:
-            rows.append(
-                [w for w in g.out[v] if (v, w) not in forbidden and w not in req_heads]
-            )
-    return rows
 
 
 def _log2_bregman(rows: Sequence[Sequence[int]]) -> float:
@@ -604,12 +560,8 @@ def _cover_all(n: int, cycles: dict[int, int]) -> int:
     return groups[0].get(0, 0)
 
 
-def cycle_factor_stats(
-    g: DiGraph,
-    constraints: ArcConstraints | None = None,
-    want_edge_usage: bool = False,
-) -> FactorStats:
-    """Exact statistics over every cycle-factor of g meeting the constraints.
+def cycle_factor_stats(g: DiGraph, want_edge_usage: bool = False) -> FactorStats:
+    """Exact statistics over every cycle-factor of g.
 
     A cycle-factor is a permutation sigma of the vertices with v -> sigma(v)
     an arc for every v.  One factor table with no arc weighted, so it is a
@@ -617,9 +569,11 @@ def cycle_factor_stats(
     off it.  With want_edge_usage the frontier engine also runs its
     backward pass over the same search, which keeps every level of the
     forward pass until the call returns; without it no level outlives the next.
+    To count only the factors that use or avoid given arcs, pass the
+    subgraph that keeps the arcs they may use.
     """
     usage: dict[Arc, int] | None = {} if want_edge_usage else None
-    (by_cycles,) = _frontier_table(_candidate_rows(g, constraints), {}, usage)
+    (by_cycles,) = _frontier_table(g.out, {}, usage)
     return FactorStats.of_row(by_cycles, usage)
 
 

@@ -73,25 +73,27 @@ class GadgetClosedForm:
 def harmonic(m: int) -> Fraction:
     """H_m = 1 + 1/2 + ... + 1/m exactly; H_0 = 0.
 
-    One Fraction, a_m / m! with a_m = m! H_m from _factorial_harmonics.
+    One Fraction, a_m / m! with a_m = m! H_m from _factorial_harmonic.
     """
     if m < 0:
         raise ValueError("harmonic number needs m >= 0")
-    return Fraction(_factorial_harmonics(m)[m], factorial(m))
+    return Fraction(_factorial_harmonic(m), factorial(m))
 
 
-def _factorial_harmonics(m: int) -> list[int]:
-    """[k! * H_k for k = 0..m], each an integer: [k+1 over 2].
+def _factorial_harmonic(m: int) -> int:
+    """a_m = m! * H_m, an integer: [m+1 over 2].
 
     k! * H_k = k * (k-1)! * H_(k-1) + (k-1)!, so a_0 = 0 and
     a_k = k * a_(k-1) + (k-1)!; the a_k are the unsigned Stirling numbers
     of the first kind [k+1 over 2] (Concrete Mathematics, eq. 6.58).
+    Only a_m is kept, so memory stays linear in its size; a caller that
+    needs a_(m-1) divides it back out: a_(m-1) = (a_m - (m-1)!) / m.
     """
     if m < 0:
         raise ValueError("need m >= 0")
-    a, f = [0], 1  # f = (k-1)! at step k
+    a, f = 0, 1  # a_(k-1) and (k-1)! at step k
     for k in range(1, m + 1):
-        a.append(k * a[-1] + f)
+        a = k * a + f
         f *= k
     return a
 
@@ -104,17 +106,19 @@ def no_crossing_block_counts(d: int) -> tuple[int, int]:
     arcs gives the pair (N0, S0), with
     S0 = d! H_d - 2 (d-1)! H_(d-1) + (d-2)! (H_(d-2) + 1), evaluated as
     a_d - 2 a_(d-1) + a_(d-2) + (d-2)! with a_k = k! H_k
-    (_factorial_harmonics).  d=2 is admitted for degenerate oracle tests
+    (_factorial_harmonic).  d=2 is admitted for degenerate oracle tests
     under the conventions 0! = 1 and H_0 = 0.
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    f2 = factorial(d - 2)
-    n0 = factorial(d) - 2 * factorial(d - 1) + f2
+    f1, f2 = factorial(d - 1), factorial(d - 2)
+    n0 = factorial(d) - 2 * f1 + f2
     if n0 != f2 * (d * d - 3 * d + 3):
         raise InternalCheckError("two routes to the block count disagree")
-    a = _factorial_harmonics(d)
-    return n0, a[d] - 2 * a[d - 1] + a[d - 2] + f2
+    ad = _factorial_harmonic(d)
+    a1 = (ad - f1) // d
+    a2 = (a1 - f2) // (d - 1)
+    return n0, ad - 2 * a1 + a2 + f2
 
 
 def crossing_pattern_table(d: int) -> list[TableRow]:
@@ -130,15 +134,14 @@ def crossing_pattern_table(d: int) -> list[TableRow]:
     if d < 3:
         raise ValueError("need d >= 3")
     n0, s0 = no_crossing_block_counts(d)
-    a = _factorial_harmonics(d - 1)
     f1, f2 = factorial(d - 1), factorial(d - 2)
+    a1 = _factorial_harmonic(d - 1)
+    a2 = (a1 - f2) // (d - 1)
     return [
         TableRow(ROW_GROUPS[0], n0 * n0, 2 * n0 * s0),
-        TableRow(ROW_GROUPS[1], 2 * f1 * f1, 2 * f1 * (2 * a[d - 1] + f1)),
-        TableRow(ROW_GROUPS[2], f2 * f2, 2 * f2 * (a[d - 2] + f2)),
-        TableRow(
-            ROW_GROUPS[3], 2 * (f2 * (d - 2)) ** 2, 2 * (d - 2) ** 2 * f2 * (2 * a[d - 2] - f2)
-        ),
+        TableRow(ROW_GROUPS[1], 2 * f1 * f1, 2 * f1 * (2 * a1 + f1)),
+        TableRow(ROW_GROUPS[2], f2 * f2, 2 * f2 * (a2 + f2)),
+        TableRow(ROW_GROUPS[3], 2 * (f2 * (d - 2)) ** 2, 2 * (d - 2) ** 2 * f2 * (2 * a2 - f2)),
     ]
 
 
@@ -173,7 +176,7 @@ def gadget_closed_form(d: int) -> GadgetClosedForm:
         raise InternalCheckError("factor count disagrees with the closed form")
     cycle_sum = sum(r.cycle_sum for r in rows)
     fd = factorial(d)
-    excess = Fraction(fd * cycle_sum - 2 * _factorial_harmonics(d)[d] * count, fd * count)
+    excess = Fraction(fd * cycle_sum - 2 * _factorial_harmonic(d) * count, fd * count)
     if excess != benchmark_excess(d):
         raise InternalCheckError("table excess disagrees with the closed form")
     return GadgetClosedForm(d, count, cycle_sum, excess, tuple(rows))

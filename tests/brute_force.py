@@ -12,17 +12,33 @@ from itertools import combinations, permutations
 from math import factorial, prod
 
 
-def factors(out, required=(), forbidden=()):
-    """Each cycle-factor of out using every required and no forbidden arc.
+def factors(out):
+    """Each cycle-factor of out.
 
     Filters all n! permutations, visiting each factor the engine counts.
     """
-    n = len(out)
-    req = dict(required)
-    bad = set(forbidden)
-    for p in permutations(range(n)):
-        if all(w in out[v] and req.get(v, w) == w and (v, w) not in bad for v, w in enumerate(p)):
+    for p in permutations(range(len(out))):
+        if all(w in out[v] for v, w in enumerate(p)):
             yield p
+
+
+def restricted(out, required=(), forbidden=()):
+    """The rows whose cycle-factors are those of out using every required
+    and no forbidden arc.
+
+    required is a partial permutation, given as (tail, head) arcs.  A tail
+    with a required arc keeps only that head, and only if out has the arc;
+    every other tail drops its forbidden arcs and the required heads.
+    """
+    req = dict(required)
+    heads = set(req.values())
+    bad = set(forbidden)
+    return [
+        ([req[v]] if req[v] in row else [])
+        if v in req
+        else [w for w in row if (v, w) not in bad and w not in heads]
+        for v, row in enumerate(out)
+    ]
 
 
 def walk_factors(out):

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from math import factorial
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import cyclefactor
 from cyclefactor import cli, search
 from cyclefactor.enumeration import MAX_FAST_VERTICES
 from cyclefactor.errors import GenerationError
@@ -508,3 +510,19 @@ def test_console_script_help():
 def test_unknown_subcommand_exits_two():
     for launcher, proc in run_subprocesses("frobnicate"):
         assert proc.returncode == 2, (launcher, proc.stderr)
+
+
+def test_readme_library_example_runs_on_the_public_surface():
+    # the README's library example states its values in comments; it runs
+    # against the package as a reader would, and every exported name resolves
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(example, scope)
+    stats, cert = scope["stats"], scope["cert"]
+    assert "count=304, mean=84/19" in example
+    assert (stats.count, stats.mean()) == (304, Fraction(84, 19))
+    assert "excess 29/114, beats_benchmark" in example
+    assert (cert.excess, cert.verdict) == (Fraction(29, 114), "beats_benchmark")
+    assert [name for name in cyclefactor.__all__ if not hasattr(cyclefactor, name)] == []

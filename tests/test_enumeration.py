@@ -21,15 +21,14 @@ from brute_force import (
     cycle_matchings,
     factors,
     harmonic_by_terms,
+    restricted,
     stirling_cycle_counts,
     walk_factors,
 )
 from cyclefactor import enumeration
 from cyclefactor.enumeration import (
     MAX_FAST_VERTICES,
-    ArcConstraints,
     _advance,
-    _candidate_rows,
     _cover_all,
     _cycle_sets,
     _frontier_table,
@@ -103,13 +102,11 @@ def small_digraphs():
     )
 
 
-def check_against_brute(g, constraints=None):
+def check_against_brute(g):
     """Every FactorStats field against the filtered-permutation oracle."""
-    req = constraints.required if constraints else ()
-    bad = constraints.forbidden if constraints else ()
-    found = list(factors(g.out, req, bad))
+    found = list(factors(g.out))
     hist = Counter(map(closed_cycles_in, found))
-    stats = cycle_factor_stats(g, constraints, want_edge_usage=True)
+    stats = cycle_factor_stats(g, want_edge_usage=True)
     usage = stats.edge_usage or {}
     assert stats.count == len(found)
     assert stats.cycle_sum == sum(c * h for c, h in hist.items())
@@ -149,10 +146,7 @@ def test_looped_six_cycle_profile():
 def test_small_looped_clique_pinned_counts():
     s3 = cycle_factor_stats(complete_looped(3))
     assert (s3.count, s3.cycle_sum) == (6, 11)
-    s4 = cycle_factor_stats(
-        complete_looped(4),
-        ArcConstraints(required=frozenset({(0, 1), (1, 0)})),
-    )
+    s4 = cycle_factor_stats(DiGraph(4, restricted(complete_looped(4).out, {(0, 1), (1, 0)})))
     assert (s4.count, s4.cycle_sum) == (2, 5)
 
 
@@ -229,6 +223,7 @@ def test_stats_match_brute_force(data):
 
 
 def draw_constraints(picks, n):
+    """Up to two required arcs with distinct tails and heads, up to three forbidden."""
     arcs = [(u, w) for u in range(n) for w in range(n)]
     req_tails = picks.draw(st.sets(st.integers(0, n - 1), max_size=2))
     req_heads = picks.draw(st.permutations(list(range(n))))
@@ -238,15 +233,15 @@ def draw_constraints(picks, n):
             lambda s: frozenset(s) - required
         )
     )
-    return ArcConstraints(frozenset(required), forbidden)
+    return required, forbidden
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_digraphs(), st.data())
 def test_constrained_stats_match_brute_force(data, picks):
     n, rows = data
-    g = DiGraph(n, [sorted(r) for r in rows])
-    check_against_brute(g, draw_constraints(picks, n))
+    rows = [sorted(r) for r in rows]
+    check_against_brute(DiGraph(n, restricted(rows, *draw_constraints(picks, n))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -273,18 +268,11 @@ def test_iterate_agrees_with_stats(data):
         assert all(g.has_arc(v, s[v]) for v in range(n))
 
 
-def test_constraint_validation():
-    with pytest.raises(ValueError):
-        ArcConstraints(required=frozenset({(0, 1), (0, 2)}))
-    with pytest.raises(ValueError):
-        ArcConstraints(required=frozenset({(1, 2), (0, 2)}))
-    with pytest.raises(ValueError):
-        ArcConstraints(required=frozenset({(0, 1)}), forbidden=frozenset({(0, 1)}))
-    # a required arc missing from the graph zeroes the count, no error
-    s = cycle_factor_stats(
-        looped_bidirected_cycle(4), ArcConstraints(required=frozenset({(0, 2)}))
-    )
-    assert s.count == 0
+def test_missing_required_arc_gives_no_factor():
+    # the subgraph that requires an arc the graph lacks leaves its tail no
+    # candidate, so it counts 0, no error
+    rows = restricted(looped_bidirected_cycle(4).out, {(0, 2)})
+    assert cycle_factor_stats(DiGraph(4, rows)).count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -292,19 +280,8 @@ def test_constraint_validation():
 # ---------------------------------------------------------------------------
 
 
-def factor_table_by_iteration(g, constraints, weights):
-    """Nonzero (key, cycles) counts and arc usage from walk_factors.
-
-    The walk runs on g's arcs less the forbidden ones, and at a tail with
-    a required arc on that arc alone, so it visits only the factors that
-    meet the constraints.
-    """
-    required = dict(constraints.required) if constraints else {}
-    forbidden = constraints.forbidden if constraints else frozenset()
-    rows = [
-        [w for w in g.out[v] if (v, w) not in forbidden and required.get(v, w) == w]
-        for v in range(g.n)
-    ]
+def factor_table_by_iteration(rows, weights):
+    """Nonzero (key, cycles) counts and arc usage from walk_factors."""
     table = Counter()
     usage = Counter()
     for sigma in walk_factors(rows):
@@ -332,7 +309,7 @@ def random_constraints(g, rng):
         if all(tail != t and head != h for t, h in required):
             required.add((tail, head))
     forbidden = set(rng.sample(arcs, 3)) - required
-    return ArcConstraints(frozenset(required), frozenset(forbidden))
+    return required, forbidden
 
 
 def seeded_regular_digraph(n, d, rng):
@@ -363,12 +340,11 @@ def test_frontier_engine_matches_iteration_on_reordered_regular_digraphs(monkeyp
         assert g.out != g.in_adj  # not symmetric, so either direction may run
         arcs = sorted(g.arcs())
         weights = {arc: rng.randrange(1, 3) for arc in rng.sample(arcs, 4)}
-        for constraints in (None, random_constraints(g, rng)):
-            rows = _candidate_rows(g, constraints)
+        for rows in (g.out, restricted(g.out, *random_constraints(g, rng))):
             _, order, _, flipped = _orient(rows)
             reordered += order != list(range(n))
             transposed += flipped
-            expected = factor_table_by_iteration(g, constraints, weights)
+            expected = factor_table_by_iteration(rows, weights)
             for orient in (_orient, run_transposed):
                 monkeypatch.setattr(enumeration, "_orient", orient)
                 table, usage = table_and_usage(rows, weights)
@@ -378,20 +354,12 @@ def test_frontier_engine_matches_iteration_on_reordered_regular_digraphs(monkeyp
     assert transposed  # the choice, too, runs some in the transpose
 
 
-def required_arc_counts(g, constraints):
-    """Each arc's factor count under constraints, one constrained count apiece.
-
-    An arc sharing its tail or its head with another required arc, or
-    forbidden, lies in no factor; arcs in no factor are left out.
-    """
-    required = constraints.required if constraints else frozenset()
-    forbidden = constraints.forbidden if constraints else frozenset()
+def required_arc_counts(rows):
+    """Each arc's factor count, one count apiece: that of the subgraph
+    requiring the arc.  Arcs in no factor are left out."""
     counts = {}
-    for arc in g.arcs():
-        tail, head = arc
-        if arc in forbidden or any((t == tail) != (h == head) for t, h in required):
-            continue
-        count = cycle_factor_stats(g, ArcConstraints(required | {arc}, forbidden)).count
+    for arc in ((v, w) for v, row in enumerate(rows) for w in row):
+        count = cycle_factor_stats(DiGraph(len(rows), restricted(rows, [arc]))).count
         if count:
             counts[arc] = count
     return counts
@@ -413,13 +381,13 @@ def test_usage_matches_required_arc_counts_beyond_the_iteration_oracle(monkeypat
     rng = random.Random("usage beyond the oracle")
     g = seeded_regular_digraph(16, 4, rng)
     dense = seeded_regular_digraph(12, 6, rng)
-    constraints = random_constraints(dense, rng)
-    cases = [(g, None, run_as(False)), (g, None, run_as(True))]
-    cases += [(crossing_gadget(6)[0], None, _orient), (dense, constraints, _orient)]
-    for graph, constraints, orient in cases:
-        expected = required_arc_counts(graph, constraints)
+    sub = DiGraph(dense.n, restricted(dense.out, *random_constraints(dense, rng)))
+    cases = [(g, run_as(False)), (g, run_as(True))]
+    cases += [(crossing_gadget(6)[0], _orient), (sub, _orient)]
+    for graph, orient in cases:
+        expected = required_arc_counts(graph.out)
         monkeypatch.setattr(enumeration, "_orient", orient)
-        stats = cycle_factor_stats(graph, constraints, want_edge_usage=True)
+        stats = cycle_factor_stats(graph, want_edge_usage=True)
         monkeypatch.undo()
         assert stats.edge_usage == expected
         assert stats.count > 1000
@@ -554,7 +522,7 @@ def test_tail_order_matches_the_reference_order():
                 g = seeded_regular_digraph(n, d, rng)
                 cases.append(g.out)
                 if n >= 4:
-                    cases.append(_candidate_rows(g, random_constraints(g, rng)))
+                    cases.append(restricted(g.out, *random_constraints(g, rng)))
     cases += [crossing_gadget(d)[0].out for d in range(3, 9)]
     reordered = 0
     for rows in cases:
@@ -587,7 +555,7 @@ def test_bregman_bound_is_computed_once_per_direction_considered(monkeypatch):
     cases = [random_regular_digraph(n, 4, rng).out for n in (8, 12, 16, 16, 16)]
     cases += [crossing_gadget(d)[0].out for d in (3, 4, 5)]
     g = random_regular_digraph(10, 3, rng)
-    cases.append(_candidate_rows(g, random_constraints(g, rng)))
+    cases.append(restricted(g.out, *random_constraints(g, rng)))
     both = 0
     for rows in cases:
         for usage in (None, {}):
@@ -608,11 +576,9 @@ def test_log2_bregman_matches_the_lgamma_formula():
 
 
 def test_unreachable_head_gives_no_factor():
-    g = complete_looped(5)
-    dead = ArcConstraints(forbidden=frozenset((v, 3) for v in range(5)))
-    stats = cycle_factor_stats(g, dead, want_edge_usage=True)
+    rows = restricted(complete_looped(5).out, forbidden=[(v, 3) for v in range(5)])
+    stats = cycle_factor_stats(DiGraph(5, rows), want_edge_usage=True)
     assert (stats.count, stats.edge_usage) == (0, {})
-    rows = _candidate_rows(g, dead)
     assert table_and_usage(rows, {}) == ([[0] * 6], {})
     assert _frontier_table(rows, {}) == [[0] * 6]
 
@@ -625,7 +591,7 @@ def test_two_heads_due_at_one_tail_prune_to_zero():
     # with head 1 also reachable from tail 3, tail 2 is forced to head 0
     rows = [[2, 3], [2, 3], [0, 1], [1, 2, 3]]
     table, usage = table_and_usage(rows, {})
-    brute = factor_table_by_iteration(DiGraph(4, rows), None, {})
+    brute = factor_table_by_iteration(rows, {})
     assert (nonzero_cells(table), usage) == brute
     assert _frontier_table(rows, {}) == table
 
@@ -662,14 +628,13 @@ def cover_table(rows):
 def test_frontier_engine_matches_iteration_oracle(data, picks):
     # weighted tables and usage under constraints, against the iteration oracle
     n, rows = data
-    g = DiGraph(n, [sorted(r) for r in rows])
-    constraints = draw_constraints(picks, n)
+    rows = restricted([sorted(r) for r in rows], *draw_constraints(picks, n))
     pairs = [(u, w) for u in range(n) for w in range(n)]
     weights = picks.draw(
         st.dictionaries(st.sampled_from(pairs), st.integers(0, 3), max_size=6)
     )
-    table, usage = table_and_usage(_candidate_rows(g, constraints), weights)
-    assert (nonzero_cells(table), usage) == factor_table_by_iteration(g, constraints, weights)
+    table, usage = table_and_usage(rows, weights)
+    assert (nonzero_cells(table), usage) == factor_table_by_iteration(rows, weights)
 
 
 # random 3- and 4-regular digraphs up to (18, 4), whose subset cover takes
@@ -1023,7 +988,7 @@ def test_twin_merging_matches_engines_that_never_merge(monkeypatch):
         if n <= 9 and sum(map(sum, table)) <= 10**4:
             walked += 1
             walked_merged += grouped
-            expected = factor_table_by_iteration(DiGraph(n, rows), None, weights)
+            expected = factor_table_by_iteration(rows, weights)
             assert (nonzero_cells(table), usage) == expected, seed
     assert merged > 100  # the merge ran, on about two graphs in five
     assert split > 30  # on graphs with a class split by a weight too
