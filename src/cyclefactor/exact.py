@@ -111,11 +111,15 @@ def no_crossing_block_counts(d: int) -> tuple[int, int]:
     """
     if d < 2:
         raise ValueError("need d >= 2")
+    return _block_counts(d, _factorial_harmonic(d))
+
+
+def _block_counts(d: int, ad: int) -> tuple[int, int]:
+    # no_crossing_block_counts(d) given ad = a_d
     f1, f2 = factorial(d - 1), factorial(d - 2)
     n0 = factorial(d) - 2 * f1 + f2
     if n0 != f2 * (d * d - 3 * d + 3):
         raise InternalCheckError("two routes to the block count disagree")
-    ad = _factorial_harmonic(d)
     a1 = (ad - f1) // d
     a2 = (a1 - f2) // (d - 1)
     return n0, ad - 2 * a1 + a2 + f2
@@ -133,9 +137,15 @@ def crossing_pattern_table(d: int) -> list[TableRow]:
     """
     if d < 3:
         raise ValueError("need d >= 3")
-    n0, s0 = no_crossing_block_counts(d)
+    return _pattern_table(d, _factorial_harmonic(d))
+
+
+def _pattern_table(d: int, ad: int) -> list[TableRow]:
+    # crossing_pattern_table(d) given ad = a_d; a_(d-1) and a_(d-2) are
+    # divided back out of it rather than recomputed
+    n0, s0 = _block_counts(d, ad)
     f1, f2 = factorial(d - 1), factorial(d - 2)
-    a1 = _factorial_harmonic(d - 1)
+    a1 = (ad - f1) // d
     a2 = (a1 - f2) // (d - 1)
     return [
         TableRow(ROW_GROUPS[0], n0 * n0, 2 * n0 * s0),
@@ -170,13 +180,16 @@ def gadget_closed_form(d: int) -> GadgetClosedForm:
     Cross-checks the aggregate against the product formula for N and the
     closed-form excess; a mismatch raises InternalCheckError.
     """
-    rows = crossing_pattern_table(d)
+    if d < 3:
+        raise ValueError("need d >= 3")
+    ad = _factorial_harmonic(d)  # the one O(d) recurrence of the closed form
+    rows = _pattern_table(d, ad)
     count = sum(r.count for r in rows)
     if count != factorial(d - 2) ** 2 * _gadget_quartic(d):
         raise InternalCheckError("factor count disagrees with the closed form")
     cycle_sum = sum(r.cycle_sum for r in rows)
     fd = factorial(d)
-    excess = Fraction(fd * cycle_sum - 2 * _factorial_harmonic(d) * count, fd * count)
+    excess = Fraction(fd * cycle_sum - 2 * ad * count, fd * count)
     if excess != benchmark_excess(d):
         raise InternalCheckError("table excess disagrees with the closed form")
     return GadgetClosedForm(d, count, cycle_sum, excess, tuple(rows))

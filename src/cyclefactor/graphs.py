@@ -7,7 +7,11 @@ after construction and therefore safe to share freely.
 
 from __future__ import annotations
 
-import hashlib
+# hashlib.blake2b is this very object (hashlib binds CPython's _blake2 and
+# never OpenSSL's blake2), but importing hashlib also loads OpenSSL's
+# libcrypto: about 3.6 MiB of peak RSS in every process (CPython 3.11,
+# Linux x86-64)
+from _blake2 import blake2b
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -373,7 +377,7 @@ def fingerprint(g: DiGraph, form: tuple[tuple[int, ...], ...] | None = None) -> 
     """
     if form is None:
         form = canonical_form(g)[0]
-    digest = hashlib.blake2b(repr(form).encode(), digest_size=8).digest()
+    digest = blake2b(repr(form).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

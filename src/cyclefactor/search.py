@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import GenerationError
+from .errors import GenerationError, InternalCheckError
 from .graphs import Arc, DiGraph, canonical_form, fingerprint
 from .verify import Certificate, certify
 
@@ -88,9 +88,12 @@ class SearchRecord:
 def random_regular_digraph(n: int, d: int, rng: random.Random) -> DiGraph:
     """Sample a d-regular digraph as a union of d random permutations.
 
-    Each layer is drawn uniformly among permutations arc-disjoint from the
-    layers already placed, by rejection with MAX_LAYER_TRIES shuffles per
-    layer, raising GenerationError when they all fail; loops and 2-cycles
+    Each layer is a permutation arc-disjoint from the layers already
+    placed, drawn by rejection with MAX_LAYER_TRIES shuffles per layer, so
+    a layer is uniform among such permutations while rejection succeeds.
+    When every shuffle fails (often at dense sizes such as n = 2d), the
+    layer is a random perfect matching of the residual instead
+    (_residual_matching), so the sampler never fails.  Loops and 2-cycles
     are admissible outcomes.  n == d short-circuits to the complete looped
     digraph, the only d-regular digraph on d vertices.
     """
@@ -105,14 +108,51 @@ def random_regular_digraph(n: int, d: int, rng: random.Random) -> DiGraph:
             perm = base[:]
             rng.shuffle(perm)
             if all(w not in rows[v] for v, w in enumerate(perm)):
-                for v, w in enumerate(perm):
-                    rows[v].add(w)
                 break
         else:
-            raise GenerationError(
-                f"no permutation disjoint from the placed layers in {MAX_LAYER_TRIES} tries"
-            )
+            perm = _residual_matching(rows, rng)
+        for v, w in enumerate(perm):
+            rows[v].add(w)
     return DiGraph(n, [sorted(r) for r in rows])
+
+
+def _residual_matching(rows: list[set[int]], rng: random.Random) -> list[int]:
+    """A perfect matching of tails v to heads w not in rows[v], as a list.
+
+    After k permutation layers the residual is (n - k)-regular bipartite,
+    so by Hall's theorem the matching exists.  Each tail's candidates are
+    shuffled with rng, and each tail in turn is matched along a shortest
+    augmenting path, found breadth first so no recursion depth grows
+    with n.
+    """
+    n = len(rows)
+    candidates = []
+    for row in rows:
+        heads = [w for w in range(n) if w not in row]
+        rng.shuffle(heads)
+        candidates.append(heads)
+    head_of = [-1] * n  # tail -> matched head
+    tail_of = [-1] * n  # head -> matched tail
+    for root in range(n):
+        reached_from = {}  # head -> the tail whose candidates reached it first
+        queue = [root]
+        for t in queue:
+            free = next((w for w in candidates[t] if tail_of[w] < 0), -1)
+            if free >= 0:
+                reached_from[free] = t
+                break
+            for w in candidates[t]:
+                if w not in reached_from:
+                    reached_from[w] = t
+                    queue.append(tail_of[w])
+        else:
+            raise InternalCheckError("the residual of the placed layers has no perfect matching")
+        w = free
+        while w >= 0:  # each tail on the path takes the head that reached it
+            t = reached_from[w]
+            tail_of[w] = t
+            head_of[t], w = w, head_of[t]
+    return head_of
 
 
 def apply_swap(g: DiGraph, first: Arc, second: Arc) -> DiGraph:

@@ -117,6 +117,18 @@ def test_closed_form_keeps_only_the_harmonic_terms_it_reads():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("d", range(3, 9))
+def test_closed_form_runs_the_harmonic_recurrence_once(monkeypatch, d):
+    # a_(d-1) and a_(d-2) are divided back out of a_d, never recomputed
+    calls = []
+    recurrence = exact._factorial_harmonic
+    monkeypatch.setattr(
+        exact, "_factorial_harmonic", lambda m: calls.append(m) or recurrence(m)
+    )
+    gadget_closed_form(d)
+    assert calls == [d]
+
+
 @pytest.mark.parametrize("d", range(2, 41))
 def test_block_counts_match_the_harmonic_oracle(d):
     n0, s0 = block_counts_by_harmonics(d)

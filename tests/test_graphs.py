@@ -1,9 +1,13 @@
 """Core graph containers, the text format, the fingerprint and the canonical form."""
 
+import os
 import random
+import subprocess
+import sys
 import time
-from hashlib import sha256
+from hashlib import blake2b, sha256
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +148,31 @@ def test_fingerprint_of_a_given_form_is_the_fingerprint():
         for _ in range(5):
             g = random_regular_digraph(n, d, rng)
             assert fingerprint(g, canonical_form(g)[0]) == fingerprint(g)
+
+
+def test_fingerprint_digest_is_hashlibs_blake2b():
+    # the same object, so fingerprints stay what they were under hashlib
+    assert graphs.blake2b is blake2b
+
+
+def test_fingerprints_are_pinned():
+    assert fingerprint(crossing_gadget(4)[0]) == 0x8BF87ADA9A0C23E7
+    assert fingerprint(complete_looped(5)) == 0xA1CD53D2DD8E7E89
+
+
+def test_importing_the_package_loads_no_openssl():
+    # in a child process: pytest and several test modules import hashlib
+    src = str(Path(graphs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, cyclefactor, cyclefactor.cli; print(sorted(m for m in"
+        " ('hashlib', '_hashlib', '_ssl') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_fingerprint_separates_easy_cases():

@@ -11,6 +11,7 @@ import pytest
 
 from brute_force import relabeled
 from cyclefactor import graphs, search
+from cyclefactor.errors import InternalCheckError
 from cyclefactor.families import complete_looped, crossing_gadget, looped_bidirected_cycle
 from cyclefactor.graphs import fingerprint, from_text, is_d_regular
 from cyclefactor.search import (
@@ -70,6 +71,35 @@ def test_random_regular_digraph_extremes():
     assert random_regular_digraph(4, 4, rng).out == complete_looped(4).out
     with pytest.raises(ValueError):
         random_regular_digraph(3, 4, rng)
+
+
+@pytest.mark.parametrize("n,d,seeds", [(16, 8, 40), (20, 10, 10)])
+def test_random_regular_digraph_cannot_fail_at_dense_sizes(n, d, seeds):
+    # rejection ran out of shuffles on 37 of these 40 (16, 8) draws and on
+    # every (20, 10) one; the residual matching completes those layers
+    for seed in range(seeds):
+        g = random_regular_digraph(n, d, random.Random(seed))
+        assert g.n == n and is_d_regular(g, d)
+
+
+def test_residual_matching_checks_halls_condition():
+    # both tails may take only head 1, so no perfect matching exists
+    with pytest.raises(InternalCheckError):
+        search._residual_matching([{0}, {0}], random.Random(0))
+
+
+@pytest.mark.parametrize(
+    "n,d,digest",
+    [
+        (6, 3, "de98a9cb50158765d6ab4a6f92f0c365fbc44697833d6844204e21ab0911c675"),
+        (8, 4, "28bdc72ab76983a53ff53a474bd5b4849501daed1f2023ebf13e9eab2ee4042a"),
+        (16, 4, "ee4f4c6bf93f8866f9cde2999d88beab40867781abe672ffe337aaf7afb21fd3"),
+    ],
+)
+def test_random_regular_digraph_draws_are_pinned(n, d, digest):
+    # rejection succeeds on all of these, so the fallback never draws here
+    outs = [random_regular_digraph(n, d, random.Random(s)).out for s in range(200)]
+    assert hashlib.sha256(repr(outs).encode()).hexdigest() == digest
 
 
 def test_swap_is_a_present_arc_involution():
