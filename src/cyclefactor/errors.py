@@ -19,7 +19,12 @@ class IndivisibleOrderError(ValueError):
 
 
 class GenerationError(RuntimeError):
-    """Random graph sampling exhausted its retry budget."""
+    """No random graph could be drawn.
+
+    The package's sampler always completes a draw, so nothing in it raises
+    this; it stays public for callers and samplers of their own, and the
+    CLI maps it to exit 2.
+    """
 
 
 class InternalCheckError(RuntimeError):

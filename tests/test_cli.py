@@ -293,8 +293,9 @@ def test_search_streams_records(tmp_path, capsys):
 
 @pytest.mark.parametrize("draw", ("failing", "too large"))
 def test_failed_search_leaves_no_out_file(tmp_path, capsys, monkeypatch, draw):
-    # both searches fail before their first record: no graph is drawn, or
-    # certify refuses the first one past the fast-path limit
+    # both searches fail before their first record: a sampler patched to
+    # fail raises out of the first draw, or certify refuses the first graph
+    # past the fast-path limit
     if draw == "failing":
         def fail(n, d, rng):
             raise GenerationError("no permutation disjoint from the placed layers")
@@ -426,8 +427,9 @@ def test_search_past_the_fast_path_limit_is_exit_two(capsys):
 
 
 def test_search_with_no_graph_generated_is_exit_two(capsys, monkeypatch):
-    # every draw fails, so the leaderboard is empty: no record, and no
-    # silent exit 0
+    # the package's sampler cannot fail, but a failing one's GenerationError
+    # propagates out of run_search to exit 2 with a message: no record, and
+    # no silent exit 0
     def fail(n, d, rng):
         raise GenerationError("no permutation disjoint from the placed layers")
 

@@ -287,6 +287,34 @@ def test_search_keeps_records_only_on_its_leaderboard():
     assert max(counts) <= 2 * cfg.population + 2, counts
 
 
+def test_search_keeps_one_fraction_per_distinct_excess():
+    # the class cache holds an int per class and one Fraction per distinct
+    # excess, so the live Fractions are those plus the three of each
+    # certificate on the leaderboard, however many classes were met
+    cfg = SearchConfig(8, 4, seed=2, population=32, iterations=80)
+
+    def live():
+        return sum(type(o) is Fraction for o in gc.get_objects())
+
+    before = live()
+    counts = []
+    excesses = set()  # (numerator, denominator), so the set holds no Fraction
+    met = 0
+
+    def sink(rec):
+        nonlocal met
+        met += 1
+        excess = rec.certificate.excess
+        excesses.add((excess.numerator, excess.denominator))
+        if met % 150 == 0:
+            counts.append((live() - before, len(excesses)))
+
+    run_search(cfg, sink=sink)
+    assert met > 2 * len(excesses) > 2 * 500
+    assert len(counts) >= 10
+    assert all(count <= distinct + 4 * cfg.population for count, distinct in counts), counts
+
+
 def test_leaders_match_the_sorted_prefix():
     cert = certify(crossing_gadget(4)[0], 4)
     rng = random.Random(8)
