@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import families
-from .enumeration import cycle_factor_stats, two_factor_stats
+from .enumeration import cycle_factor_stats, cycle_factor_totals, two_factor_stats
 from .errors import GenerationError, InternalCheckError
 from .exact import excess_positive_for_every_degree, gadget_closed_form, harmonic, scaled_excess
 from .graphs import DiGraph, UGraph, from_text, to_text, u_disjoint_union, ugraph_to_digraph
@@ -156,7 +156,9 @@ def cmd_gen(args) -> int:
 
 def cmd_expect(args) -> int:
     g = _read_graph(args.graph)
-    stats = cycle_factor_stats(g, want_edge_usage=args.edge_usage)
+    # only --histogram needs the histogram ring; the rest is in both
+    tabulate = cycle_factor_stats if args.histogram else cycle_factor_totals
+    stats = tabulate(g, want_edge_usage=args.edge_usage)
     doc = {
         "n": g.n,
         "d": _regular_degree(g),

@@ -9,18 +9,18 @@ spanning partitions into cycles (optionally also single matched edges),
 matchings of cycles, and a Ryser permanent used as an independent
 counting oracle.
 
-Every directed statistic comes from one table: the number of cycle-factors
-by (key, cycle count), where a factor's key sums integer arc weights along
-it.  cycle_factor_stats weights no arc, so its table has the one key 0;
-classify_crossing_patterns weights each crossing arc by its pattern bit,
-so the key is the crossing pattern.  One exact engine, _frontier_table,
-builds that table.  It assigns successors tail by tail, forward over its
-frontiers (Knuth's SIMPATH): before tail i is assigned, the rest of the
-search depends only on where the open paths ending at tails i..n-1
-start, and those starts are exactly the heads still free.  So each level
-is one dict from a tuple of starts, as bytes, to the packed table of the
-partial factors reaching it, and partial factors with equal starts
-merge.  The forward pass is a loop over one level step, _advance, which
+Every directed statistic comes from one table: the cycle-factors of each
+key by cycle count, where a factor's key sums integer arc weights along
+it.  cycle_factor_stats and cycle_factor_totals weight no arc, so their
+table has the one key 0; classify_crossing_patterns weights each crossing
+arc by its pattern bit, so the key is the crossing pattern.  One exact
+engine, _frontier_table, builds that table.  It assigns successors tail
+by tail, forward over its frontiers (Knuth's SIMPATH): before tail i is
+assigned, the rest of the search depends only on where the open paths
+ending at tails i..n-1 start, and those starts are exactly the heads
+still free.  So each level is one dict from a tuple of starts, as bytes,
+to the packed table of the partial factors reaching it, and partial
+factors with equal starts merge.  The forward pass is a loop over one level step, _advance, which
 states the move rule and the forward check that cuts dead frontiers.
 Per-arc usage, when wanted, comes from a backward pass over the levels
 the forward pass kept: it regenerates each frontier's moves, and an
@@ -39,7 +39,7 @@ of a token, whose arc is None, stands for one arc per member: the one
 level step, _advance, moves it onto each free member.  The merge runs,
 as a cost gate, where the Bregman bound below exceeds n^4, for the
 table and the usage alike.  The answer, one packed table, is read one
-key row at a time, and a row that is 0 is not unpacked.
+key block at a time.
 
 Its cost is set by how many frontiers a level holds, which the tail
 order decides.  _orient alone picks the order and the direction.  The
@@ -54,9 +54,16 @@ counts, so above a bound of n^4 a non-symmetric input runs in the
 direction whose order has the lower summed width.  The engine enforces
 its own order limit, MAX_FAST_VERTICES, so positions fit in key bytes.
 
-The tables are polynomials in the flat index key * (n + 1) + cycles,
-packed into one int (Kronecker substitution), so adding an arc weight or
-closing a cycle is a shift and merging two frontiers an addition.
+A table packs one block per key into one int (Kronecker substitution),
+and holds each key's factors by cycle count, a polynomial p(x), in one of
+two rings.  The histogram ring keeps p whole, n + 1 coefficients a block,
+so adding an arc weight or closing a cycle is a shift and merging two
+frontiers an addition; only cycle_factor_stats, for its histogram, runs
+it.  The mean ring keeps p modulo (x - 1)^2, the count p(1) and the cycle
+sum p'(1), two fields a block, which roughly halves the tables' memory:
+closing a cycle maps (a, b) to (a, a + b), a mask, a shift and an
+addition.  certify (and so the search), expected_cycles, the 2-regular
+suite's usage and the crossing classifier read no more than that.
 
 The undirected side covers vertex sets by cycles instead.  _cycle_sets
 counts the directed cycles on each vertex set, packed by cycle count,
@@ -90,14 +97,15 @@ _BYTES = [bytes((v,)) for v in range(MAX_FAST_VERTICES)]
 class FactorStats:
     """Exact aggregate statistics over a set of factors.
 
-    histogram maps a cycle count to the number of factors attaining it.
-    edge_usage, when requested, maps each arc to the number of factors
-    containing it; arcs in no factor are omitted.
+    histogram maps a cycle count to the number of factors attaining it,
+    or is None where only the count and the cycle sum were tabulated
+    (cycle_factor_totals).  edge_usage, when requested, maps each arc to
+    the number of factors containing it; arcs in no factor are omitted.
     """
 
     count: int
     cycle_sum: int
-    histogram: dict[int, int]
+    histogram: dict[int, int] | None
     edge_usage: dict[Arc, int] | None = None
 
     @classmethod
@@ -226,22 +234,25 @@ def _orient(
 
 
 def _search_space(
-    rows: Sequence[Sequence[int]], weights: dict[Arc, int], stride: int
-) -> tuple[list[list[tuple]], list[list[tuple]], int, bytes, list[dict] | None] | None:
+    rows: Sequence[Sequence[int]], weights: dict[Arc, int], histogram: bool
+) -> tuple[list[list[tuple]], list[list[tuple]], int, int, bytes, list[dict] | None] | None:
     """The search the frontier engine runs, or None if a tail or head has no candidate.
 
     The search runs in the direction and tail order of _orient, and
     vertices are relabeled by their position in that order, so it runs
-    over positions 0..n-1.  Returns cand, due, slot and start.  cand[i]
-    lists tail i's choices as (head, shift, shift + slot, original arc):
-    shift, weight * stride * slot, moves a table along a join, and
-    shift + slot along a closing.  In the transpose, choice v -> w is g's
-    arc (w, v), so weights and usage stay keyed by g's arcs.  due[i] lists
-    the heads whose last candidate tail is position i, each with tail i's
-    one choice of it as a 1-tuple: at position i a head of due[i] still
-    free must be taken now.  slot, the bits of one packed coefficient, is
-    two more than log2 of the Bregman bound of the rows run.  More than
-    MAX_FAST_VERTICES rows raise ValueError, so positions fit in bytes.
+    over positions 0..n-1.  Returns cand, due, slot, width and start.
+    slot, the bits of one packed count, is two more than log2 of the
+    Bregman bound of the rows run, and width the bits of one key's block
+    in the ring of _frontier_table: (n + 1) * slot in the histogram ring,
+    2 * slot + n.bit_length() in the mean ring.  cand[i] lists tail i's
+    choices as (head, shift, shift + slot, original arc): shift, weight *
+    width, moves a table along a join, and shift + slot is the closing's
+    shift.  In the transpose, choice v -> w is g's arc (w, v), so weights
+    and usage stay keyed by g's arcs.  due[i] lists the heads whose last
+    candidate tail is position i, each with tail i's one choice of it as
+    a 1-tuple: at position i a head of due[i] still free must be taken
+    now.  More than MAX_FAST_VERTICES rows raise ValueError, so positions
+    fit in bytes.
 
     Where the bound exceeds n^4, heads with the same column (the same
     candidate tails, each with the same shift) are twins, and each group
@@ -257,7 +268,7 @@ def _search_space(
         raise ValueError(f"graph order {n} exceeds the fast-path limit {MAX_FAST_VERTICES}")
     rows, order, log2_bound, transposed = _orient(rows)
     slot = int(max(log2_bound, 0)) + 2  # -inf with an empty row
-    scale = stride * slot
+    width = (n + 1) * slot if histogram else 2 * slot + n.bit_length()
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
@@ -268,7 +279,7 @@ def _search_space(
         for w in rows[v]:
             h = pos[w]
             arc = (w, v) if transposed else (v, w)
-            shift = weights.get(arc, 0) * scale
+            shift = weights.get(arc, 0) * width
             choice = (h, shift, shift + slot, arc)
             row.append(choice)
             last[h] = (i, choice)
@@ -299,27 +310,32 @@ def _search_space(
     for h, (i, choice) in enumerate(last):
         if token[h] == h:
             due[i].append((h, (choice,)))
-    return cand, due, slot, bytes(token), members
+    return cand, due, slot, width, bytes(token), members
 
 
 def _advance(
-    level: dict[bytes, int], choices: list[tuple], pending: list[tuple]
+    level: dict[bytes, int], choices: list[tuple], pending: list[tuple], low: int | None
 ) -> dict[bytes, int]:
     """The level step of the frontier engine: level i to level i + 1.
 
     level maps the starts of the open paths, as bytes indexed by tail - i,
     to the packed table of the partial factors reaching them; choices and
-    pending are cand[i] and due[i] of _search_space.  Tail i's path starts
-    at s, the first start: its choice of head s closes a cycle, shifts the
-    table by the closing shift and drops s; its choice of another free
-    head h, one of the rest, joins the path that starts at h, shifts the
-    table by the arc's shift and replaces h by s; any other head is used.
-    A head due at tail i that is still a start is pending: two prune the
-    frontier, since no later tail can take either, and one forces tail i's
-    choice onto it.  Moves reaching equal starts merge by addition.  Only
-    the arguments and the constant _BYTES are read, so any level dict may
-    be advanced, and the step is linear: the level after a sum of levels
-    is the sum of the levels after them.
+    pending are cand[i] and due[i] of _search_space, and low is None in
+    the histogram ring and the mask of every key's count in the mean ring
+    (see _frontier_table).  Tail i's path starts at s, the first start:
+    its choice of head s closes a cycle, multiplies the table by x and
+    drops s; its choice of another free head h, one of the rest, joins the
+    path that starts at h, shifts the table by the arc's shift and
+    replaces h by s; any other head is used.  A closing shifts the table
+    by its closing shift in the histogram ring; in the mean ring it adds
+    each key's count, shifted by the closing shift, to its table shifted
+    by the arc's shift: (a, b) becomes (a, a + b).  A head due at tail i
+    that is still a start is pending: two prune the frontier, since no
+    later tail can take either, and one forces tail i's choice onto it.
+    Moves reaching equal starts merge by addition.  Only the arguments
+    and the constant _BYTES are read, so any level dict may be advanced,
+    and the step is linear in either ring: the level after a sum of
+    levels is the sum of the levels after them.
 
     A choice whose arc is None has a twin group's token for its head,
     and as many members are free as the token occurs among the starts.
@@ -345,7 +361,10 @@ def _advance(
             for h, shift, closing, arc in moves:
                 if h == s:
                     key = rest
-                    part = table << closing
+                    if low is None:
+                        part = table << closing
+                    else:
+                        part = (table << shift if shift else table) + ((table & low) << closing)
                     if arc is None and h in rest:
                         if moves is not choices:
                             continue
@@ -372,34 +391,59 @@ def _advance(
 
 
 def _frontier_table(
-    rows: Sequence[Sequence[int]], weights: dict[Arc, int], usage: dict[Arc, int] | None = None
+    rows: Sequence[Sequence[int]],
+    weights: dict[Arc, int],
+    usage: dict[Arc, int] | None = None,
+    histogram: bool = False,
 ) -> list[list[int]]:
     """Tabulate every cycle-factor whose arcs come from the candidate rows.
 
     Each arc weighs weights.get(arc, 0) >= 0, and a factor's key is the sum
     of its arc weights, so no key exceeds sum(weights.values()).  Returns
-    table with table[key][cycles] the number of factors of that key and
-    cycle count.  usage, when given, receives the number of factors
-    through each arc, keyed by the original arcs (arcs in no factor
-    omitted).
+    one list per key: with histogram, table[key][cycles] is the number of
+    factors of that key and cycle count; without it, table[key] is
+    [count, cycle sum] of the factors of that key.  usage, when given,
+    receives the number of factors through each arc, keyed by the original
+    arcs (arcs in no factor omitted).
+
+    Each key's factors by cycle count are a polynomial p(x), and a table
+    packs one block of width bits per key into one int.  An arc shifts a
+    table by its shift, weight * width, which adds its weight to every
+    key, and a closing also multiplies it by x.  The histogram ring keeps
+    p whole, n + 1 slots of slot bits per key, so a closing shifts by slot
+    more.  The mean ring keeps p modulo (x - 1)^2, that is a = p(1), the
+    count, in the key's first slot bits and b = p'(1), the cycle sum, in
+    the slot + n.bit_length() bits above; x * p has (a, a + b) there, so
+    a closing is t + ((t & low) << slot), where low covers every key's
+    count field.  Merges add in either ring, and twin tokens, forcing and
+    pruning do not look at the table.  Only cycle_factor_stats, for its
+    histogram, runs the histogram ring.
 
     The search of _search_space, run forward over its frontiers (Knuth's
     SIMPATH): level 0 is the full frontier, and one level step, _advance,
-    maps each level to the next.  Level n holds one entry, the empty frontier, whose table
-    is the answer; it is read one key row at a time, and a row that is 0
-    is not unpacked.
+    maps each level to the next.  Level n holds one entry, the empty
+    frontier, whose table is the answer; it is read one key block at a
+    time, and in the histogram ring a block that is 0 is not unpacked.
 
     The partial factors reaching a level-i frontier are perfect matchings
     of tails 0..i-1 onto the heads it has used, so Bregman's bound on
     those rows, and with it the bound on all the rows searched (g's or its
     transpose's), caps their count; the slots, two bits wider than its
     log2 to absorb rounding, never overflow, even for frontiers with no
-    completion.  A frontier of merged twins adds the tables of several
-    such frontiers.  Where it has a completion, each partial factor
-    reaching it joins one completion into a distinct factor, so the
-    factor count, below the bound, still caps it; where it has none, a
-    carry between slots stays in tables that never reach the answer,
-    since frontiers merge only with equal completions.
+    completion.  Each of them has closed at most i <= n cycles, so a
+    key's cycle sum is at most n times its count, below 2^(slot +
+    n.bit_length()): the mean ring's cycle-sum field does not overflow
+    either.  A frontier of merged twins adds the tables of several such
+    frontiers.  Where it has a completion, each partial factor reaching it
+    joins one completion into a distinct factor, so the factor count,
+    below the bound, still caps it; where it has none, a carry between
+    slots stays in tables that never reach the answer, since frontiers
+    merge only with equal completions.  The mean ring holds 2 * slot +
+    n.bit_length() bits a key against (n + 1) * slot: at the widest level
+    of K_{4,4}'s truncation (32 vertices, d = 5, 72,424 frontiers) the
+    tables' ints hold 2.24 MiB against 4.48 MiB (sys.getsizeof), and
+    certify on C_10(1, 3)'s truncation (40 vertices) peaks at about 35.6
+    MiB of RSS against 43.7 MiB (CPython 3.11.7).
 
     With usage wanted, the forward pass keeps every level, and a backward
     pass walks them back from the empty frontier, which completes once.
@@ -408,16 +452,19 @@ def _frontier_table(
     in the level after, which it has already turned into completions.  A
     move the forward pass pruned or forced away leaves a due head free
     that no later tail can take, so its target is in no level and adds 0.
-    F, the number of partial factors reaching a frontier, is its table
-    modulo 2^slot - 1: every shift is a multiple of slot and 2^slot = 1
-    modulo 2^slot - 1, so that is the coefficient sum, which the bound
-    above keeps below the modulus.  Each move adds F * B to its arc's
-    usage, and the frontier's B is the sum of its moves' B.  Each level's
-    tables turn into completions as the pass goes, and a level is dropped
-    once the one before it is done.  The kept levels hold one key and one
-    table per frontier and nothing per move: on
+    F, the number of partial factors reaching a frontier, is the sum of
+    its table's counts.  In the histogram ring that is the table modulo
+    2^slot - 1: every shift is a multiple of slot and 2^slot = 1 modulo
+    2^slot - 1, so that is the coefficient sum, which the bound above
+    keeps below the modulus.  In the mean ring it is table & low, the
+    counts, taken modulo 2^width - 1, which adds the key blocks and leaves
+    one key's count, below the modulus, as it is.  Each move adds F * B
+    to its arc's usage, and the frontier's B is the sum of its moves' B.
+    Each level's tables turn into completions as the pass goes, and a
+    level is dropped once the one before it is done.  The kept levels
+    hold one key and one table per frontier and nothing per move: on
     random_regular_digraph(16, 8, Random(0)) the process peaks at 118 MiB
-    with usage, against 89 MiB for the table alone.
+    with usage, against 89 MiB for the table alone (histogram ring).
 
     A merged frontier's F sums its labelled frontiers', which share one B.
     A token choice takes _advance's moves: a closing onto s reaches rest
@@ -430,34 +477,37 @@ def _frontier_table(
     h one to one onto those with sigma(t) = h', keys kept, cycle counts not.
     """
     n = len(rows)
-    stride = n + 1
+    size = n + 1 if histogram else 2  # numbers read per key
     nkeys = 1 + sum(weights.values())
-    search = _search_space(rows, weights, stride)
+    search = _search_space(rows, weights, histogram)
     if search is None:
-        return [[0] * stride for _ in range(nkeys)]
-    cand, due, slot, start, members = search
+        return [[0] * size for _ in range(nkeys)]
+    cand, due, slot, width, start, members = search
+    full = (1 << slot) - 1
+    mask = (1 << width) - 1  # one key's block
+    low = None if histogram else sum(full << key * width for key in range(nkeys))
     byte = _BYTES
     levels: list[dict[bytes, int]] = []  # every level, when usage is wanted
     level = {start: 1}
     for choices, pending in zip(cand, due):
         if usage is not None:
             levels.append(level)
-        level = _advance(level, choices, pending)
+        level = _advance(level, choices, pending, low)
     packed = level.get(b"", 0)
-    width = stride * slot  # the bits of one key's row
-    mask = (1 << width) - 1
     by_key = []
     for key in range(nkeys):
         row = packed >> key * width & mask
-        by_key.append(_unpack(row, slot, stride) if row else [0] * stride)
+        if histogram:
+            by_key.append(_unpack(row, slot, size) if row else [0] * size)
+        else:
+            by_key.append([row & full, row >> slot])
     if usage is not None and packed:
-        full = (1 << slot) - 1
         after = {b"": 1}  # the empty frontier completes once
         for i in range(n - 1, -1, -1):
             choices = cand[i]
             level = levels.pop()
             for starts, table in level.items():
-                reaching = table % full  # F, as above
+                reaching = table % full if low is None else (table & low) % mask  # F, as above
                 s = starts[0]
                 rest = starts[1:]
                 total = 0
@@ -573,13 +623,25 @@ def cycle_factor_stats(g: DiGraph, want_edge_usage: bool = False) -> FactorStats
     subgraph that keeps the arcs they may use.
     """
     usage: dict[Arc, int] | None = {} if want_edge_usage else None
-    (by_cycles,) = _frontier_table(g.out, {}, usage)
+    (by_cycles,) = _frontier_table(g.out, {}, usage, histogram=True)
     return FactorStats.of_row(by_cycles, usage)
+
+
+def cycle_factor_totals(g: DiGraph, want_edge_usage: bool = False) -> FactorStats:
+    """cycle_factor_stats without the histogram, which is None.
+
+    The count and the cycle sum, and with want_edge_usage the usage, from
+    one factor table in the mean ring of _frontier_table, which holds two
+    fields per frontier instead of n + 1 slots.
+    """
+    usage: dict[Arc, int] | None = {} if want_edge_usage else None
+    ((count, cycle_sum),) = _frontier_table(g.out, {}, usage)
+    return FactorStats(count, cycle_sum, None, usage)
 
 
 def expected_cycles(g: DiGraph) -> Fraction:
     """Mean cycle count over all cycle-factors, exact."""
-    return cycle_factor_stats(g).mean()
+    return cycle_factor_totals(g).mean()
 
 
 def classify_crossing_patterns(d: int) -> list[TableRow]:
@@ -592,16 +654,16 @@ def classify_crossing_patterns(d: int) -> list[TableRow]:
     visits each factor, which is what makes d = 8 (about 10^9 factors)
     reachable; the gadget has 2d vertices, so the engine's order limit
     stops d at MAX_FAST_VERTICES // 2.  Degree balance between the two gadget halves permits only
-    six patterns.  One pass adds each nonzero bucket's count and cycle
-    sum, in integers, to the row that ROW_OF_MASK gives its pattern, so
-    the result is comparable to crossing_pattern_table; a pattern with no
-    row, or a row with no factor, raises InternalCheckError.
+    six patterns.  The table is in the mean ring, so each bucket is its
+    count and cycle sum; one pass adds each nonzero bucket, in integers,
+    to the row that ROW_OF_MASK gives its pattern, so the result is
+    comparable to crossing_pattern_table; a pattern with no row, or a row
+    with no factor, raises InternalCheckError.
     """
     g, crossing = crossing_gadget(d)
     weights = {crossing[nm]: 1 << i for i, nm in enumerate(CROSSING_ARC_ORDER)}
     counts, sums = [0] * len(ROW_GROUPS), [0] * len(ROW_GROUPS)
-    for mask, by_cycles in enumerate(_frontier_table(g.out, weights)):
-        count = sum(by_cycles)
+    for mask, (count, cycle_sum) in enumerate(_frontier_table(g.out, weights)):
         if not count:
             continue
         if mask not in ROW_OF_MASK:
@@ -609,7 +671,7 @@ def classify_crossing_patterns(d: int) -> list[TableRow]:
             raise InternalCheckError(f"impossible crossing pattern {name} observed")
         row = ROW_OF_MASK[mask]
         counts[row] += count
-        sums[row] += sum(map(mul, range(len(by_cycles)), by_cycles))
+        sums[row] += cycle_sum
     rows = []
     for group, cnt, tot in zip(ROW_GROUPS, counts, sums):
         if cnt == 0:

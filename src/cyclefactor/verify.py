@@ -23,6 +23,7 @@ from .enumeration import (
     MAX_FAST_VERTICES,
     classify_crossing_patterns,
     cycle_factor_stats,
+    cycle_factor_totals,
     cycle_matching_counts,
 )
 from .errors import IndivisibleOrderError, NotRegularError
@@ -89,7 +90,7 @@ def certify(g: DiGraph, d: int, provenance: str = "") -> Certificate:
         raise NotRegularError(f"graph is not {d}-regular")
     if g.n % d != 0:
         raise IndivisibleOrderError(f"benchmark needs d | n, got n={g.n}, d={d}")
-    stats = cycle_factor_stats(g)
+    stats = cycle_factor_totals(g)
     expectation = stats.mean()
     benchmark = _benchmark(g.n, d)
     excess = expectation - benchmark
@@ -310,7 +311,7 @@ def two_regular_suite(n_max: int = 6) -> SuiteReport:
             covered += factorial(n) // aut
             # canonical rows are sorted, in range and free of duplicates
             g = DiGraph._of_rows(rows)
-            st = cycle_factor_stats(g, want_edge_usage=True)
+            st = cycle_factor_totals(g, want_edge_usage=True)
             loops = g.loop_count
             usage = st.edge_usage or {}
             problems = []

@@ -333,12 +333,13 @@ def test_gadget_output_matches_its_golden_file(capsys, command):
     assert out.encode("utf-8") == (GOLDEN / GOLDEN_RUNS[command]).read_bytes()
 
 
-def gen_piped_to_expect(capsys, monkeypatch, *family):
-    # gen ... | expect --graph - --histogram --edge-usage, in process
+def gen_piped_to_expect(capsys, monkeypatch, *family, histogram=True):
+    # gen ... | expect --graph - [--histogram] --edge-usage, in process
     code, text, err = run_cli(capsys, "gen", "--family", *family)
     assert code == 0, err
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-    code, out, err = run_cli(capsys, "expect", "--graph", "-", "--histogram", "--edge-usage")
+    flags = ("--histogram",) * histogram + ("--edge-usage",)
+    code, out, err = run_cli(capsys, "expect", "--graph", "-", *flags)
     assert code == 0, err
     return out.encode("utf-8")
 
@@ -357,6 +358,25 @@ def test_merged_expect_output_matches_its_golden_file(capsys, monkeypatch):
     # script against the same file
     out = gen_piped_to_expect(capsys, monkeypatch, "complete-looped", "--m", "7")
     assert out == (GOLDEN / "expect_complete_looped_m7.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "family, golden",
+    [
+        (("gadget", "--d", "4"), "expect_gadget_d4_usage.json"),
+        (("complete-looped", "--m", "7"), "expect_complete_looped_m7_usage.json"),
+    ],
+)
+def test_expect_without_histogram_matches_its_golden_file(capsys, monkeypatch, family, golden):
+    # expect without --histogram tabulates in the mean ring, count and
+    # cycle sum only, with usage; the same document as the histogram
+    # ring's golden file, less its histogram, and CI diffs the installed
+    # console script against the same files
+    out = gen_piped_to_expect(capsys, monkeypatch, *family, histogram=False)
+    assert out == (GOLDEN / golden).read_bytes()
+    with_histogram = json.loads((GOLDEN / golden.replace("_usage", "")).read_bytes())
+    del with_histogram["histogram"]
+    assert json.loads(out) == with_histogram
 
 
 def test_search_output_matches_its_golden_file(capsys):

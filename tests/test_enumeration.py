@@ -5,6 +5,7 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial, lgamma, log, log2, prod
@@ -39,6 +40,7 @@ from cyclefactor.enumeration import (
     _width_order,
     classify_crossing_patterns,
     cycle_factor_stats,
+    cycle_factor_totals,
     cycle_matching_counts,
     expected_cycles,
     ryser_permanent,
@@ -291,10 +293,16 @@ def factor_table_by_iteration(rows, weights):
     return table, usage
 
 
-def table_and_usage(rows, weights):
+def table_and_usage(rows, weights, histogram=True):
     usage = {}
-    table = _frontier_table(rows, weights, usage)
+    table = _frontier_table(rows, weights, usage, histogram)
     return table, usage
+
+
+def totals(table):
+    """Each key's [count, cycle sum], the mean ring's table, read off its
+    row by cycle count."""
+    return [[sum(row), sum(c * h for c, h in enumerate(row))] for row in table]
 
 
 def nonzero_cells(table):
@@ -341,7 +349,10 @@ def test_frontier_engine_matches_iteration_on_reordered_regular_digraphs(monkeyp
                 monkeypatch.setattr(enumeration, "_orient", orient)
                 table, usage = table_and_usage(rows, weights)
                 assert (nonzero_cells(table), usage) == expected
-                assert _frontier_table(rows, weights) == table
+                assert _frontier_table(rows, weights, histogram=True) == table
+                # the mean ring: count, cycle sum and usage alike
+                assert table_and_usage(rows, weights, False) == (totals(table), usage)
+                assert _frontier_table(rows, weights) == totals(table)
     assert reordered  # the relabeled search, not only the identity order
     assert transposed  # the choice, too, runs some in the transpose
 
@@ -572,20 +583,80 @@ def test_unreachable_head_gives_no_factor():
     stats = cycle_factor_stats(DiGraph(5, rows), want_edge_usage=True)
     assert (stats.count, stats.edge_usage) == (0, {})
     assert table_and_usage(rows, {}) == ([[0] * 6], {})
-    assert _frontier_table(rows, {}) == [[0] * 6]
+    assert _frontier_table(rows, {}, histogram=True) == [[0] * 6]
+    assert table_and_usage(rows, {}, False) == ([[0, 0]], {})
 
 
 def test_two_heads_due_at_one_tail_prune_to_zero():
     # heads 0 and 1 both have tail 2 as their only candidate
     rows = [[2, 3], [2, 3], [0, 1], [2, 3]]
     assert table_and_usage(rows, {}) == ([[0] * 5], {})
-    assert _frontier_table(rows, {}) == [[0] * 5]
+    assert _frontier_table(rows, {}, histogram=True) == [[0] * 5]
+    assert table_and_usage(rows, {}, False) == ([[0, 0]], {})
     # with head 1 also reachable from tail 3, tail 2 is forced to head 0
     rows = [[2, 3], [2, 3], [0, 1], [1, 2, 3]]
     table, usage = table_and_usage(rows, {})
     brute = factor_table_by_iteration(rows, {})
     assert (nonzero_cells(table), usage) == brute
-    assert _frontier_table(rows, {}) == table
+    assert _frontier_table(rows, {}, histogram=True) == table
+
+
+# ---------------------------------------------------------------------------
+# the mean ring: count and cycle sum without the histogram
+# ---------------------------------------------------------------------------
+
+
+def test_the_mean_ring_cycle_sum_field_holds_n_cycles():
+    # 64 loops: one factor of 64 cycles, whose loop (0, 0) weighs 1, so
+    # key 1 holds it.  The bound is 1 and slot 2 bits, so a block of
+    # 2 * slot bits would read (1, 0); the cycle sum takes slot + 7
+    rows = [[v] for v in range(64)]
+    assert _frontier_table(rows, {(0, 0): 1}) == [[0, 0], [1, 64]]
+    assert _frontier_table(rows, {(0, 0): 1}, histogram=True)[1][64] == 1
+
+
+def test_the_mean_ring_matches_the_histogram_ring_with_usage():
+    # count, cycle sum and usage of every 2-regular class up to n = 6,
+    # a padded gadget past the twin merge's gate and K_7 looped, one token
+    graphs = [g for n in range(2, 7) for g in two_regular_candidates(n)]
+    assert len(graphs) == 170
+    graphs += [padded_gadget(5, 12), complete_looped(7)]
+    for g in graphs:
+        want = cycle_factor_stats(g, want_edge_usage=True)
+        got = cycle_factor_totals(g, want_edge_usage=True)
+        assert got == replace(want, histogram=None)
+        assert cycle_factor_totals(g) == replace(want, histogram=None, edge_usage=None)
+        assert expected_cycles(g) == want.mean()
+
+
+def truncation(m, edges):
+    """The truncation of a simple graph on m vertices: each vertex x
+    becomes a looped clique on its ports (x, y), one per neighbour y, and
+    port (x, y) is joined to port (y, x) both ways."""
+    ports = sorted({(x, y) for u, v in edges for x, y in ((u, v), (v, u))})
+    index = {p: i for i, p in enumerate(ports)}
+    rows = [sorted([index[x, z] for w, z in ports if w == x] + [index[y, x]]) for x, y in ports]
+    return DiGraph(len(ports), rows)
+
+
+def test_the_mean_ring_halves_the_widest_level_of_a_truncation(monkeypatch):
+    # K_{4,4}'s truncation: 32 vertices, d = 5.  expected_cycles reads
+    # the count and the cycle sum only, two fields a key: its widest
+    # level's 72,424 tables hold 2.24 MiB (sys.getsizeof), against 4.48
+    # MiB for the histogram's 33 slots a key
+    g = truncation(8, [(a, b) for a in range(4) for b in range(4, 8)])
+    levels = []
+
+    def measured(*args):
+        level = _advance(*args)
+        levels.append((len(level), sum(map(sys.getsizeof, level.values()))))
+        return level
+
+    monkeypatch.setattr(enumeration, "_advance", measured)
+    expected_cycles(g)
+    states, held = max(levels)
+    assert states == 72424
+    assert held < 3 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +711,7 @@ def test_frontier_engine_matches_subset_cover_on_regular_digraphs(pair, seed):
     # unweighted tables against the subset cover
     n, d = pair
     g = random_regular_digraph(n, d, random.Random(seed))
-    assert _frontier_table(g.out, {}) == [cover_table(g.out)]
+    assert _frontier_table(g.out, {}, histogram=True) == [cover_table(g.out)]
 
 
 @pytest.mark.parametrize("d", range(3, 8))
@@ -648,16 +719,18 @@ def test_frontier_engine_matches_subset_cover_on_gadget_patterns(d):
     # the pattern table, summed over its keys, against the subset cover
     rows, weights = gadget_rows_and_weights(d)
     by_cycles = cover_table(rows)
-    assert [list(map(sum, zip(*_frontier_table(rows, weights))))] == [by_cycles]
-    assert _frontier_table(rows, {}) == [by_cycles]
+    table = _frontier_table(rows, weights, histogram=True)
+    assert [list(map(sum, zip(*table)))] == [by_cycles]
+    assert _frontier_table(rows, {}, histogram=True) == [by_cycles]
 
 
 def test_subset_engine_on_the_empty_graph():
     # the subset cover of the undirected side: one empty cover, no cycles
     assert _cover_all(0, _cycle_sets([], 1)) == 1
     assert cover_table([]) == [1]
-    assert _frontier_table(DiGraph(0, []).out, {}) == [[1]]
+    assert _frontier_table(DiGraph(0, []).out, {}, histogram=True) == [[1]]
     assert table_and_usage(DiGraph(0, []).out, {}) == ([[1]], {})
+    assert table_and_usage(DiGraph(0, []).out, {}, False) == ([[1, 0]], {})
 
 
 def test_frontier_memo_is_freed_when_the_call_returns():
@@ -777,37 +850,47 @@ def level_step_cases():
     return cases
 
 
-def folded_levels(rows, weights):
-    """Every level of the search, folded from the full frontier by the
-    level step, with the search's cand, due and slot."""
-    n = len(rows)
-    cand, due, slot, start, _ = _search_space(rows, weights, n + 1)
+def folded_levels(rows, weights, histogram=True):
+    """Every level of the search in the histogram or the mean ring, folded
+    from the full frontier by the level step, with the search's cand,
+    due, slot and width and the ring's low mask (None in the histogram
+    ring)."""
+    cand, due, slot, width, start, _ = _search_space(rows, weights, histogram)
+    keys = range(1 + sum(weights.values()))
+    low = None if histogram else sum(((1 << slot) - 1) << k * width for k in keys)
     levels = [{start: 1}]
     for choices, pending in zip(cand, due):
-        levels.append(_advance(levels[-1], choices, pending))
-    return levels, cand, due, slot
+        levels.append(_advance(levels[-1], choices, pending, low))
+    return levels, cand, due, slot, width, low
 
 
 def test_level_steps_compose_to_the_table():
     for rows, weights in level_step_cases():
         n = len(rows)
-        levels, _, _, slot = folded_levels(rows, weights)
+        levels, _, _, slot, _, _ = folded_levels(rows, weights)
         assert list(levels[-1]) == [b""]
         flat = _unpack(levels[-1][b""], slot, (1 + sum(weights.values())) * (n + 1))
         table = [flat[k : k + n + 1] for k in range(0, len(flat), n + 1)]
-        assert table == _frontier_table(rows, weights)
+        assert table == _frontier_table(rows, weights, histogram=True)
+        # the mean ring's blocks of width bits: the count, the cycle sum above
+        levels, _, _, slot, width, _ = folded_levels(rows, weights, False)
+        packed = levels[-1][b""]
+        blocks = [packed >> k * width & ((1 << width) - 1) for k in range(len(table))]
+        assert [[b & ((1 << slot) - 1), b >> slot] for b in blocks] == totals(table)
 
 
 def test_level_step_is_linear():
     # advancing each frontier of a middle level on its own and adding the
     # results by key gives the level after; the frontiers merge there, so
-    # a step that overwrote instead of adding would fail
+    # a step that overwrote instead of adding would fail.  In both rings:
+    # the mean ring's closing, t + ((t & low) << slot), is linear too, as
+    # long as no field overflows
     tokens = 0
-    for rows, weights in level_step_cases():
+    for (rows, weights), histogram in product(level_step_cases(), (True, False)):
         i = len(rows) // 2
-        levels, cand, due, _ = folded_levels(rows, weights)
+        levels, cand, due, _, _, low = folded_levels(rows, weights, histogram)
         tokens += any(arc is None for _, _, _, arc in cand[i])
-        parts = [_advance({k: t}, cand[i], due[i]) for k, t in levels[i].items()]
+        parts = [_advance({k: t}, cand[i], due[i], low) for k, t in levels[i].items()]
         summed = Counter()
         for part in parts:
             summed.update(part)
@@ -826,22 +909,22 @@ def test_a_token_choice_moves_onto_each_free_member():
     lone = (5, 0, slot, (0, 5))
     due = [(2, (token,))]
     # a due token with two free members prunes, s one of them or not
-    assert _advance({bytes([0, 2, 2]): 1}, [token, lone], due) == {}
-    assert _advance({bytes([2, 5, 2]): 1}, [token, lone], due) == {}
+    assert _advance({bytes([0, 2, 2]): 1}, [token, lone], due, None) == {}
+    assert _advance({bytes([2, 5, 2]): 1}, [token, lone], due, None) == {}
     # with one free member it forces the move onto it
     forced = {bytes([0, 5]): 1 << 2 * slot}
-    assert _advance({bytes([0, 2, 5]): 1}, [token, lone], due) == forced
+    assert _advance({bytes([0, 2, 5]): 1}, [token, lone], due, None) == forced
     # closing onto s, a token that sits twice more in the rest, adds the
     # closing and the two joins, each shifted, under the one key rest
     level = {bytes([2, 2, 5, 2]): 3}
     want = (3 << 3 * slot) + 2 * (3 << 2 * slot)
-    assert _advance(level, [token], []) == {bytes([2, 5, 2]): want}
+    assert _advance(level, [token], [], None) == {bytes([2, 5, 2]): want}
     # a join onto a token that occurs twice puts s in each place in turn
     level = {bytes([0, 2, 5, 2]): 3}
     joins = {bytes([0, 5, 2]): 3 << 2 * slot, bytes([2, 5, 0]): 3 << 2 * slot}
-    assert _advance(level, [token], []) == joins
+    assert _advance(level, [token], [], None) == joins
     # a lone head keeps the one-head rule beside it
-    assert _advance(level, [token, lone], []) == {**joins, bytes([2, 0, 2]): 3}
+    assert _advance(level, [token, lone], [], None) == {**joins, bytes([2, 0, 2]): 3}
 
 
 @pytest.mark.parametrize("k, m", [(3, 4), (2, 6), (5, 10)])
@@ -856,7 +939,7 @@ def test_looped_clique_copies_use_each_arc_uniformly(k, m):
     assert set(stats.edge_usage.values()) == {stats.count // m}
     # above n^4 each copy is one token, a choice with no arc, whose usage
     # the backward pass splits over the copy's arcs; 3K_4° is below
-    cand, _, _, start, _ = _search_space(g.out, {}, g.n + 1)
+    cand, _, _, _, start, _ = _search_space(g.out, {}, True)
     tokens = {arc is None for row in cand for _, _, _, arc in row}
     assert (tokens, len(set(start))) == (({False}, g.n) if m == 4 else ({True}, k))
 
@@ -929,7 +1012,7 @@ def unmerging_weights(rows, weights):
     spread = dict(weights)
     for arc in enumerate(next(walk_factors(rows))):
         spread[arc] = weights.get(arc, 0) + base
-    assert _search_space(rows, spread, len(rows) + 1)[4] is None
+    assert _search_space(rows, spread, True)[5] is None
     return spread, base
 
 
@@ -950,7 +1033,7 @@ def unmerged_levels(rows, weights):
     their slots, and 2^(base * width) = 1 modulo 2^(base * width) - 1, so
     the remainder moves each key's row to the key modulo base."""
     spread, base = unmerging_weights(rows, weights)
-    levels, _, _, slot = folded_levels(rows, spread)
+    levels, _, _, slot, _, _ = folded_levels(rows, spread)
     full = (1 << base * (len(rows) + 1) * slot) - 1
     return [{key: table % full for key, table in level.items()} for level in levels]
 
@@ -962,15 +1045,17 @@ def test_twin_merging_matches_engines_that_never_merge(monkeypatch):
     merged = split = transposed = walked = walked_merged = 0
     for seed, rows, weights in planted_cases(range(300)):
         n = len(rows)
-        search = _search_space(rows, weights, n + 1)
-        grouped = search is not None and len(set(search[3])) < n
+        search = _search_space(rows, weights, True)
+        grouped = search is not None and len(set(search[4])) < n
         merged += grouped
         split += grouped and seed % 3 == 1 and bool(weights)
         transposed += _orient(rows)[3]
         unmerged = unmerged_table_and_usage(rows, weights)
         table, usage = table_and_usage(rows, weights)
         assert (table, usage) == unmerged, seed
-        assert _frontier_table(rows, weights) == table, seed
+        assert _frontier_table(rows, weights, histogram=True) == table, seed
+        # the mean ring: count, cycle sum and usage alike
+        assert table_and_usage(rows, weights, False) == (totals(table), usage), seed
         monkeypatch.setattr(enumeration, "_orient", orient_transposed)
         assert table_and_usage(rows, weights) == unmerged, seed
         monkeypatch.undo()
@@ -993,7 +1078,7 @@ def test_an_uneven_token_bucket_raises(monkeypatch):
     # leaves a remainder of 5
     def eleven_members(*args):
         search = _search_space(*args)
-        for row in search[4]:
+        for row in search[5]:
             for arcs in row.values():
                 arcs += arcs[:3]
         return search
@@ -1005,6 +1090,8 @@ def test_an_uneven_token_bucket_raises(monkeypatch):
     monkeypatch.setattr(enumeration, "_search_space", eleven_members)
     with pytest.raises(InternalCheckError, match="split evenly"):
         cycle_factor_stats(g, want_edge_usage=True)
+    with pytest.raises(InternalCheckError, match="split evenly"):
+        cycle_factor_totals(g, want_edge_usage=True)
 
 
 def test_each_merged_level_sums_the_labelled_frontiers_by_token():
@@ -1014,7 +1101,7 @@ def test_each_merged_level_sums_the_labelled_frontiers_by_token():
     grouped = 0
     for seed, rows, weights in planted_cases(range(120)):
         n = len(rows)
-        if _search_space(rows, weights, n + 1) is None:
+        if _search_space(rows, weights, True) is None:
             continue
         merged = folded_levels(rows, weights)[0]
         labelled = unmerged_levels(rows, weights)
@@ -1038,11 +1125,11 @@ def test_a_weighted_arc_splits_its_twins():
     rows = complete_looped(8).out
     tokens = []
     for weights in ({}, {(1, 7): 1}):
-        cand, _, _, start, _ = _search_space(rows, weights, 9)
+        cand, _, _, _, start, _ = _search_space(rows, weights, True)
         arcless = {sum(arc is None for _, _, _, arc in row) for row in cand}
         tokens.append((len(set(start)), list(map(len, cand)), arcless))
     assert tokens == [(1, [1] * 8, {1}), (2, [2] * 8, {1})]
-    cand, _, _, start, members = _search_space(rows, unmerging_weights(rows, {})[0], 9)
+    cand, _, _, _, start, members = _search_space(rows, unmerging_weights(rows, {})[0], True)
     assert (start, members) == (bytes(range(8)), None)
     assert all(arc is not None for row in cand for _, _, _, arc in row)
 
@@ -1113,8 +1200,8 @@ def test_classifier_matches_permutation_oracle(d):
 
 
 def test_classifier_raises_on_an_impossible_pattern(monkeypatch):
-    # one factor, one cycle, using u1 alone
-    monkeypatch.setattr(enumeration, "_frontier_table", lambda *args: [[0, 0], [0, 1]])
+    # one factor, one cycle, using u1 alone: [count, cycle sum] per key
+    monkeypatch.setattr(enumeration, "_frontier_table", lambda *args: [[0, 0], [1, 1]])
     with pytest.raises(InternalCheckError) as raised:
         classify_crossing_patterns(3)
     assert str(raised.value) == "impossible crossing pattern u1 observed"
@@ -1122,7 +1209,7 @@ def test_classifier_raises_on_an_impossible_pattern(monkeypatch):
 
 def test_classifier_raises_on_an_empty_row(monkeypatch):
     # one factor under every allowed pattern but u1v1u2v2
-    table = [[0, int(m in ROW_OF_MASK and m != 0b1111)] for m in range(16)]
+    table = [[int(m in ROW_OF_MASK and m != 0b1111)] * 2 for m in range(16)]
     monkeypatch.setattr(enumeration, "_frontier_table", lambda *args: table)
     with pytest.raises(InternalCheckError) as raised:
         classify_crossing_patterns(3)

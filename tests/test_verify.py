@@ -302,8 +302,8 @@ def cycle_sum_lowered(st, g):
     ],
 )
 def test_two_regular_suite_fails_each_per_class_claim(monkeypatch, defect, message):
-    real = verify.cycle_factor_stats
-    monkeypatch.setattr(verify, "cycle_factor_stats", lambda g, **kw: defect(real(g, **kw), g))
+    real = verify.cycle_factor_totals
+    monkeypatch.setattr(verify, "cycle_factor_totals", lambda g, **kw: defect(real(g, **kw), g))
     report = two_regular_suite(4)
     assert report.ok is False
     assert report.checked == 1 + 6 + 90
